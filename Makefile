@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-json lint-allows vet bench bench-go fuzz scenario-hashes corpus-golden service-e2e check
+.PHONY: build test race lint lint-json lint-allows vet bench-go fuzz scenario-hashes corpus-golden service-e2e check
 
 build:
 	$(GO) build ./...
@@ -33,12 +33,6 @@ lint-allows:
 
 vet:
 	$(GO) vet ./...
-
-# bench runs the performance harness (cmd/bench): the fleet campaign grid
-# and the long-trace Observe microbenchmark (incremental SpaceTracker vs
-# the legacy FindSpace rescan), writing the BENCH_fleet.json artifact.
-bench:
-	$(GO) run ./cmd/bench -out BENCH_fleet.json
 
 # bench-go runs every go-test benchmark once — the CI smoke that keeps
 # benchmark code compiling and executing.

@@ -447,9 +447,9 @@ func BenchmarkOfflinePartition(b *testing.B) {
 // single-instance trace with the window spanning the whole stream — the
 // regression guard for the incremental SpaceTracker rewrite. One op is one
 // Observe call, amortising the periodic analyses; "legacy" is the
-// FindSpace-rescan reference path, "tracked" the incremental one. cmd/bench
-// reports the same scenario (plus alloc figures and the speedup ratio) into
-// BENCH_fleet.json.
+// FindSpace-rescan reference path, "tracked" the incremental one. The repo
+// benchmark's traced run reports the tracked path over the same scenario as
+// core.observe_ns (perfbench/probe.go).
 func BenchmarkObserveLongTrace(b *testing.B) {
 	const visits = 10000
 	events, book, err := harness.ObserveStream("Marvel Comics", visits)

@@ -9,7 +9,7 @@
 //	taopt -app Zedge -tool ape -setting taopt-duration -faults 0.2
 //	taopt -scenario my-app.json -tool ape -setting taopt-duration
 //	taopt -app Zedge -faultplan outage.json -tool ape -setting taopt-duration
-//	taopt -app Zedge -tool ape -setting taopt-duration -transport wire -wirelog run.wirelog
+//	taopt -app Zedge -tool ape -setting taopt-duration -wirelog run.wirelog
 //	taopt -list
 package main
 
@@ -49,7 +49,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "campaign seed")
 		stagMin   = flag.Float64("stagnation", 0, "override stagnation window in minutes (0 = paper default)")
 		faultRate = flag.Float64("faults", 0, "inject device-farm failures at this instance-failure rate (e.g. 0.2)")
-		transport = flag.String("transport", "inline", "coordination transport: inline | wire (results are byte-identical)")
 		wirelog   = flag.String("wirelog", "", "record the full coordination message log to this file (replay it with tracetool wirelog)")
 		bintrace  = flag.String("bintrace", "", "stream the run in the compact binary trace format to this file (analyze with tracetool corpus)")
 		exportTo  = flag.String("export", "", "write the full run (traces, crashes, subspaces) as JSON to this file")
@@ -150,13 +149,6 @@ func main() {
 	if *faultRate > 0 {
 		fc := faults.DefaultConfig(*faultRate)
 		cfg.Faults = &fc
-	}
-	switch *transport {
-	case "inline":
-	case "wire":
-		cfg.Transport = harness.TransportWire
-	default:
-		fatalf("unknown transport %q (want inline or wire)", *transport)
 	}
 	var wlog *os.File
 	if *wirelog != "" {
@@ -335,10 +327,6 @@ func printSummary(w io.Writer, aut *app.App, tool string, st harness.Setting, re
 	}
 	if res.CoordinatorStats != nil {
 		fmt.Fprintf(w, "coordinator:    %+v\n", *res.CoordinatorStats)
-	}
-	if res.Wire != nil {
-		fmt.Fprintf(w, "wire frames:    %d up / %d down (%d + %d bytes, %d timeouts)\n",
-			res.Wire.FramesUp, res.Wire.FramesDown, res.Wire.BytesUp, res.Wire.BytesDown, res.Wire.Timeouts)
 	}
 	if res.Transport.Injected() > 0 {
 		fmt.Fprintf(w, "transport:      %+v\n", res.Transport)

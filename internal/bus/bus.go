@@ -161,10 +161,10 @@ var ErrNotBound = errors.New("bus: no executor bound")
 // wrapped errors from either side.
 var ErrFarmBusy = device.ErrFarmBusy
 
-// ErrTimeout is the retryable command-timeout sentinel: the transport gave
-// up waiting for a reply within its command timeout (or the fault plan
-// swallowed the command, which the sender cannot distinguish from a slow
-// reply — loss reports as timeout, not as silence).
+// ErrTimeout is the retryable command-timeout sentinel: the command got no
+// reply. The fault plan's command loss reports this way, because a sender
+// cannot tell a swallowed command from a slow reply — loss reports as
+// timeout, not as silence.
 var ErrTimeout = errors.New("bus: command timed out")
 
 // Retryable reports whether a command failure is transient and worth

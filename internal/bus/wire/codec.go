@@ -1,15 +1,12 @@
-// Package wire carries the coordination protocol of internal/bus as framed
-// bytes: every trace.Event travelling up and every Command/Reply pair
-// travelling down is encoded with a length-prefixed binary codec and moved
-// over an in-process duplex pipe. Today the pipe is a pair of synchronous
-// byte queues; the framing is byte-stream-shaped so a TCP connection drops in
-// later without touching the protocol.
-//
-// The same codec serialises a run's full bidirectional message log — the
-// wire log — which a Recorder captures and export.ReplayWireLog re-drives
-// byte-for-byte: the message log, not the process that produced it, is the
+// Package wire serialises the coordination protocol of internal/bus: every
+// trace.Event travelling up and every Command/Reply pair travelling down is
+// encoded with a length-prefixed binary codec into a run's full
+// bidirectional message log — the wire log. A Recorder captures it over the
+// in-process transport and export.ReplayWireLog re-drives it byte-for-byte:
+// the message log, not the process that produced it, is the
 // reproducibility contract (extending the trace.Log.Replay / tracetool
-// decisions idiom to the whole coordination protocol).
+// decisions idiom to the whole coordination protocol), and replaying it is
+// the proof that the protocol survives serialisation.
 //
 // Determinism: the codec has no maps, no wall clock and no randomness; the
 // bytes of a frame are a pure function of its fields, so two identical runs
@@ -29,11 +26,10 @@ import (
 	"taopt/internal/ui"
 )
 
-// FrameKind tags one frame of the protocol or of the recorded wire log.
-// Event, Command and Reply frames are the protocol proper — they are what
-// travels over the pipe. The remaining kinds appear only in wire logs: they
-// record the nondeterministic inputs and boundary effects a replay needs to
-// re-drive a run without the farm, the tools or the fault plan.
+// FrameKind tags one frame of the recorded wire log. Event, Command and
+// Reply frames are the protocol proper; the remaining kinds record the
+// nondeterministic inputs and boundary effects a replay needs to re-drive a
+// run without the farm, the tools or the fault plan.
 type FrameKind byte
 
 // Frame kinds.
@@ -49,7 +45,8 @@ const (
 	// FrameDelivered is one trace event as delivered to the coordinator
 	// side, after drops and delays.
 	FrameDelivered
-	// FrameCommand is one coordinator→executor command.
+	// FrameCommand is one command sent to the executor, by the coordinator
+	// or by the runner itself (see Frame.Coord).
 	FrameCommand
 	// FrameReply is the executor's answer to the preceding FrameCommand.
 	FrameReply
@@ -103,10 +100,11 @@ func (k FrameKind) String() string {
 }
 
 // logMagic opens every wire-log file; logVersion is the codec revision.
-// Version 2 added the scenario hash to the header frame.
+// Version 2 added the scenario hash to the header frame; version 3 added
+// the origin flag to command frames.
 const (
 	logMagic   = "TAOPTWL"
-	logVersion = 2
+	logVersion = 3
 )
 
 // maxFrameSize bounds one frame's payload; anything larger marks a corrupt
@@ -201,6 +199,11 @@ type Frame struct {
 	Sample   Sample       // FrameSample
 	Summary  Summary      // FrameInstance
 	End      RunEnd       // FrameRunEnd
+
+	// Coord marks a FrameCommand the coordinator sent, as opposed to one the
+	// runner sent on its own (baseline allocations, end-of-run releases).
+	// Replay requires the replayed coordinator to send exactly these.
+	Coord bool
 }
 
 // String renders the frame as one stable human-readable line (the format
@@ -220,7 +223,11 @@ func (f Frame) String() string {
 			at, f.Kind, ev.Instance, ev.Action.Kind, ev.From, ev.To, ev.Crashed, ev.Enforced)
 	case FrameCommand, FrameFate:
 		c := f.Cmd
-		return fmt.Sprintf("%12.3f %-8s %s inst=%d screen=%v widget=%q", at, f.Kind, c.Kind, c.Instance, c.Screen, c.Widget)
+		origin := ""
+		if f.Coord {
+			origin = " by=coordinator"
+		}
+		return fmt.Sprintf("%12.3f %-8s %s inst=%d screen=%v widget=%q%s", at, f.Kind, c.Kind, c.Instance, c.Screen, c.Widget, origin)
 	case FrameReply:
 		errText := ""
 		if f.Reply.Err != nil {
@@ -251,7 +258,7 @@ func (f Frame) String() string {
 // Reply errors cross the wire as a sentinel class plus the full message, so
 // the coordinator's two error probes — errors.Is against the retry sentinels
 // and err.Error() for the decision log — behave identically whether a reply
-// came through Inline, the wire, or a replayed log.
+// came through the live transport or a replayed log.
 const (
 	errClassNone byte = iota
 	errClassBusy
@@ -605,7 +612,10 @@ func marshalFrame(f Frame) ([]byte, error) {
 		e.node(f.Screen.Root)
 	case FrameEvent, FrameDelivered:
 		e.event(f.Event)
-	case FrameCommand, FrameFate:
+	case FrameCommand:
+		e.command(f.Cmd)
+		e.boolb(f.Coord)
+	case FrameFate:
 		e.command(f.Cmd)
 	case FrameReply:
 		e.reply(f.Reply)
@@ -679,7 +689,10 @@ func decodeFrame(payload []byte) (Frame, error) {
 		f.Screen = &ui.Screen{Activity: d.str(), Root: d.node()}
 	case FrameEvent, FrameDelivered:
 		f.Event = d.event()
-	case FrameCommand, FrameFate:
+	case FrameCommand:
+		f.Cmd = d.command()
+		f.Coord = d.boolb()
+	case FrameFate:
 		f.Cmd = d.command()
 	case FrameReply:
 		f.Reply = d.reply()
@@ -757,9 +770,8 @@ type Log struct {
 // ReadLog decodes a wire log produced by a Recorder. It validates the magic,
 // the codec version, and that the stream opens with a header frame.
 func ReadLog(r io.Reader) (*Log, error) {
-	br := &byteStream{r: r}
 	magic := make([]byte, len(logMagic)+1)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("wire: reading log magic: %w", err)
 	}
 	if string(magic[:len(logMagic)]) != logMagic {
@@ -772,7 +784,7 @@ func ReadLog(r io.Reader) (*Log, error) {
 	log := &Log{}
 	lenBuf := make([]byte, 4)
 	for i := 0; ; i++ {
-		if _, err := io.ReadFull(br, lenBuf); err != nil {
+		if _, err := io.ReadFull(r, lenBuf); err != nil {
 			if err == io.EOF {
 				break
 			}
@@ -783,7 +795,7 @@ func ReadLog(r io.Reader) (*Log, error) {
 			return nil, fmt.Errorf("wire: frame %d claims %d bytes (corrupt log)", i, n)
 		}
 		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return nil, fmt.Errorf("wire: reading frame %d payload: %w", i, err)
 		}
 		f, err := decodeFrame(payload)
@@ -801,8 +813,3 @@ func ReadLog(r io.Reader) (*Log, error) {
 	}
 	return log, nil
 }
-
-// byteStream adapts any reader for io.ReadFull without double-buffering.
-type byteStream struct{ r io.Reader }
-
-func (b *byteStream) Read(p []byte) (int, error) { return b.r.Read(p) }

@@ -30,11 +30,14 @@ type Recorder struct {
 	now  func() sim.Duration
 	book *trace.Book
 	seen map[ui.Signature]bool
-	// depth distinguishes coordinator-originated sends traversing the stack
-	// (recorded once, by Outer) from fate injections entering below the
-	// coordinator (recorded by Inner as FrameFate).
+	// depth distinguishes sends traversing the stack (recorded once, by
+	// Outer) from fate injections entering below it (recorded by Inner as
+	// FrameFate).
 	depth int
-	err   error
+	// coordinating marks the exchanges recorded while the coordinator is
+	// calling into the run; their command frames carry Frame.Coord.
+	coordinating bool
+	err          error
 }
 
 // NewRecorder starts a wire log on w: magic, version, then the header frame.
@@ -103,11 +106,17 @@ func (r *Recorder) Lease(id int, launch trace.Event) {
 	r.frame(Frame{Kind: FrameLease, At: r.now(), Instance: id, Event: launch})
 }
 
+// Coordinating marks whether the exchanges recorded from now on are sent by
+// the coordinator. The harness sets it around every call the coordinator
+// makes into the run, so replay can tell a recorded coordinator command the
+// replayed coordinator failed to send from one the runner sent on its own.
+func (r *Recorder) Coordinating(on bool) { r.coordinating = on }
+
 // Local records a Command/Reply exchange the runner resolved without
 // touching the transport (end-of-run allocation guards). Replay matches
 // these frames exactly like transported exchanges.
 func (r *Recorder) Local(cmd bus.Command, rep bus.Reply) {
-	r.frame(Frame{Kind: FrameCommand, At: r.now(), Cmd: cmd})
+	r.frame(Frame{Kind: FrameCommand, At: r.now(), Cmd: cmd, Coord: r.coordinating})
 	r.frame(Frame{Kind: FrameReply, At: r.now(), Reply: rep})
 }
 
@@ -148,7 +157,7 @@ func (t *outerRec) Stats() bus.Stats                  { return t.inner.Stats() }
 
 func (t *outerRec) Send(cmd bus.Command) bus.Reply {
 	t.rec.define(cmd.Screen)
-	t.rec.frame(Frame{Kind: FrameCommand, At: t.rec.now(), Cmd: cmd})
+	t.rec.frame(Frame{Kind: FrameCommand, At: t.rec.now(), Cmd: cmd, Coord: t.rec.coordinating})
 	t.rec.depth++
 	rep := t.inner.Send(cmd)
 	t.rec.depth--
@@ -175,8 +184,8 @@ func (t *innerRec) Stats() bus.Stats                  { return t.inner.Stats() }
 
 func (t *innerRec) Send(cmd bus.Command) bus.Reply {
 	if t.rec.depth > 0 {
-		// A coordinator-originated command traversing the stack; Outer
-		// already recorded the exchange.
+		// A command traversing the stack; Outer already recorded the
+		// exchange.
 		return t.inner.Send(cmd)
 	}
 	// A fate injection from the fault plan, entering below the coordinator.

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"io"
 	"reflect"
 	"testing"
 
@@ -52,7 +51,8 @@ func allFrames(t *testing.T) []Frame {
 		{Kind: FrameScreen, At: 1e9, Sig: sig, Screen: screen},
 		{Kind: FrameEvent, At: 2e9, Event: ev},
 		{Kind: FrameDelivered, At: 3e9, Event: ev},
-		{Kind: FrameCommand, At: 4e9, Cmd: bus.Command{Kind: bus.BlockWidget, Instance: 2, Screen: sig, Widget: ui.WidgetPath("root/buy")}},
+		{Kind: FrameCommand, At: 4e9, Cmd: bus.Command{Kind: bus.BlockWidget, Instance: 2, Screen: sig, Widget: ui.WidgetPath("root/buy")}, Coord: true},
+		{Kind: FrameCommand, At: 4e9, Cmd: bus.Command{Kind: bus.Deallocate, Instance: 2}},
 		{Kind: FrameReply, At: 4e9, Reply: bus.Reply{Instance: 2}},
 		{Kind: FrameReply, At: 5e9, Reply: bus.Reply{Err: bus.ErrNotBound}},
 		{Kind: FrameFate, At: 6e9, Cmd: bus.Command{Kind: bus.Kill, Instance: 1}},
@@ -90,6 +90,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		// Replies carry errors, which decode to transport-invariant values
 		// rather than the original instances; compare their views separately.
 		if f.Kind == FrameReply {
+			if got.Reply.Instance != f.Reply.Instance {
+				t.Fatalf("reply instance changed: %d -> %d", f.Reply.Instance, got.Reply.Instance)
+			}
 			if (got.Reply.Err == nil) != (f.Reply.Err == nil) {
 				t.Fatalf("reply error presence changed: %v -> %v", f.Reply.Err, got.Reply.Err)
 			}
@@ -157,41 +160,6 @@ func TestCodecRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-func TestPipe(t *testing.T) {
-	a, b := Pipe()
-	if _, err := b.Write([]byte("up!")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 8)
-	n, err := a.Read(buf)
-	if err != nil || string(buf[:n]) != "up!" {
-		t.Fatalf("read %q, %v", buf[:n], err)
-	}
-	// Empty pipe reports no data, not EOF: the simulation is single-threaded,
-	// so "nothing buffered" is a state, not a stream end.
-	if _, err := a.Read(buf); !errors.Is(err, errNoData) {
-		t.Fatalf("empty read: %v", err)
-	}
-	// The duplex pair is symmetric.
-	if _, err := a.Write([]byte("down")); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := b.Read(buf); err != nil || string(buf[:n]) != "down" {
-		t.Fatalf("read %q, %v", buf[:n], err)
-	}
-	// Close poisons both directions and discards buffered data.
-	if _, err := b.Write([]byte("lost")); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	if _, err := a.Read(buf); !errors.Is(err, io.ErrClosedPipe) {
-		t.Fatalf("read after close: %v", err)
-	}
-	if _, err := b.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
-		t.Fatalf("write after peer close: %v", err)
-	}
-}
-
 type echoExec struct{ next int }
 
 func (e *echoExec) Exec(cmd bus.Command) bus.Reply {
@@ -201,77 +169,6 @@ func (e *echoExec) Exec(cmd bus.Command) bus.Reply {
 		return bus.Reply{Instance: e.next}
 	default:
 		return bus.Reply{Instance: cmd.Instance}
-	}
-}
-
-// TestTransportCarriesProtocol drives the full request/reply and publish
-// paths through the framing and checks both accounting views.
-func TestTransportCarriesProtocol(t *testing.T) {
-	var now sim.Duration
-	tr := New(func() sim.Duration { return now })
-	tr.Bind(&echoExec{})
-
-	var seen []trace.Event
-	tr.Subscribe(func(ev trace.Event) { seen = append(seen, ev) })
-
-	rep := tr.Send(bus.Command{Kind: bus.Allocate})
-	if rep.Err != nil || rep.Instance != 1 {
-		t.Fatalf("allocate over wire: %+v", rep)
-	}
-	ev := trace.Event{Instance: 1, To: ui.Signature(5), Activity: "A"}
-	tr.Publish(ev)
-	if len(seen) != 1 || seen[0] != ev {
-		t.Fatalf("published event not delivered: %+v", seen)
-	}
-
-	st := tr.Stats()
-	if st.Commands != 1 || st.CommandFailures != 0 || st.Published != 1 || st.Delivered != 1 {
-		t.Fatalf("bus stats: %+v", st)
-	}
-	w := tr.Wire()
-	if w.FramesDown != 1 || w.FramesUp != 2 || w.BytesUp == 0 || w.BytesDown == 0 {
-		t.Fatalf("wire stats: %+v", w)
-	}
-	if tr.Err() != nil {
-		t.Fatalf("transport error: %v", tr.Err())
-	}
-}
-
-// TestTransportUnboundCommands: a command with no executor behind the wire
-// still gets a framed reply carrying bus.ErrNotBound.
-func TestTransportUnboundCommands(t *testing.T) {
-	tr := New(func() sim.Duration { return 0 })
-	rep := tr.Send(bus.Command{Kind: bus.Allocate})
-	if !errors.Is(rep.Err, bus.ErrNotBound) {
-		t.Fatalf("unbound send: %v", rep.Err)
-	}
-	st := tr.Stats()
-	if st.Commands != 1 || st.CommandFailures != 1 {
-		t.Fatalf("unbound stats: %+v", st)
-	}
-}
-
-// TestTransportSever: once the link is lost, publishes degrade to silence
-// and commands time out with the retryable bus.ErrTimeout sentinel —
-// graceful degradation, never a hang or a panic.
-func TestTransportSever(t *testing.T) {
-	var now sim.Duration
-	tr := New(func() sim.Duration { return now })
-	tr.Bind(&echoExec{})
-	tr.Sever()
-
-	tr.Publish(trace.Event{Instance: 1})
-	now += CommandTimeout
-	rep := tr.Send(bus.Command{Kind: bus.Deallocate, Instance: 1})
-	if rep.Err == nil || !errors.Is(rep.Err, bus.ErrTimeout) {
-		t.Fatalf("severed send: %v", rep.Err)
-	}
-	if !bus.Retryable(rep.Err) {
-		t.Fatal("severed-link timeout must be retryable")
-	}
-	st, w := tr.Stats(), tr.Wire()
-	if st.Delivered != 0 || st.CommandFailures != 1 || w.Timeouts != 1 {
-		t.Fatalf("severed stats: %+v wire %+v", st, w)
 	}
 }
 
@@ -288,10 +185,12 @@ func TestRecorderFrameOrdering(t *testing.T) {
 	base.Bind(&echoExec{})
 	port := rec.Outer(rec.Inner(base))
 
-	// A coordinator-originated command referencing a screen: definition,
-	// command, reply.
+	// A coordinator-sent command referencing a screen: definition, command,
+	// reply.
 	now = 1e9
+	rec.Coordinating(true)
 	port.Send(bus.Command{Kind: bus.BlockWidget, Instance: 1, Screen: sig})
+	rec.Coordinating(false)
 	// A ground event, then its post-fault delivery.
 	ev := trace.Event{Instance: 1, From: sig, To: sig, Activity: "MainActivity"}
 	port.Publish(ev)
@@ -319,6 +218,9 @@ func TestRecorderFrameOrdering(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("frame sequence:\n got %v\nwant %v", got, want)
+	}
+	if !log.Frames[1].Coord {
+		t.Fatal("coordinator-sent command recorded without its origin flag")
 	}
 	if log.Frames[0].Sig != sig {
 		t.Fatalf("screen defined as %v, want %v", log.Frames[0].Sig, sig)

@@ -9,10 +9,11 @@
 // tool decisions are replayed from the recorded events, never re-run.
 //
 // Replay is strict. The coordinator's sends are matched frame-for-frame
-// against the recorded exchanges; any divergence (a command the log does
-// not carry next, a count that does not reconcile with the recorded run
-// totals) is an error, not a best-effort continuation. A wire log either
-// reproduces its run byte-for-byte or it fails loudly.
+// against the recorded coordinator exchanges; any divergence (a command the
+// log does not carry next, a recorded coordinator command the replayed
+// coordinator does not send, a count that does not reconcile with the
+// recorded run totals) is an error, not a best-effort continuation. A wire
+// log either reproduces its run byte-for-byte or it fails loudly.
 package export
 
 import (
@@ -159,8 +160,8 @@ func (e *wireReplay) send(cmd bus.Command) bus.Reply {
 		e.fail("coordinator sent %s but the log carries a %v frame", cmd.Kind, f.Kind)
 		return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
 	}
-	if f.Cmd != cmd {
-		e.fail("coordinator sent %+v but the log recorded %+v", cmd, f.Cmd)
+	if f.Cmd != cmd || !f.Coord {
+		e.fail("coordinator sent %+v but the log recorded %+v (coordinator-sent: %v)", cmd, f.Cmd, f.Coord)
 		return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
 	}
 	return e.consumeExchange(cmd)
@@ -239,8 +240,10 @@ func (e *wireReplay) lease(f wire.Frame) {
 }
 
 // drive consumes the top-level frame stream: ground events accumulate into
-// the per-instance logs, deliveries feed the coordinator, runner-originated
-// exchanges and fate injections update the mirrored farm state.
+// the per-instance logs, deliveries feed the coordinator, runner-sent
+// exchanges and fate injections update the mirrored farm state. A
+// coordinator-sent exchange is consumed only by the replayed coordinator's
+// own send; meeting one here means the replay diverged.
 func (e *wireReplay) drive() {
 	for e.err == nil && e.pos < len(e.frames) {
 		f, _ := e.next()
@@ -256,8 +259,12 @@ func (e *wireReplay) drive() {
 				e.coord.OnTransition(f.Event)
 			}
 		case wire.FrameCommand:
-			// A runner-originated exchange: a baseline strategy's allocation,
-			// an end-of-run deallocation, or a guard-rejected request.
+			if f.Coord {
+				e.fail("the log records a coordinator %s the replayed coordinator did not send", f.Cmd.Kind)
+				break
+			}
+			// A runner-sent exchange: a baseline strategy's allocation, an
+			// end-of-run deallocation, or a guard-rejected request.
 			e.consumeExchange(f.Cmd)
 		case wire.FrameFate:
 			// An injected Kill removes the instance from the farm; a Hang

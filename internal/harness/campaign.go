@@ -103,10 +103,6 @@ type CampaignConfig struct {
 	// every run of the campaign (ablations and the legacy-analyzer
 	// differential); nil uses the mode's defaults.
 	CoreConfig *core.Config
-	// Transport selects the coordination transport for every run of the
-	// campaign (default TransportInline). Conformance: the choice must not
-	// change any summary the renderers read.
-	Transport Transport
 	// Workers bounds the goroutine pool Prefetch computes missing cells on.
 	// 0 or 1 runs serially; results are identical either way — each cell's
 	// seed derives from its key alone, and Prefetch merges in deterministic
@@ -235,7 +231,6 @@ func (c *Campaign) computeCell(key CellKey) (*CellSummary, error) {
 		ScenarioHash: hash,
 		CoreConfig:   c.cfg.CoreConfig,
 		Faults:       c.cfg.Faults,
-		Transport:    c.cfg.Transport,
 	}
 	var binFile *os.File
 	if c.cfg.BinTraceDir != "" {

@@ -217,8 +217,7 @@ func TestChaosCampaignThreadsFaults(t *testing.T) {
 }
 
 // TestChaosWireOutageBackoff forces the hostile end of the robustness
-// envelope through the framed transport: allocation outages plus command
-// loss. The run must complete (no hang, no panic), resolve deferred
+// envelope: allocation outages plus command loss. The run must complete (no hang, no panic), resolve deferred
 // allocations via the coordinator's capped backoff, retry lost block
 // commands, and leave the whole story in the decision log.
 func TestChaosWireOutageBackoff(t *testing.T) {
@@ -236,13 +235,9 @@ func TestChaosWireOutageBackoff(t *testing.T) {
 		Seed:      11,
 		Faults:    &fc,
 		Telemetry: true,
-		Transport: TransportWire,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Wire == nil || res.Wire.FramesUp == 0 {
-		t.Fatalf("run did not go over the wire: %+v", res.Wire)
 	}
 	if res.Transport.AllocFailures == 0 {
 		t.Fatalf("outage mix drew no allocation failures: %+v", res.Transport)

@@ -81,32 +81,6 @@ func (s Setting) String() string {
 	}
 }
 
-// Transport selects the coordination-transport implementation of a run.
-// The selection must be invisible in the results: the transport conformance
-// suite asserts byte-identical exports across all transports.
-type Transport int
-
-// Transports.
-const (
-	// TransportInline is the synchronous in-process transport (bus.Inline).
-	TransportInline Transport = iota
-	// TransportWire is the message-framed transport: every event and
-	// command crosses an in-process duplex pipe as length-prefixed binary
-	// frames (internal/bus/wire).
-	TransportWire
-)
-
-func (t Transport) String() string {
-	switch t {
-	case TransportInline:
-		return "inline"
-	case TransportWire:
-		return "wire"
-	default:
-		return "unknown-transport"
-	}
-}
-
 // Defaults matching the paper's setup (Section 6.1).
 const (
 	DefaultInstances   = 5
@@ -146,12 +120,10 @@ type RunConfig struct {
 	// log and the run's metrics registry (see internal/obs). Off by default;
 	// a disabled run carries a nil sink and pays nothing on the hot path.
 	Telemetry bool
-	// Transport selects the coordination transport (default TransportInline).
-	Transport Transport
 	// WireLog, when non-nil, records the run's full bidirectional message
 	// log in the internal/bus/wire format: every ground event, delivery,
 	// command exchange and boundary effect, from which export.ReplayWireLog
-	// re-derives the run byte-for-byte. Works over either transport.
+	// re-derives the run byte-for-byte.
 	WireLog io.Writer
 	// BinTrace, when non-nil, streams the run in the compact binary
 	// trace+telemetry format (internal/trace/bin): events, samples and
@@ -224,10 +196,6 @@ type RunResult struct {
 	// Telemetry holds the run's decision log and metrics registry when
 	// RunConfig.Telemetry was set; nil otherwise.
 	Telemetry *obs.Telemetry
-	// Wire holds the wire transport's frame-level traffic counters
-	// (TransportWire runs only; nil for Inline). Deliberately not part of
-	// the export, which must stay byte-identical across transports.
-	Wire *wire.Stats
 	// Events is the number of scheduler events the run fired — the
 	// deterministic work measure behind the bench harness's
 	// virtual-events-per-second figure.
@@ -269,16 +237,11 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	r := newRunner(cfg)
 	r.run()
 	res := r.result()
-	// A truncated or failed wire log / wire protocol must fail the run
-	// loudly: a silently incomplete log would replay wrongly later.
+	// A truncated or failed wire log must fail the run loudly: a silently
+	// incomplete log would replay wrongly later.
 	if r.rec != nil {
 		if err := r.rec.Err(); err != nil {
 			return nil, err
-		}
-	}
-	if r.wireT != nil {
-		if err := r.wireT.Err(); err != nil {
-			return nil, fmt.Errorf("harness: wire transport: %w", err)
 		}
 	}
 	// Likewise a truncated binary trace: it would read as a corrupt stream.
@@ -333,10 +296,8 @@ type runner struct {
 	// producer below guards on it, so a disabled run takes no telemetry
 	// branches beyond one nil check).
 	tel *obs.Telemetry
-	// wireT is the framed transport when TransportWire is selected (nil for
-	// Inline); rec is the wire-log recorder when RunConfig.WireLog is set.
-	wireT *wire.Transport
-	rec   *wire.Recorder
+	// rec is the wire-log recorder when RunConfig.WireLog is set.
+	rec *wire.Recorder
 	// bin is the streaming binary trace writer when RunConfig.BinTrace is
 	// set (nil otherwise). It taps the driver-side ground truth, exactly
 	// like the measurements: injected transport faults never reach it.
@@ -390,21 +351,14 @@ func newRunner(cfg RunConfig) *runner {
 		r.wallDeadline = cfg.MachineBudget
 	}
 	r.farm = device.NewFarm(cfg.App, r.rng.Fork(1000003), maxDevices, autoLogin)
-	// The transport stack, innermost first: the base transport (Inline or
-	// framed wire), the fault decorator on chaos runs (a nil plan leaves it
-	// undecorated), and — when a wire log is requested — the recorder's two
-	// taps: Inner below the faults (what was delivered) and Outer above them
+	// The transport stack, innermost first: the Inline base transport, the
+	// fault decorator on chaos runs (a nil plan leaves it undecorated), and
+	// — when a wire log is requested — the recorder's two taps: Inner below the faults (what was delivered) and Outer above them
 	// (ground events and command exchanges as the endpoints spoke them).
 	// The runner binds itself as the executor endpoint before the strategy
 	// is built, so TaOPT's coordinator can emit commands from its first
 	// event.
-	var base bus.Transport
-	if cfg.Transport == TransportWire {
-		r.wireT = wire.New(r.sched.Now)
-		base = r.wireT
-	} else {
-		base = bus.NewInline()
-	}
+	var base bus.Transport = bus.NewInline()
 	if cfg.WireLog != nil {
 		r.rec = wire.NewRecorder(cfg.WireLog, r.sched.Now, r.book, wire.Header{
 			App:             cfg.App.Name,
@@ -845,10 +799,6 @@ func (r *runner) result() *RunResult {
 		}
 		res.Telemetry = r.tel
 	}
-	if r.wireT != nil {
-		ws := r.wireT.Wire()
-		res.Wire = &ws
-	}
 	if r.rec != nil {
 		// Close the wire log: per-lease summaries and the run totals, the
 		// frames replay rebuilds the export's non-protocol sections from.
@@ -940,7 +890,7 @@ func (r *runner) binTail(res *RunResult) {
 			LostCommands:    st.LostCommands,
 			FailedInstances: res.FailedInstances,
 			OrphansPending:  res.OrphansPending,
-			HasMix: true,
+			HasMix:          true,
 			Mix: [6]int{
 				st.KindCount(bus.Allocate), st.KindCount(bus.Deallocate),
 				st.KindCount(bus.BlockWidget), st.KindCount(bus.BlockMember),

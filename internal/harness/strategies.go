@@ -3,6 +3,7 @@ package harness
 import (
 	"sort"
 
+	"taopt/internal/bus"
 	"taopt/internal/core"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
@@ -114,9 +115,38 @@ func newTaOPT(r *runner, mode core.Mode) *taopt {
 	// Nil when telemetry is off: the coordinator's decision-log emits are
 	// nil-safe no-ops.
 	cfg.Obs = r.tel.DecisionLog()
-	coord := core.NewCoordinator(cfg, r, r.port, r.book)
+	var env core.Env = r
+	var send bus.Sender = r.port
+	if r.rec != nil {
+		env, send = coordSeams{r}, coordSeams{r}
+	}
+	coord := core.NewCoordinator(cfg, env, send, r.book)
 	r.coord = coord
 	return &taopt{coord: coord}
+}
+
+// coordSeams is the coordinator's view of a recorded run: every exchange it
+// starts — allocations, releases, block commands — is marked
+// coordinator-sent in the wire log, so replay can require the replayed
+// coordinator to send exactly those.
+type coordSeams struct{ *runner }
+
+func (c coordSeams) Allocate() (int, error) {
+	c.rec.Coordinating(true)
+	defer c.rec.Coordinating(false)
+	return c.runner.Allocate()
+}
+
+func (c coordSeams) Deallocate(id int) error {
+	c.rec.Coordinating(true)
+	defer c.rec.Coordinating(false)
+	return c.runner.Deallocate(id)
+}
+
+func (c coordSeams) Send(cmd bus.Command) bus.Reply {
+	c.rec.Coordinating(true)
+	defer c.rec.Coordinating(false)
+	return c.port.Send(cmd)
 }
 
 func (s *taopt) start() { s.coord.Start() }

@@ -12,8 +12,8 @@ type Config struct {
 	// contract: virtual clock only, seeded RNG only.
 	Deterministic []string
 	// WalltimeAllowed lists packages exempt from the walltime analyzer
-	// even though they sit inside a Deterministic tree (internal/cli
-	// measures real profiling durations for the operator).
+	// even though they sit inside a Deterministic tree. The shipped
+	// contract exempts none: no internal package reads the wall clock.
 	WalltimeAllowed []string
 	// RandAllowed is the equivalent exemption list for globalrand.
 	RandAllowed []string
@@ -44,12 +44,8 @@ func DefaultConfig() *Config {
 		Deterministic: []string{
 			"taopt/internal",
 		},
-		WalltimeAllowed: []string{
-			// Operator-facing profiling (-cpuprofile wall timing) is
-			// wall-clock by nature and never feeds run results.
-			"taopt/internal/cli",
-		},
-		RandAllowed: nil,
+		WalltimeAllowed: nil,
+		RandAllowed:     nil,
 		Layers: []LayerRule{
 			{
 				Pkg:   "taopt/internal/sim",

@@ -39,9 +39,13 @@ func TestConfigMatching(t *testing.T) {
 }
 
 func TestWalltimeExemptionIsScoped(t *testing.T) {
+	if matchesAny("taopt/internal/cli", DefaultConfig().WalltimeAllowed) {
+		t.Fatal("the shipped contract exempts no package from walltime, internal/cli included")
+	}
 	cfg := DefaultConfig()
+	cfg.WalltimeAllowed = []string{"taopt/internal/cli"}
 	if !matchesAny("taopt/internal/cli", cfg.WalltimeAllowed) {
-		t.Fatal("internal/cli must be exempt from walltime")
+		t.Fatal("an exempted package must match its own entry")
 	}
 	if matchesAny("taopt/internal/climate", cfg.WalltimeAllowed) {
 		t.Fatal("exemption must not leak to sibling packages by raw prefix")

@@ -13,14 +13,14 @@ import (
 // crosses the wire codec comes back as a *different* value wrapping the
 // sentinel — the reply codec re-frames errors as (class, message) and
 // rebuilds them with errors.Is-compatible wrapping — so identity holds only
-// on the Inline transport and silently stops matching on the framed one.
-// errors.Is is the only comparison that behaves identically across Inline,
-// wire, and replayed-log transports.
+// on a live run and silently stops matching on a replayed wire log.
+// errors.Is is the only comparison that behaves identically live and in
+// replay.
 func Sentinelerr(cfg *Config) *Analyzer {
 	a := &Analyzer{
 		Name: "sentinelerr",
 		Doc: "forbid ==/!= (and switch-case) comparison against module sentinel errors; wire re-framing " +
-			"rebuilds errors by wrapping, so only errors.Is classifies replies identically on every transport",
+			"rebuilds errors by wrapping, so only errors.Is classifies replies identically live and in replay",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, file := range pass.Files {
@@ -34,7 +34,7 @@ func Sentinelerr(cfg *Config) *Analyzer {
 						if name, ok := sentinelVar(pass, cfg, side); ok {
 							pass.Reportf(n.Pos(),
 								"%s compared with %s; the wire codec re-frames errors by wrapping the sentinel, "+
-									"so identity fails across transports — use errors.Is(err, %s)",
+									"so identity fails on replayed replies — use errors.Is(err, %s)",
 								name, n.Op, name)
 							break
 						}

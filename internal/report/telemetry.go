@@ -49,21 +49,6 @@ func Telemetry(w io.Writer, res *harness.RunResult) error {
 		return err
 	}
 
-	// Frame-level traffic counters exist only when the run went over the
-	// wire transport; they are process-level observability, deliberately
-	// kept out of exports (see RunResult.Wire), so the digest is their only
-	// rendered surface.
-	if ws := res.Wire; ws != nil {
-		header(w, "Telemetry: wire transport")
-		tw = tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
-		fmt.Fprintf(tw, "  frames up\t%d\t(%d bytes)\n", ws.FramesUp, ws.BytesUp)
-		fmt.Fprintf(tw, "  frames down\t%d\t(%d bytes)\n", ws.FramesDown, ws.BytesDown)
-		fmt.Fprintf(tw, "  command timeouts\t%d\n", ws.Timeouts)
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-	}
-
 	header(w, "Telemetry: metrics")
 	tw = tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	for _, m := range tel.Registry().Snapshot() {

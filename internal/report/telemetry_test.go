@@ -1,16 +1,13 @@
 package report
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"taopt/internal/apps"
-	"taopt/internal/export"
 	"taopt/internal/faults"
 	"taopt/internal/harness"
 	"taopt/internal/sim"
@@ -67,66 +64,6 @@ func TestTelemetryRendererGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("rendered telemetry digest diverges from golden (regenerate with -update if intended):\n--- got\n%s\n--- want\n%s", got, want)
-	}
-}
-
-// TestTelemetryRendererWireStats: a wire-transport run's digest carries the
-// frame-level traffic section, an inline run's digest must not — and the
-// counters stay out of the export either way.
-func TestTelemetryRendererWireStats(t *testing.T) {
-	run := func(tr harness.Transport) *harness.RunResult {
-		res, err := harness.Run(harness.RunConfig{
-			App:       apps.MustLoad("Filters For Selfie"),
-			Tool:      "monkey",
-			Setting:   harness.TaOPTDuration,
-			Duration:  4 * sim.Duration(60e9),
-			Seed:      3,
-			Transport: tr,
-			Telemetry: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	res := run(harness.TransportWire)
-	if res.Wire == nil {
-		t.Fatal("wire run carries no Stats")
-	}
-	var sb strings.Builder
-	if err := Telemetry(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "Telemetry: wire transport") {
-		t.Errorf("wire run digest lacks the wire-transport section:\n%s", out)
-	}
-	for _, want := range []string{
-		fmt.Sprintf("(%d bytes)", res.Wire.BytesUp),
-		fmt.Sprintf("(%d bytes)", res.Wire.BytesDown),
-		"frames up", "frames down", "command timeouts",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("digest does not render %q:\n%s", want, out)
-		}
-	}
-	if b, err := json.Marshal(export.FromResult(res)); err != nil {
-		t.Fatal(err)
-	} else {
-		for _, key := range []string{"frames_up", "frames_down", "FramesUp", "BytesUp"} {
-			if strings.Contains(string(b), key) {
-				t.Errorf("wire stats leaked into the export (%s)", key)
-			}
-		}
-	}
-
-	sb.Reset()
-	if err := Telemetry(&sb, run(harness.TransportInline)); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "wire transport") {
-		t.Error("inline run digest renders a wire-transport section")
 	}
 }
 

@@ -97,9 +97,6 @@ type (
 	Duration = sim.Duration
 	// ScreenSignature identifies an abstract UI screen.
 	ScreenSignature = ui.Signature
-	// Transport selects the coordination-transport implementation of a run
-	// (RunConfig.Transport / CampaignConfig.Transport).
-	Transport = harness.Transport
 )
 
 // Run settings.
@@ -122,14 +119,6 @@ const (
 const (
 	DurationConstrained = core.DurationConstrained
 	ResourceConstrained = core.ResourceConstrained
-)
-
-// Coordination transports (used in RunConfig.Transport). Either produces
-// byte-identical run exports; TransportWire additionally forces the whole
-// coordination protocol through the internal/bus/wire framing.
-const (
-	TransportInline = harness.TransportInline
-	TransportWire   = harness.TransportWire
 )
 
 // Time helpers for configs.
