@@ -46,6 +46,8 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSpaceTracker -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s
 	$(GO) test ./internal/export -run '^$$' -fuzz FuzzTraceBinCodec -fuzztime 10s
+	$(GO) test ./internal/export -run '^$$' -fuzz FuzzExportRead -fuzztime 10s
+	$(GO) test ./internal/bus/wire -run '^$$' -fuzz FuzzWireLog -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzServiceSubmit -fuzztime 10s
 
 # corpus-golden regenerates the corpus-analytics golden (the rendered
@@ -55,8 +57,9 @@ corpus-golden:
 	$(GO) test ./internal/corpus -run TestCorpusGolden -update
 
 # service-e2e boots taoptd on a temp data dir and proves the cache contract
-# over real HTTP: served export == offline taopt export byte-for-byte, a
-# renamed resubmit is a cache hit, and the hit survives a service restart.
+# over real HTTP: served export == the JSON view of an offline taopt record
+# byte-for-byte, a renamed resubmit is a cache hit, and the hit survives a
+# service restart.
 service-e2e:
 	./scripts/service-e2e.sh
 

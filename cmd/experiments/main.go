@@ -27,7 +27,6 @@ import (
 	"taopt/internal/apps"
 	"taopt/internal/cli"
 	"taopt/internal/core"
-	"taopt/internal/export"
 	"taopt/internal/faults"
 	"taopt/internal/harness"
 	"taopt/internal/report"
@@ -163,7 +162,6 @@ func main() {
 		faultRate = flag.Float64("faults", 0, "instance-failure rate for fault injection (chaos derives its own 0/5/20% grid)")
 		workers   = flag.Int("workers", 1, "campaign cells computed in parallel (0 = GOMAXPROCS); results are identical to -workers=1")
 		binDir    = flag.String("bintrace-dir", "", "stream every computed cell's run as a binary trace file into this directory (analyze with tracetool corpus)")
-		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON of one telemetry-enabled TaOPT run (first app × first tool) to this file")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 		quiet     = flag.Bool("q", false, "suppress per-run progress lines")
@@ -287,24 +285,6 @@ func main() {
 		}
 	}
 
-	if *traceOut != "" {
-		if err := writeChromeTrace(cfg, *traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		// When -exp wasn't given explicitly, the trace is the deliverable —
-		// don't drag the user through the default full grid.
-		expSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "exp" {
-				expSet = true
-			}
-		})
-		if !expSet {
-			return
-		}
-	}
-
 	if *exp == "grid" {
 		if err := gridExperiment(os.Stdout, cfg, *seeds, settings); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -325,51 +305,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fleet: %d cells computed, %d cache hits, %d workers, jobs per worker %v\n",
 			st.CellsComputed, st.CacheHits, st.Workers, st.JobsPerWorker)
 	}
-}
-
-// writeChromeTrace runs one telemetry-enabled TaOPT duration-constrained
-// cell — the campaign's first app and tool — and writes its Perfetto-loadable
-// trace-event JSON to path.
-func writeChromeTrace(cfg harness.CampaignConfig, path string) error {
-	appName := apps.Names()[0]
-	if len(cfg.Apps) > 0 {
-		appName = cfg.Apps[0]
-	}
-	tool := "monkey"
-	if len(cfg.Tools) > 0 {
-		tool = cfg.Tools[0]
-	}
-	aut, err := apps.Load(appName)
-	if err != nil {
-		return err
-	}
-	res, err := harness.Run(harness.RunConfig{
-		App:       aut,
-		Tool:      tool,
-		Setting:   harness.TaOPTDuration,
-		Instances: cfg.Instances,
-		Duration:  cfg.Duration,
-		Seed:      cfg.Seed,
-		Faults:    cfg.Faults,
-		Telemetry: true,
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	tr := export.ChromeTrace(res)
-	if err := tr.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "trace: wrote %d events for %s/%s to %s\n", tr.Len(), appName, tool, path)
-	return nil
 }
 
 func splitList(s string) []string {

@@ -2,6 +2,12 @@
 // app with a chosen tool and parallelization setting, and prints the run's
 // headline measurements.
 //
+// -bintrace records the run: one binary trace (.taoptb) holding every event,
+// sample, decision and end-of-run summary. The JSON export, the Chrome trace
+// and the decision log are views of that record, rendered offline with
+// tracetool render. -wirelog records the coordination message log that
+// tracetool wirelog -replay re-drives.
+//
 // Usage:
 //
 //	taopt -app Zedge -tool ape -setting taopt-duration -duration 60
@@ -9,6 +15,8 @@
 //	taopt -app Zedge -tool ape -setting taopt-duration -faults 0.2
 //	taopt -scenario my-app.json -tool ape -setting taopt-duration
 //	taopt -app Zedge -faultplan outage.json -tool ape -setting taopt-duration
+//	taopt -app Zedge -tool ape -setting taopt-duration -telemetry -bintrace run.taoptb
+//	tracetool render -view json run.taoptb > run.json
 //	taopt -app Zedge -tool ape -setting taopt-duration -wirelog run.wirelog
 //	taopt -list
 package main
@@ -26,7 +34,6 @@ import (
 	"taopt/internal/apps"
 	"taopt/internal/cli"
 	"taopt/internal/core"
-	"taopt/internal/export"
 	"taopt/internal/faults"
 	"taopt/internal/harness"
 	"taopt/internal/report"
@@ -50,11 +57,8 @@ func main() {
 		stagMin   = flag.Float64("stagnation", 0, "override stagnation window in minutes (0 = paper default)")
 		faultRate = flag.Float64("faults", 0, "inject device-farm failures at this instance-failure rate (e.g. 0.2)")
 		wirelog   = flag.String("wirelog", "", "record the full coordination message log to this file (replay it with tracetool wirelog)")
-		bintrace  = flag.String("bintrace", "", "stream the run in the compact binary trace format to this file (analyze with tracetool corpus)")
-		exportTo  = flag.String("export", "", "write the full run (traces, crashes, subspaces) as JSON to this file")
-		telemetry = flag.Bool("telemetry", false, "collect the coordinator's decision log and run metrics; prints a digest and adds the export's telemetry block")
-		decisions = flag.String("decisions", "", "write the decision log as JSONL to this file (implies -telemetry)")
-		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the run to this file (implies -telemetry)")
+		bintrace  = flag.String("bintrace", "", "record the run as a binary trace to this file (render JSON, Chrome or decision views with tracetool render)")
+		telemetry = flag.Bool("telemetry", false, "collect the coordinator's decision log and run metrics; prints a digest and adds them to the -bintrace record")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 		list      = flag.Bool("list", false, "list evaluation apps and exit")
@@ -129,7 +133,7 @@ func main() {
 		MachineBudget: sim.Duration(*budget) * sim.Duration(60e9),
 		Seed:          *seed,
 		ScenarioHash:  scenHash,
-		Telemetry:     *telemetry || *decisions != "" || *traceOut != "",
+		Telemetry:     *telemetry,
 	}
 	if *planFile != "" && *faultRate > 0 {
 		fatalf("-faultplan and -faults are exclusive (the plan file already fixes the fault mix)")
@@ -190,47 +194,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Printf("binary trace:   %s\n", *bintrace)
-	}
-
-	if *exportTo != "" {
-		f, err := os.Create(*exportTo)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := export.FromResult(res).Write(f); err != nil {
-			fatalf("exporting run: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("exported:       %s\n", *exportTo)
-	}
-	if *decisions != "" {
-		f, err := os.Create(*decisions)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := res.Telemetry.DecisionLog().WriteJSONL(f); err != nil {
-			fatalf("writing decision log: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("decision log:   %s (%d entries)\n", *decisions, res.Telemetry.DecisionLog().Len())
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		tr := export.ChromeTrace(res)
-		if err := tr.Write(f); err != nil {
-			fatalf("writing trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("chrome trace:   %s (%d events)\n", *traceOut, tr.Len())
 	}
 
 	printSummary(os.Stdout, aut, *tool, st, res)

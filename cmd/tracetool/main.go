@@ -1,19 +1,25 @@
-// Command tracetool analyses recorded runs offline. It started as a
-// single-run inspector — rebuild the UI transition graph from an exported
-// run (cmd/taopt -export), apply the preliminary study's conservative
-// min-conductance partition, and report per-subspace exploration overlap and
-// AJS — and grew corpus-scale analytics over binary traces: the corpus
-// subcommand streams a directory of *.taoptb files (cmd/taopt -bintrace,
-// cmd/experiments -bintrace-dir) in one pass and reports crash-signature
+// Command tracetool analyses recorded runs offline. A run record is either
+// a binary trace (*.taoptb, cmd/taopt -bintrace) or a JSON export rendered
+// from one; every single-run command reads both. The render command turns
+// a record into its views: the JSON export, a Perfetto-loadable Chrome
+// trace, or the decision log as JSONL. partition rebuilds the UI
+// transition graph, applies the preliminary study's conservative
+// min-conductance partition and reports per-subspace exploration overlap
+// and AJS; decisions cross-checks the decision log against the run's
+// outcome. The corpus command streams a directory of *.taoptb files
+// (cmd/experiments -bintrace-dir) in one pass and reports crash-signature
 // clusters across runs, coverage-curve percentiles across seeds, and flaky
 // cells whose outcome diverges for the same scenario.
 //
 // Usage:
 //
-//	taopt -app Zedge -tool ape -setting baseline -export run.json
-//	tracetool run.json
+//	taopt -app Zedge -tool ape -setting baseline -telemetry -bintrace run.taoptb
+//	tracetool render -view json run.taoptb > run.json
+//	tracetool render -view chrome run.taoptb > run.trace.json
+//	tracetool render -view decisions run.taoptb > decisions.jsonl
+//	tracetool run.taoptb
 //	tracetool partition -min-coupling 0.12 run.json
-//	tracetool decisions run.json
+//	tracetool decisions run.taoptb
 //	tracetool wirelog run.wirelog
 //	tracetool wirelog a.wirelog b.wirelog
 //	tracetool wirelog -replay -replay-out replayed.json run.wirelog
@@ -22,11 +28,14 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"text/tabwriter"
 
 	"taopt/internal/cli"
@@ -34,6 +43,7 @@ import (
 	"taopt/internal/export"
 	"taopt/internal/graph"
 	"taopt/internal/metrics"
+	"taopt/internal/trace/bin"
 	"taopt/internal/ui"
 )
 
@@ -49,8 +59,9 @@ type command struct {
 // commands is ordered; help prints it as-is. The help entry is appended in
 // init because its closure refers back to this table via usage.
 var commands = []command{
-	{"partition", "[flags] <run.json>", "offline UI-subspace partition of an exported run (default command)", partitionMain},
-	{"decisions", "<run.json>", "replay the exported decision log against the run's recorded outcome", decisionsMain},
+	{"partition", "[flags] <run>", "offline UI-subspace partition of a recorded run (default command)", partitionMain},
+	{"decisions", "<run>", "replay the recorded decision log against the run's recorded outcome", decisionsMain},
+	{"render", "[-view json|chrome|decisions] <run>", "write one view of a run record to stdout", renderMain},
 	{"wirelog", "[flags] <log> [log2]", "dump, diff or replay recorded coordination message logs", wirelogMain},
 	{"corpus", "<dir>", "cross-run analytics over a directory of binary traces (*" + corpus.Ext + ")", corpusMain},
 }
@@ -71,7 +82,8 @@ func usage(w io.Writer) {
 	}
 	tw.Flush()
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "A bare <run.json> argument runs the partition command.")
+	fmt.Fprintln(w, "A <run> is a binary trace (*"+corpus.Ext+") or a JSON export; a bare <run>")
+	fmt.Fprintln(w, "argument runs the partition command.")
 }
 
 func main() {
@@ -86,22 +98,42 @@ func main() {
 			return
 		}
 	}
-	// Bare run.json (possibly preceded by partition flags) keeps working.
+	// A bare run (possibly preceded by partition flags) keeps working.
 	partitionMain(args)
 }
 
-// readRun opens and decodes one exported run file.
+// readRun decodes one run record: a binary trace when the file opens with
+// the bin magic, a JSON export otherwise.
 func readRun(path string) *export.Run {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	defer f.Close()
-	run, err := export.Read(f)
+	read := export.Read
+	if bytes.HasPrefix(data, []byte(bin.Magic)) {
+		read = export.ReadBin
+	}
+	run, err := read(bytes.NewReader(data))
 	if err != nil {
-		fatalf("%v", err)
+		fatalf("%s: %v", path, err)
 	}
 	return run
+}
+
+func renderMain(args []string) {
+	fs := flag.NewFlagSet("tracetool render", flag.ExitOnError)
+	view := fs.String("view", "json", "view to write: "+strings.Join(export.Views, " | "))
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		fatalf("usage: tracetool render [-view %s] <run>", strings.Join(export.Views, "|"))
+	}
+	w := bufio.NewWriter(os.Stdout)
+	if err := readRun(fs.Arg(0)).Render(w, *view); err != nil {
+		fatalf("%v", err)
+	}
+	if err := w.Flush(); err != nil {
+		fatalf("%v", err)
+	}
 }
 
 func partitionMain(args []string) {
@@ -112,7 +144,7 @@ func partitionMain(args []string) {
 		"fold groups smaller than this into their strongest neighbour")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fatalf("usage: tracetool partition [flags] <run.json> (tracetool help lists all commands)")
+		fatalf("usage: tracetool partition [flags] <run> (tracetool help lists all commands)")
 	}
 	run := readRun(fs.Arg(0))
 
@@ -132,7 +164,7 @@ func decisionsMain(args []string) {
 	fs := flag.NewFlagSet("tracetool decisions", flag.ExitOnError)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fatalf("usage: tracetool decisions <run.json>")
+		fatalf("usage: tracetool decisions <run>")
 	}
 	if !checkDecisions(readRun(fs.Arg(0))) {
 		os.Exit(1)
@@ -235,7 +267,7 @@ func analyse(run *export.Run, opts graph.PartitionOptions) {
 // when any check fails.
 func checkDecisions(run *export.Run) bool {
 	if run.Telemetry == nil {
-		fatalf("run carries no telemetry block (re-export with taopt -telemetry -export)")
+		fatalf("run carries no telemetry block (re-record with taopt -telemetry -bintrace)")
 	}
 	decisions := run.Telemetry.Decisions
 	fmt.Printf("run:       %s / %s / %s (seed %d)\n", run.App, run.Tool, run.Setting, run.Seed)

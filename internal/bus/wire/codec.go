@@ -23,6 +23,7 @@ import (
 	"taopt/internal/bus"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
+	"taopt/internal/trace/bin"
 	"taopt/internal/ui"
 )
 
@@ -111,6 +112,11 @@ const (
 // or truncated stream rather than a legitimate frame.
 const maxFrameSize = 1 << 26
 
+// maxNodeDepth bounds the nesting of a decoded screen tree, so a corrupt
+// log of deeply nested nodes fails with an error instead of overflowing the
+// decoder's stack. Real screens are a handful of levels deep.
+const maxNodeDepth = 256
+
 // Header is the run identity a wire log opens with: enough to rebuild the
 // coordinator (and only the coordinator — tool decisions are replayed from
 // the recorded events, never re-run).
@@ -143,32 +149,14 @@ type Header struct {
 	ScenarioHash string
 }
 
-// Sample is one recorded timeline point (raw fields, so the wire layer does
-// not depend on the metrics package).
-type Sample struct {
-	WallNS    int64
-	MachineNS int64
-	Covered   int
-	Crashes   int
-	AJS       float64
-}
-
-// CrashInfo is one recorded crash of an instance summary.
-type CrashInfo struct {
-	Signature string
-	AtNS      int64
-	Frames    []string
-}
-
-// Summary is the end-of-run record of one instance lease.
-type Summary struct {
-	ID          int
-	AllocatedNS int64
-	ReleasedNS  int64
-	Failed      bool
-	Coverage    int
-	Crashes     []CrashInfo
-}
+// Sample, Summary and CrashInfo are the run record's own types
+// (internal/trace/bin): timeline points and end-of-run lease summaries
+// travel in the wire log exactly as in the binary trace.
+type (
+	Sample    = bin.Sample
+	Summary   = bin.InstanceSummary
+	CrashInfo = bin.Crash
+)
 
 // RunEnd closes a wire log with the run's totals and the transport's final
 // delivery accounting.
@@ -513,8 +501,13 @@ func (e *enc) node(n *ui.Node) {
 	}
 }
 
-func (d *dec) node() *ui.Node {
+// node decodes the subtree at nesting depth (the root is depth 1).
+func (d *dec) node(depth int) *ui.Node {
 	if !d.boolb() || d.err != nil {
+		return nil
+	}
+	if depth > maxNodeDepth {
+		d.err = fmt.Errorf("wire: screen tree nests deeper than %d levels at offset %d", maxNodeDepth, d.off)
 		return nil
 	}
 	n := &ui.Node{Class: d.str(), ResourceID: d.str(), Text: d.str()}
@@ -527,7 +520,7 @@ func (d *dec) node() *ui.Node {
 		return n
 	}
 	for i := uint64(0); i < count; i++ {
-		n.Children = append(n.Children, d.node())
+		n.Children = append(n.Children, d.node(depth+1))
 		if d.err != nil {
 			break
 		}
@@ -686,7 +679,7 @@ func decodeFrame(payload []byte) (Frame, error) {
 		f.Header = h
 	case FrameScreen:
 		f.Sig = d.sig()
-		f.Screen = &ui.Screen{Activity: d.str(), Root: d.node()}
+		f.Screen = &ui.Screen{Activity: d.str(), Root: d.node(1)}
 	case FrameEvent, FrameDelivered:
 		f.Event = d.event()
 	case FrameCommand:

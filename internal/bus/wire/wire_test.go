@@ -246,3 +246,35 @@ func TestReadLogRejectsGarbage(t *testing.T) {
 		t.Fatal("accepted unknown version")
 	}
 }
+
+// TestReadLogRejectsDeepScreenTree: a screen frame nested one level past
+// maxNodeDepth is a decode error, not unbounded recursion; a tree exactly
+// at the limit still decodes.
+func TestReadLogRejectsDeepScreenTree(t *testing.T) {
+	logOf := func(depth int) []byte {
+		root := &ui.Node{Class: "L"}
+		for n, i := root, 1; i < depth; i++ {
+			ch := &ui.Node{Class: "L"}
+			n.Children = []*ui.Node{ch}
+			n = ch
+		}
+		raw := append([]byte(logMagic), logVersion)
+		for _, f := range []Frame{
+			{Kind: FrameHeader},
+			{Kind: FrameScreen, Sig: 1, Screen: &ui.Screen{Activity: "A", Root: root}},
+		} {
+			var err error
+			if raw, err = appendFrame(raw, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return raw
+	}
+	if _, err := ReadLog(bytes.NewReader(logOf(maxNodeDepth))); err != nil {
+		t.Fatalf("tree at the depth limit rejected: %v", err)
+	}
+	deep := logOf(maxNodeDepth + 1)
+	if _, err := ReadLog(bytes.NewReader(deep)); err == nil {
+		t.Fatalf("tree %d levels deep accepted (%d-byte log)", maxNodeDepth+1, len(deep))
+	}
+}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"taopt/internal/sim"
-	"taopt/internal/trace"
 	"taopt/internal/trace/bin"
-	"taopt/internal/ui"
 )
 
 // WriteBin serialises the run in the compact binary trace format
@@ -95,50 +92,19 @@ func (r *Run) WriteBin(w io.Writer) error {
 	return bw.Close()
 }
 
-// toTraceEvent converts the JSON event shape back to the trace type the
-// binary codec encodes.
-func toTraceEvent(inst int, ev Event) trace.Event {
-	return trace.Event{
-		Instance: inst,
-		At:       sim.Duration(ev.AtNS),
-		Action:   trace.Action{Kind: parseKind(ev.Kind), Widget: ui.WidgetPath(ev.Widget)},
-		From:     ui.Signature(ev.From),
-		To:       ui.Signature(ev.To),
-		Activity: ev.Activity,
-		Crashed:  ev.Crashed,
-		Enforced: ev.Enforced,
-	}
-}
-
-// ReadBin streams a binary trace back into the Run form — the debug view of
-// the stream. The rebuilt Run is byte-identical (as JSON) to the export the
-// writing run would have produced directly: slice and pointer fields are
-// materialised only when their records (or header flags) appeared, so the
-// nil-versus-empty distinctions of the JSON schema survive the round trip.
+// ReadBin streams a binary trace's records through the record builder. The
+// rebuilt Run is byte-identical (as JSON) to FromResult of the run that
+// wrote the stream.
 func ReadBin(rd io.Reader) (*Run, error) {
 	br, err := bin.NewReader(rd)
 	if err != nil {
 		return nil, err
 	}
 	hdr := br.Header()
-	if hdr.ExportVersion < minReadVersion || hdr.ExportVersion > FormatVersion {
-		return nil, fmt.Errorf("export: unsupported format version %d in binary trace (want %d..%d)", hdr.ExportVersion, minReadVersion, FormatVersion)
+	if hdr.ExportVersion != FormatVersion {
+		return nil, fmt.Errorf("export: unsupported format version %d in binary trace (want %d)", hdr.ExportVersion, FormatVersion)
 	}
-	out := &Run{
-		Version:      hdr.ExportVersion,
-		App:          hdr.App,
-		Tool:         hdr.Tool,
-		Setting:      hdr.Setting,
-		Seed:         hdr.Seed,
-		ScenarioHash: hdr.ScenarioHash,
-	}
-	var tel *Telemetry
-	if hdr.Telemetry {
-		tel = &Telemetry{}
-		out.Telemetry = tel
-	}
-	events := make(map[int][]Event)
-	sawEnd := false
+	b := newBuilder(hdr)
 	for {
 		rec, err := br.Next()
 		if err == io.EOF {
@@ -147,99 +113,9 @@ func ReadBin(rd io.Reader) (*Run, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sawEnd {
-			return nil, fmt.Errorf("%w: %v record after end", bin.ErrCorrupt, rec.Kind)
-		}
-		switch rec.Kind {
-		case bin.KindEvent:
-			ev := rec.Event
-			events[ev.Instance] = append(events[ev.Instance], Event{
-				AtNS:     int64(ev.At),
-				Kind:     ev.Action.Kind.String(),
-				Widget:   string(ev.Action.Widget),
-				From:     uint64(ev.From),
-				To:       uint64(ev.To),
-				Activity: ev.Activity,
-				Crashed:  ev.Crashed,
-				Enforced: ev.Enforced,
-			})
-		case bin.KindSample:
-			s := rec.Sample
-			out.Timeline = append(out.Timeline, Point{
-				WallNS: s.WallNS, MachineNS: s.MachineNS,
-				Covered: s.Covered, Crashes: s.Crashes, AJS: s.AJS,
-			})
-		case bin.KindDecision:
-			if tel == nil {
-				return nil, fmt.Errorf("%w: decision record without telemetry header flag", bin.ErrCorrupt)
-			}
-			tel.Decisions = append(tel.Decisions, rec.Decision)
-		case bin.KindInstance:
-			s := rec.Summary
-			inst := Instance{
-				ID:          s.ID,
-				AllocatedNS: s.AllocatedNS,
-				ReleasedNS:  s.ReleasedNS,
-				Coverage:    s.Coverage,
-				Failed:      s.Failed,
-				Events:      events[s.ID],
-			}
-			for _, cr := range s.Crashes {
-				inst.Crashes = append(inst.Crashes, Crash{
-					Signature: cr.Signature, AtNS: cr.AtNS, Frames: cr.Frames,
-				})
-			}
-			out.Instances = append(out.Instances, inst)
-		case bin.KindSubspace:
-			s := rec.Subspace
-			out.Subspaces = append(out.Subspaces, Subspace{
-				ID: s.ID, Entry: s.Entry, Members: s.Members,
-				Owner: s.Owner, FoundNS: s.FoundNS,
-			})
-		case bin.KindScreen:
-			s := rec.Screen
-			out.Screens = append(out.Screens, Screen{
-				Signature: s.Sig, Activity: s.Activity, Nodes: s.Nodes,
-			})
-		case bin.KindTransport:
-			t := rec.Transport
-			et := &Transport{
-				Events: t.Events, Delivered: t.Delivered, Commands: t.Commands,
-				CommandFailures: t.CommandFailures, Dropped: t.Dropped,
-				Delayed: t.Delayed, Deaths: t.Deaths, Hangs: t.Hangs,
-				AllocFailures: t.AllocFailures, LostCommands: t.LostCommands,
-				FailedInstances: t.FailedInstances, OrphansPending: t.OrphansPending,
-			}
-			if t.HasMix {
-				et.CommandMix = &CommandMix{
-					Allocate: t.Mix[0], Deallocate: t.Mix[1],
-					BlockWidget: t.Mix[2], BlockMember: t.Mix[3],
-					Kill: t.Mix[4], Hang: t.Mix[5],
-				}
-			}
-			out.Transport = et
-		case bin.KindMetric:
-			if tel == nil {
-				return nil, fmt.Errorf("%w: metric record without telemetry header flag", bin.ErrCorrupt)
-			}
-			tel.Metrics = append(tel.Metrics, rec.Metric)
-		case bin.KindEnd:
-			e := rec.End
-			out.WallUsedNS = e.WallNS
-			out.MachineUsedNS = e.MachineNS
-			out.Coverage = e.Coverage
-			out.UniqueCrashes = e.UniqueCrashes
-			sawEnd = true
-		case bin.KindHeader, bin.KindStrDef, bin.KindSigDef:
-			// The Reader consumes header and interning records internally;
-			// one surfacing from Next means the stream (or Reader) is broken.
-			return nil, fmt.Errorf("%w: %v record surfaced mid-stream", bin.ErrCorrupt, rec.Kind)
-		default:
-			return nil, fmt.Errorf("%w: unexpected %v record", bin.ErrCorrupt, rec.Kind)
+		if err := b.record(rec); err != nil {
+			return nil, err
 		}
 	}
-	if !sawEnd {
-		return nil, fmt.Errorf("%w: stream ends without end record", bin.ErrCorrupt)
-	}
-	return out, nil
+	return b.finish()
 }

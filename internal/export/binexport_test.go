@@ -54,7 +54,7 @@ func binCells() map[string]harness.RunConfig {
 
 // runWithBinTrace executes cfg with a binary trace attached and returns the
 // live stream bytes plus the direct export.
-func runWithBinTrace(t *testing.T, cfg harness.RunConfig) ([]byte, *Run) {
+func runWithBinTrace(t testing.TB, cfg harness.RunConfig) ([]byte, *Run) {
 	t.Helper()
 	var stream bytes.Buffer
 	cfg.BinTrace = &stream
@@ -65,7 +65,7 @@ func runWithBinTrace(t *testing.T, cfg harness.RunConfig) ([]byte, *Run) {
 	return stream.Bytes(), FromResult(res)
 }
 
-func jsonBytes(t *testing.T, r *Run) []byte {
+func jsonBytes(t testing.TB, r *Run) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := r.Write(&buf); err != nil {
@@ -83,9 +83,10 @@ func binBytes(t *testing.T, r *Run) []byte {
 	return buf.Bytes()
 }
 
-// TestBinRoundTripLossless is the tentpole contract: the export rebuilt from
-// the live binary stream is byte-identical (as JSON v5) to the direct
-// export, and the canonical binary form is an encode/decode fixed point.
+// TestBinRoundTripLossless is the tentpole contract: every view of the run
+// rebuilt from the live binary stream (JSON v5, Chrome trace, decision log)
+// is byte-identical to the same view of the direct export, and the
+// canonical binary form is an encode/decode fixed point.
 func TestBinRoundTripLossless(t *testing.T) {
 	for name, cfg := range binCells() {
 		t.Run(name, func(t *testing.T) {
@@ -95,11 +96,22 @@ func TestBinRoundTripLossless(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadBin(live stream): %v", err)
 			}
-			directJSON := jsonBytes(t, direct)
-			streamJSON := jsonBytes(t, fromStream)
-			if !bytes.Equal(directJSON, streamJSON) {
-				t.Fatalf("live binary stream decodes to a different export (%d vs %d JSON bytes)", len(streamJSON), len(directJSON))
+			for _, view := range Views {
+				if view == "decisions" && !cfg.Telemetry {
+					continue
+				}
+				var want, got bytes.Buffer
+				if err := direct.Render(&want, view); err != nil {
+					t.Fatalf("%s view of the direct export: %v", view, err)
+				}
+				if err := fromStream.Render(&got, view); err != nil {
+					t.Fatalf("%s view of the live stream: %v", view, err)
+				}
+				if !bytes.Equal(want.Bytes(), got.Bytes()) {
+					t.Fatalf("live binary stream renders a different %s view (%d vs %d bytes)", view, got.Len(), want.Len())
+				}
 			}
+			directJSON := jsonBytes(t, direct)
 
 			// bin -> Run -> bin fixed point on the canonical form.
 			b1 := binBytes(t, direct)
@@ -219,6 +231,46 @@ func FuzzTraceBinCodec(f *testing.F) {
 		}
 		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 			t.Fatal("encode∘decode is not a fixed point")
+		}
+	})
+}
+
+// FuzzExportRead fuzzes the JSON reader over arbitrary bytes: it must never
+// panic, TraceLogs must be safe on whatever it accepts, and Write∘Read must
+// be a fixed point from the first re-encode on.
+func FuzzExportRead(f *testing.F) {
+	cells := binCells()
+	for _, name := range []string{"golden", "chaos", "telemetry"} {
+		_, direct := runWithBinTrace(f, cells[name])
+		var buf bytes.Buffer
+		if err := direct.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:256]) // truncated prefix
+	}
+	f.Add([]byte(`{"version": 5}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		run, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return // corrupt input rejected: fine, as long as no panic
+		}
+		run.TraceLogs()
+		var b1 bytes.Buffer
+		if err := run.Write(&b1); err != nil {
+			t.Fatalf("re-encoding a cleanly decoded document: %v", err)
+		}
+		back, err := Read(bytes.NewReader(b1.Bytes()))
+		if err != nil {
+			t.Fatalf("decoding our own re-encode: %v", err)
+		}
+		var b2 bytes.Buffer
+		if err := back.Write(&b2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+			t.Fatal("Write∘Read is not a fixed point")
 		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 
-	"taopt/internal/bus"
 	"taopt/internal/harness"
 	"taopt/internal/obs"
 	"taopt/internal/sim"
@@ -27,11 +26,8 @@ import (
 // 5 marks the binary-trace era (internal/trace/bin): the JSON schema is
 // unchanged from v4, but v5 files are the debug view of runs that can also
 // stream the binary form, and WriteBin/ReadBin round-trip them losslessly.
-// All additions are optional fields, so Read still accepts version-2 files.
+// Read and ReadBin accept exactly this version.
 const FormatVersion = 5
-
-// minReadVersion is the oldest schema Read accepts.
-const minReadVersion = 2
 
 // Run is the serialised form of one campaign run.
 type Run struct {
@@ -160,115 +156,12 @@ type Screen struct {
 	Nodes     int    `json:"nodes"`
 }
 
-// FromResult converts a harness result to its serialised form.
+// FromResult converts a harness result to its serialised form: the run's
+// records (harness.RunResult.Records) fed through the record builder.
 func FromResult(res *harness.RunResult) *Run {
-	out := &Run{
-		Version:       FormatVersion,
-		App:           res.Config.App.Name,
-		Tool:          res.Config.Tool,
-		Setting:       res.Config.Setting.String(),
-		Seed:          res.Config.Seed,
-		ScenarioHash:  res.Config.ScenarioHash,
-		WallUsedNS:    int64(res.WallUsed),
-		MachineUsedNS: int64(res.MachineUsed),
-		Coverage:      res.Union.Count(),
-		UniqueCrashes: res.UniqueCrashes,
-	}
-	if st := res.Transport; res.Config.Faults != nil && res.Config.Faults.Enabled() {
-		out.Transport = &Transport{
-			Events:          st.Published,
-			Delivered:       st.Delivered,
-			Commands:        st.Commands,
-			CommandFailures: st.CommandFailures,
-			Dropped:         st.Dropped,
-			Delayed:         st.Delayed,
-			Deaths:          st.Deaths,
-			Hangs:           st.Hangs,
-			AllocFailures:   st.AllocFailures,
-			LostCommands:    st.LostCommands,
-			FailedInstances: res.FailedInstances,
-			OrphansPending:  res.OrphansPending,
-			CommandMix: &CommandMix{
-				Allocate:    st.KindCount(bus.Allocate),
-				Deallocate:  st.KindCount(bus.Deallocate),
-				BlockWidget: st.KindCount(bus.BlockWidget),
-				BlockMember: st.KindCount(bus.BlockMember),
-				Kill:        st.KindCount(bus.Kill),
-				Hang:        st.KindCount(bus.Hang),
-			},
-		}
-	}
-	if tel := res.Telemetry; tel != nil {
-		out.Telemetry = &Telemetry{
-			Decisions: tel.DecisionLog().Decisions(),
-			Metrics:   tel.Registry().Snapshot(),
-		}
-	}
-	for _, inst := range res.Instances {
-		ei := Instance{
-			ID:          inst.ID,
-			AllocatedNS: int64(inst.Allocated),
-			ReleasedNS:  int64(inst.Released),
-			Coverage:    inst.Methods.Count(),
-			Failed:      inst.Failed,
-		}
-		for _, rep := range inst.Crashes.Reports() {
-			ei.Crashes = append(ei.Crashes, Crash{
-				Signature: string(rep.Signature),
-				AtNS:      int64(rep.At),
-				Frames:    rep.Frames,
-			})
-		}
-		for _, ev := range inst.Trace.Events() {
-			ei.Events = append(ei.Events, Event{
-				AtNS:     int64(ev.At),
-				Kind:     ev.Action.Kind.String(),
-				Widget:   string(ev.Action.Widget),
-				From:     uint64(ev.From),
-				To:       uint64(ev.To),
-				Activity: ev.Activity,
-				Crashed:  ev.Crashed,
-				Enforced: ev.Enforced,
-			})
-		}
-		out.Instances = append(out.Instances, ei)
-	}
-	for _, sub := range res.Subspaces {
-		es := Subspace{ID: sub.ID, Entry: uint64(sub.Entry), Owner: sub.Owner, FoundNS: int64(sub.FoundAt)}
-		for m := range sub.Members {
-			es.Members = append(es.Members, uint64(m))
-		}
-		sortUint64(es.Members)
-		out.Subspaces = append(out.Subspaces, es)
-	}
-	for _, p := range res.Timeline {
-		out.Timeline = append(out.Timeline, Point{
-			WallNS:    int64(p.Wall),
-			MachineNS: int64(p.Machine),
-			Covered:   p.Covered,
-			Crashes:   p.Crashes,
-			AJS:       p.AJS,
-		})
-	}
-	if res.Book != nil {
-		for _, sig := range res.Book.Signatures() {
-			s := res.Book.Lookup(sig)
-			out.Screens = append(out.Screens, Screen{
-				Signature: uint64(sig),
-				Activity:  s.Activity,
-				Nodes:     s.Root.Size(),
-			})
-		}
-	}
-	return out
-}
-
-func sortUint64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
+	b := newBuilder(res.Header())
+	res.Records(b)
+	return b.run
 }
 
 // Write serialises the run as indented JSON.
@@ -284,8 +177,8 @@ func Read(rd io.Reader) (*Run, error) {
 	if err := json.NewDecoder(rd).Decode(&run); err != nil {
 		return nil, fmt.Errorf("export: decoding run: %w", err)
 	}
-	if run.Version < minReadVersion || run.Version > FormatVersion {
-		return nil, fmt.Errorf("export: unsupported format version %d (want %d..%d)", run.Version, minReadVersion, FormatVersion)
+	if run.Version != FormatVersion {
+		return nil, fmt.Errorf("export: unsupported format version %d (want %d)", run.Version, FormatVersion)
 	}
 	return &run, nil
 }
@@ -296,20 +189,25 @@ func (r *Run) TraceLogs() []*trace.Log {
 	for _, inst := range r.Instances {
 		var l trace.Log
 		for _, ev := range inst.Events {
-			l.Append(trace.Event{
-				Instance: inst.ID,
-				At:       sim.Duration(ev.AtNS),
-				Action:   trace.Action{Kind: parseKind(ev.Kind), Widget: ui.WidgetPath(ev.Widget)},
-				From:     ui.Signature(ev.From),
-				To:       ui.Signature(ev.To),
-				Activity: ev.Activity,
-				Crashed:  ev.Crashed,
-				Enforced: ev.Enforced,
-			})
+			l.Append(toTraceEvent(inst.ID, ev))
 		}
 		out = append(out, &l)
 	}
 	return out
+}
+
+// toTraceEvent converts the JSON event shape back to the trace type.
+func toTraceEvent(inst int, ev Event) trace.Event {
+	return trace.Event{
+		Instance: inst,
+		At:       sim.Duration(ev.AtNS),
+		Action:   trace.Action{Kind: parseKind(ev.Kind), Widget: ui.WidgetPath(ev.Widget)},
+		From:     ui.Signature(ev.From),
+		To:       ui.Signature(ev.To),
+		Activity: ev.Activity,
+		Crashed:  ev.Crashed,
+		Enforced: ev.Enforced,
+	}
 }
 
 func parseKind(s string) trace.ActionKind {

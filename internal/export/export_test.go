@@ -9,6 +9,7 @@ import (
 	"taopt/internal/faults"
 	"taopt/internal/harness"
 	"taopt/internal/sim"
+	"taopt/internal/trace/bin"
 )
 
 func sampleResult(t *testing.T) *harness.RunResult {
@@ -100,6 +101,18 @@ func TestReadRejectsBadVersion(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader(`{garbage`)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	if _, err := Read(strings.NewReader(`{"version": 4, "app": "a", "instances": [], "timeline": [], "screens": []}`)); err == nil {
+		t.Fatal("version-4 document accepted")
+	}
+	var v4 bytes.Buffer
+	bw := bin.NewWriter(&v4, bin.Header{App: "a", ExportVersion: 4})
+	bw.End(bin.End{})
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBin(&v4); err == nil {
+		t.Fatal("binary trace with export version 4 accepted")
 	}
 }
 

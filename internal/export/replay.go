@@ -24,9 +24,11 @@ import (
 	"taopt/internal/bus"
 	"taopt/internal/bus/wire"
 	"taopt/internal/core"
+	"taopt/internal/harness"
 	"taopt/internal/obs"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
+	"taopt/internal/trace/bin"
 )
 
 // ReplayWireLog re-drives the run recorded in rd and returns its export —
@@ -42,11 +44,16 @@ func ReplayWireLog(rd io.Reader) (*Run, *obs.Log, error) {
 	if log.Header.CoreOverride {
 		return nil, nil, fmt.Errorf("export: replay: run used a caller-supplied core.Config, which wire logs do not serialise")
 	}
+	h := log.Header
 	e := &wireReplay{
-		hdr:       log.Header,
-		frames:    log.Frames,
-		book:      trace.NewBook(),
-		events:    make(map[int][]trace.Event),
+		hdr:    h,
+		frames: log.Frames,
+		book:   trace.NewBook(),
+		out: newBuilder(bin.Header{
+			App: h.App, Tool: h.Tool, Setting: h.Setting, Seed: h.Seed,
+			ScenarioHash: h.ScenarioHash, ExportVersion: FormatVersion,
+			Faults: h.FaultsEnabled,
+		}),
 		summaries: make(map[int]wire.Summary),
 		decisions: &obs.Log{},
 	}
@@ -87,10 +94,11 @@ type wireReplay struct {
 	coord     *core.Coordinator
 	decisions *obs.Log
 
+	// out receives the recorded events and samples as they are consumed;
+	// export closes it with the re-derived tail.
+	out        *builder
 	leaseOrder []int
-	events     map[int][]trace.Event
 	summaries  map[int]wire.Summary
-	samples    []wire.Sample
 	end        *wire.RunEnd
 	grounds    int
 	delivered  int
@@ -236,11 +244,11 @@ func (e *wireReplay) observe(f wire.Frame) {
 
 func (e *wireReplay) lease(f wire.Frame) {
 	e.leaseOrder = append(e.leaseOrder, f.Instance)
-	e.events[f.Instance] = append(e.events[f.Instance], f.Event)
+	e.out.Event(f.Event)
 }
 
-// drive consumes the top-level frame stream: ground events accumulate into
-// the per-instance logs, deliveries feed the coordinator, runner-sent
+// drive consumes the top-level frame stream: ground events and samples feed
+// the run builder, deliveries feed the coordinator, runner-sent
 // exchanges and fate injections update the mirrored farm state. A
 // coordinator-sent exchange is consumed only by the replayed coordinator's
 // own send; meeting one here means the replay diverged.
@@ -252,7 +260,7 @@ func (e *wireReplay) drive() {
 			e.observe(f)
 		case wire.FrameEvent:
 			e.grounds++
-			e.events[f.Event.Instance] = append(e.events[f.Event.Instance], f.Event)
+			e.out.Event(f.Event)
 		case wire.FrameDelivered:
 			e.delivered++
 			if e.coord != nil {
@@ -279,7 +287,7 @@ func (e *wireReplay) drive() {
 				e.coord.Tick(f.At)
 			}
 		case wire.FrameSample:
-			e.samples = append(e.samples, f.Sample)
+			e.out.Sample(f.Sample)
 		case wire.FrameInstance:
 			e.summaries[f.Summary.ID] = f.Summary
 		case wire.FrameRunEnd:
@@ -323,101 +331,30 @@ func (e *wireReplay) reconcile() error {
 	return nil
 }
 
-// export assembles the run document exactly as FromResult does from a live
-// result, field for field, so the replayed bytes match the live bytes.
+// export closes the run builder with the re-derived tail, in the order
+// harness.RunResult.Records emits a live run, so the replayed bytes match
+// the live bytes.
 func (e *wireReplay) export() *Run {
 	end := e.end
-	out := &Run{
-		Version:       FormatVersion,
-		App:           e.hdr.App,
-		Tool:          e.hdr.Tool,
-		Setting:       e.hdr.Setting,
-		Seed:          e.hdr.Seed,
-		ScenarioHash:  e.hdr.ScenarioHash,
-		WallUsedNS:    end.WallNS,
-		MachineUsedNS: end.MachineNS,
-		Coverage:      end.Coverage,
-		UniqueCrashes: end.UniqueCrashes,
-	}
-	if e.hdr.FaultsEnabled {
-		st := end.Stats
-		out.Transport = &Transport{
-			Events:          st.Published,
-			Delivered:       st.Delivered,
-			Commands:        st.Commands,
-			CommandFailures: st.CommandFailures,
-			Dropped:         st.Dropped,
-			Delayed:         st.Delayed,
-			Deaths:          st.Deaths,
-			Hangs:           st.Hangs,
-			AllocFailures:   st.AllocFailures,
-			LostCommands:    st.LostCommands,
-			FailedInstances: end.FailedInstances,
-			OrphansPending:  end.OrphansPending,
-			CommandMix: &CommandMix{
-				Allocate:    st.KindCount(bus.Allocate),
-				Deallocate:  st.KindCount(bus.Deallocate),
-				BlockWidget: st.KindCount(bus.BlockWidget),
-				BlockMember: st.KindCount(bus.BlockMember),
-				Kill:        st.KindCount(bus.Kill),
-				Hang:        st.KindCount(bus.Hang),
-			},
-		}
-	}
-	for _, id := range e.leaseOrder {
-		sum := e.summaries[id]
-		ei := Instance{
-			ID:          id,
-			AllocatedNS: sum.AllocatedNS,
-			ReleasedNS:  sum.ReleasedNS,
-			Coverage:    sum.Coverage,
-			Failed:      sum.Failed,
-		}
-		for _, cr := range sum.Crashes {
-			ei.Crashes = append(ei.Crashes, Crash{Signature: cr.Signature, AtNS: cr.AtNS, Frames: cr.Frames})
-		}
-		for _, ev := range e.events[id] {
-			ei.Events = append(ei.Events, Event{
-				AtNS:     int64(ev.At),
-				Kind:     ev.Action.Kind.String(),
-				Widget:   string(ev.Action.Widget),
-				From:     uint64(ev.From),
-				To:       uint64(ev.To),
-				Activity: ev.Activity,
-				Crashed:  ev.Crashed,
-				Enforced: ev.Enforced,
-			})
-		}
-		out.Instances = append(out.Instances, ei)
+	tail := harness.Tail{
+		Book:            e.book,
+		Faults:          e.hdr.FaultsEnabled,
+		Stats:           end.Stats,
+		FailedInstances: end.FailedInstances,
+		OrphansPending:  end.OrphansPending,
+		End: bin.End{
+			WallNS: end.WallNS, MachineNS: end.MachineNS,
+			Coverage: end.Coverage, UniqueCrashes: end.UniqueCrashes,
+		},
 	}
 	if e.coord != nil {
-		for _, sub := range e.coord.Subspaces() {
-			es := Subspace{ID: sub.ID, Entry: uint64(sub.Entry), Owner: sub.Owner, FoundNS: int64(sub.FoundAt)}
-			for m := range sub.Members {
-				es.Members = append(es.Members, uint64(m))
-			}
-			sortUint64(es.Members)
-			out.Subspaces = append(out.Subspaces, es)
-		}
+		tail.Subspaces = e.coord.Subspaces()
 	}
-	for _, s := range e.samples {
-		out.Timeline = append(out.Timeline, Point{
-			WallNS:    s.WallNS,
-			MachineNS: s.MachineNS,
-			Covered:   s.Covered,
-			Crashes:   s.Crashes,
-			AJS:       s.AJS,
-		})
+	for _, id := range e.leaseOrder {
+		tail.Instances = append(tail.Instances, e.summaries[id])
 	}
-	for _, sig := range e.book.Signatures() {
-		s := e.book.Lookup(sig)
-		out.Screens = append(out.Screens, Screen{
-			Signature: uint64(sig),
-			Activity:  s.Activity,
-			Nodes:     s.Root.Size(),
-		})
-	}
-	return out
+	tail.Records(e.out)
+	return e.out.run
 }
 
 // Statically assert the engine satisfies the coordinator's environment seam.

@@ -7,7 +7,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"taopt/internal/app"
 	"taopt/internal/bus"
@@ -317,15 +316,7 @@ func newRunner(cfg RunConfig) *runner {
 		r.tel = obs.NewTelemetry()
 	}
 	if cfg.BinTrace != nil {
-		r.bin = bin.NewWriter(cfg.BinTrace, bin.Header{
-			App:          cfg.App.Name,
-			Tool:         cfg.Tool,
-			Setting:      cfg.Setting.String(),
-			Seed:         cfg.Seed,
-			ScenarioHash: cfg.ScenarioHash,
-			Telemetry:    cfg.Telemetry,
-			Faults:       cfg.Faults != nil && cfg.Faults.Enabled(),
-		})
+		r.bin = bin.NewWriter(cfg.BinTrace, cfg.recordHeader())
 		if r.tel != nil {
 			// Stream decisions out as the coordinator emits them instead of
 			// buffering them to run end.
@@ -670,16 +661,10 @@ func (r *runner) sample() {
 	}
 	r.timeline = append(r.timeline, p)
 	if r.rec != nil {
-		r.rec.Sample(wire.Sample{
-			WallNS: int64(p.Wall), MachineNS: int64(p.Machine),
-			Covered: p.Covered, Crashes: p.Crashes, AJS: p.AJS,
-		})
+		r.rec.Sample(sampleRecord(p))
 	}
 	if r.bin != nil {
-		r.bin.Sample(bin.Sample{
-			WallNS: int64(p.Wall), MachineNS: int64(p.Machine),
-			Covered: p.Covered, Crashes: p.Crashes, AJS: p.AJS,
-		})
+		r.bin.Sample(sampleRecord(p))
 	}
 	if r.tel != nil {
 		reg := r.tel.Registry()
@@ -799,24 +784,14 @@ func (r *runner) result() *RunResult {
 		}
 		res.Telemetry = r.tel
 	}
+	if r.rec == nil && r.bin == nil {
+		return res
+	}
+	tail := res.tail()
 	if r.rec != nil {
 		// Close the wire log: per-lease summaries and the run totals, the
 		// frames replay rebuilds the export's non-protocol sections from.
-		for _, ir := range res.Instances {
-			sum := wire.Summary{
-				ID:          ir.ID,
-				AllocatedNS: int64(ir.Allocated),
-				ReleasedNS:  int64(ir.Released),
-				Failed:      ir.Failed,
-				Coverage:    ir.Methods.Count(),
-			}
-			for _, rep := range ir.Crashes.Reports() {
-				sum.Crashes = append(sum.Crashes, wire.CrashInfo{
-					Signature: string(rep.Signature),
-					AtNS:      int64(rep.At),
-					Frames:    rep.Frames,
-				})
-			}
+		for _, sum := range tail.Instances {
 			r.rec.Instance(sum)
 		}
 		r.rec.End(wire.RunEnd{
@@ -829,84 +804,10 @@ func (r *runner) result() *RunResult {
 			Stats:           res.Transport,
 		})
 	}
-	r.binTail(res)
+	if r.bin != nil {
+		// The events, samples and decisions streamed live; close the
+		// record with the run's tail.
+		tail.Records(r.bin)
+	}
 	return res
-}
-
-// binTail closes the binary trace stream with the bounded end-of-run
-// summaries, mirroring export.FromResult's sections exactly so ReadBin
-// rebuilds the identical JSON view.
-func (r *runner) binTail(res *RunResult) {
-	if r.bin == nil {
-		return
-	}
-	for _, ir := range res.Instances {
-		sum := bin.InstanceSummary{
-			ID:          ir.ID,
-			AllocatedNS: int64(ir.Allocated),
-			ReleasedNS:  int64(ir.Released),
-			Failed:      ir.Failed,
-			Coverage:    ir.Methods.Count(),
-		}
-		for _, rep := range ir.Crashes.Reports() {
-			sum.Crashes = append(sum.Crashes, bin.Crash{
-				Signature: string(rep.Signature),
-				AtNS:      int64(rep.At),
-				Frames:    rep.Frames,
-			})
-		}
-		r.bin.Instance(sum)
-	}
-	for _, sub := range res.Subspaces {
-		bs := bin.Subspace{
-			ID: sub.ID, Entry: uint64(sub.Entry),
-			Owner: sub.Owner, FoundNS: int64(sub.FoundAt),
-		}
-		for m := range sub.Members {
-			bs.Members = append(bs.Members, uint64(m))
-		}
-		sort.Slice(bs.Members, func(i, j int) bool { return bs.Members[i] < bs.Members[j] })
-		r.bin.Subspace(bs)
-	}
-	if res.Book != nil {
-		for _, sig := range res.Book.Signatures() {
-			s := res.Book.Lookup(sig)
-			r.bin.Screen(bin.Screen{
-				Sig: uint64(sig), Activity: s.Activity, Nodes: s.Root.Size(),
-			})
-		}
-	}
-	if st := res.Transport; r.cfg.Faults != nil && r.cfg.Faults.Enabled() {
-		r.bin.Transport(bin.Transport{
-			Events:          st.Published,
-			Delivered:       st.Delivered,
-			Commands:        st.Commands,
-			CommandFailures: st.CommandFailures,
-			Dropped:         st.Dropped,
-			Delayed:         st.Delayed,
-			Deaths:          st.Deaths,
-			Hangs:           st.Hangs,
-			AllocFailures:   st.AllocFailures,
-			LostCommands:    st.LostCommands,
-			FailedInstances: res.FailedInstances,
-			OrphansPending:  res.OrphansPending,
-			HasMix:          true,
-			Mix: [6]int{
-				st.KindCount(bus.Allocate), st.KindCount(bus.Deallocate),
-				st.KindCount(bus.BlockWidget), st.KindCount(bus.BlockMember),
-				st.KindCount(bus.Kill), st.KindCount(bus.Hang),
-			},
-		})
-	}
-	if r.tel != nil {
-		for _, m := range r.tel.Registry().Snapshot() {
-			r.bin.Metric(m)
-		}
-	}
-	r.bin.End(bin.End{
-		WallNS:        int64(res.WallUsed),
-		MachineNS:     int64(res.MachineUsed),
-		Coverage:      res.Union.Count(),
-		UniqueCrashes: res.UniqueCrashes,
-	})
 }

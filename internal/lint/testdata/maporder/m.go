@@ -61,8 +61,7 @@ func allowedSortSlice(m map[string]int) []string {
 	return keys
 }
 
-// A local helper whose name says it sorts gets credit too (the pattern
-// internal/export/export.go uses with sortUint64).
+// A local helper whose name says it sorts gets credit too.
 func allowedLocalSortHelper(m map[uint64]bool) []uint64 {
 	var members []uint64
 	for k := range m {

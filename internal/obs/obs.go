@@ -158,13 +158,16 @@ func (l *Log) Len() int {
 	return len(l.decisions)
 }
 
-// WriteJSONL serialises the log as one compact JSON object per line — the
-// format the CI stability step diffs and cmd/taopt -decisions writes. The
-// output is byte-deterministic: field order is fixed by the struct and
+// WriteJSONL serialises the log with the package-level WriteJSONL.
+func (l *Log) WriteJSONL(w io.Writer) error { return WriteJSONL(w, l.Decisions()) }
+
+// WriteJSONL serialises decisions as one compact JSON object per line — the
+// decision view tracetool render writes and the CI stability step diffs.
+// The output is byte-deterministic: field order is fixed by the struct and
 // emission order by the virtual clock.
-func (l *Log) WriteJSONL(w io.Writer) error {
+func WriteJSONL(w io.Writer, decisions []Decision) error {
 	enc := json.NewEncoder(w)
-	for _, d := range l.Decisions() {
+	for _, d := range decisions {
 		if err := enc.Encode(d); err != nil {
 			return err
 		}

@@ -58,7 +58,7 @@ type statsResponse struct {
 //	POST /v1/runs                 submit a run scenario document (?wait=1 blocks)
 //	GET  /v1/runs                 list run records
 //	GET  /v1/runs/{id}            one run record (?wait=1 blocks until settled)
-//	GET  /v1/runs/{id}/export     the run's v5 export, byte-identical to taopt -export
+//	GET  /v1/runs/{id}/export     the run's v5 export, byte-identical to the JSON view of taopt -bintrace
 //	GET  /v1/runs/{id}/telemetry  the rendered telemetry digest
 //	GET  /v1/runs/{id}/trace      the binary trace stream
 //	GET  /v1/stats                cache and flight counters

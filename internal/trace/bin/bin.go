@@ -244,6 +244,23 @@ type Record struct {
 	End       End             // KindEnd
 }
 
+// Sink receives one run's records in stream order. *Writer encodes them;
+// the export package's builder assembles them into a Run. The header is not
+// a Sink record: it is handed over when the sink is created.
+type Sink interface {
+	Event(trace.Event)
+	Sample(Sample)
+	Decision(obs.Decision)
+	Instance(InstanceSummary)
+	Subspace(Subspace)
+	Screen(Screen)
+	Transport(Transport)
+	Metric(obs.Metric)
+	End(End)
+}
+
+var _ Sink = (*Writer)(nil)
+
 // Writer streams records into the chunked binary form. All methods are
 // error-latching: the first write failure sticks and every later call is a
 // no-op; check Err (or Close) once at the end, exactly like the wire

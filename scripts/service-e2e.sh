@@ -4,8 +4,9 @@
 # Boots taoptd on a temp data directory, submits the pinned chaos run
 # document over HTTP, and proves the cache contract from the outside:
 #
-#   1. the served export is byte-identical to an offline `taopt` run of the
-#      equivalent flags (the cache-equivalence oracle, end to end);
+#   1. the served export is byte-identical to the JSON view (tracetool
+#      render) of an offline `taopt -bintrace` record of the equivalent flags
+#      (the cache-equivalence oracle, end to end);
 #   2. re-submitting the document under a different name is a cache hit
 #      (X-Taopt-Cache: hit) serving byte-identical bytes;
 #   3. after a service restart over the same data directory the hit still
@@ -25,6 +26,7 @@ trap cleanup EXIT
 
 go build -o "$WORK/taoptd" ./cmd/taoptd
 go build -o "$WORK/taopt" ./cmd/taopt
+go build -o "$WORK/tracetool" ./cmd/tracetool
 
 start_server() {
     "$WORK/taoptd" -addr "127.0.0.1:$PORT" -data "$WORK/store" -workers 2 &
@@ -66,12 +68,13 @@ curl -fsS "$BASE/v1/runs/$RUN_ID/export" > "$WORK/served-export.json"
 curl -fsS "$BASE/v1/runs/$RUN_ID/telemetry" > "$WORK/served-telemetry.txt"
 [ -s "$WORK/served-telemetry.txt" ] || { echo "telemetry digest is empty" >&2; exit 1; }
 
-echo "service-e2e: computing the offline equivalent with taopt"
+echo "service-e2e: recording the offline equivalent with taopt"
 "$WORK/taopt" -app "Filters For Selfie" -tool monkey -setting taopt-duration \
     -duration 8 -seed 15 -faults 0.2 -telemetry \
-    -export "$WORK/offline-export.json" > /dev/null
+    -bintrace "$WORK/offline.taoptb" > /dev/null
+"$WORK/tracetool" render -view json "$WORK/offline.taoptb" > "$WORK/offline-export.json"
 diff "$WORK/served-export.json" "$WORK/offline-export.json" \
-    || { echo "served export diverges from the offline compute" >&2; exit 1; }
+    || { echo "served export diverges from the offline record's JSON view" >&2; exit 1; }
 
 echo "service-e2e: resubmitting under a new name"
 submit "$WORK/rerun.json" > "$WORK/submit2.json"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,6 +19,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 // death/hang/orphan/re-dedication branches all appear in the decision log.
 func telemetryRun(t *testing.T) *RunResult {
 	t.Helper()
+	return telemetryRecord(t, nil)
+}
+
+// telemetryRecord executes the pinned chaos configuration, streaming its
+// binary trace into binTrace when non-nil.
+func telemetryRecord(t *testing.T, binTrace io.Writer) *RunResult {
+	t.Helper()
 	fc := DefaultFaultConfig(0.20)
 	fc.MinLife = 1 * Minute
 	fc.MaxLife = 5 * Minute
@@ -29,6 +37,7 @@ func telemetryRun(t *testing.T) *RunResult {
 		Seed:      15,
 		Faults:    &fc,
 		Telemetry: true,
+		BinTrace:  binTrace,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +89,28 @@ func TestDecisionLogGolden(t *testing.T) {
 	}
 }
 
+// TestDecisionViewMatchesGolden: the decision view rendered from the pinned
+// chaos run's binary trace alone reproduces the golden decision log.
+func TestDecisionViewMatchesGolden(t *testing.T) {
+	var stream bytes.Buffer
+	telemetryRecord(t, &stream)
+	run, err := export.ReadBin(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run.Render(&got, "decisions"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "decisions_golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("decision view of the binary trace differs from the golden (%d vs %d bytes)", got.Len(), len(want))
+	}
+}
+
 // TestDecisionLogReproducible: two runs of the pinned configuration must emit
 // byte-identical decision logs — the guarantee the CI stability step relies
 // on, checked here without golden-file indirection.
@@ -102,7 +133,7 @@ func TestDecisionLogReproducible(t *testing.T) {
 // i instants).
 func TestChromeTraceValid(t *testing.T) {
 	res := telemetryRun(t)
-	tr := export.ChromeTrace(res)
+	tr := export.ChromeTrace(export.FromResult(res))
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
