@@ -13,6 +13,7 @@ package app
 
 import (
 	"fmt"
+	"strconv"
 
 	"taopt/internal/sim"
 	"taopt/internal/ui"
@@ -88,10 +89,11 @@ type App struct {
 	// auto-login script runs. Its widgets never reach Main.
 	Login         ScreenID
 	LoginRequired bool
-	// MethodNames is the universe of method identifiers; len(MethodNames)
-	// is the app's method count. MethodID indexes this slice.
-	MethodNames []string
-	CrashSites  []CrashSite
+	// NumMethods is the size of the app's method universe: MethodIDs run
+	// from 0 to NumMethods-1. Methods are counted, not named, as MiniTrace
+	// coverage is; only crash frames spell out method names.
+	NumMethods int
+	CrashSites []CrashSite
 	// Subspaces is the ground-truth number of functionalities including the
 	// hub (evaluation only).
 	Subspaces int
@@ -129,13 +131,13 @@ func (a *App) Validate() error {
 				return fmt.Errorf("app %s: screen %d widget %d names crash site %d (have %d)", a.Name, i, j, w.CrashSite, len(a.CrashSites))
 			}
 			for _, m := range w.Methods {
-				if int(m) >= len(a.MethodNames) || m < 0 {
+				if int(m) >= a.NumMethods || m < 0 {
 					return fmt.Errorf("app %s: widget method %d out of range", a.Name, m)
 				}
 			}
 		}
 		for _, m := range s.VisitMethods {
-			if int(m) >= len(a.MethodNames) || m < 0 {
+			if int(m) >= a.NumMethods || m < 0 {
 				return fmt.Errorf("app %s: screen method %d out of range", a.Name, m)
 			}
 		}
@@ -144,7 +146,7 @@ func (a *App) Validate() error {
 }
 
 // MethodCount returns the size of the app's method universe.
-func (a *App) MethodCount() int { return len(a.MethodNames) }
+func (a *App) MethodCount() int { return a.NumMethods }
 
 // Screen returns the state for id. It panics on an invalid id: screen IDs
 // only ever originate from the app itself.
@@ -206,14 +208,16 @@ func (a *App) Render(id ScreenID, visit int) *ui.Screen {
 	s := a.Screens[id]
 	root := &ui.Node{Class: "android.widget.FrameLayout", ResourceID: "android:id/content", Enabled: true}
 	toolbar := &ui.Node{Class: "androidx.appcompat.widget.Toolbar", ResourceID: "toolbar", Enabled: true}
-	toolbar.Children = append(toolbar.Children, &ui.Node{
+	toolbar.Children = []*ui.Node{{
 		Class: "android.widget.TextView", ResourceID: "toolbar_title", Text: s.Title, Enabled: true,
-	})
+	}}
 	container := &ui.Node{Class: "android.widget.LinearLayout", ResourceID: "container", Enabled: true}
+	container.Children = make([]*ui.Node, 0, len(s.Widgets)+s.Decorations)
+	seen := strconv.Itoa(visit)
 	for _, w := range s.Widgets {
 		text := w.Label
 		if w.Volatile {
-			text = fmt.Sprintf("%s · %d", w.Label, visit)
+			text = w.Label + " · " + seen
 		}
 		container.Children = append(container.Children, &ui.Node{
 			Class:      w.Class,
@@ -224,15 +228,17 @@ func (a *App) Render(id ScreenID, visit int) *ui.Screen {
 		})
 	}
 	for d := 0; d < s.Decorations; d++ {
-		row := &ui.Node{Class: "android.widget.LinearLayout", ResourceID: fmt.Sprintf("row_%d", d), Enabled: true}
-		text := fmt.Sprintf("%s item %d", s.Title, d)
+		n := strconv.Itoa(d)
+		text := s.Title + " item " + n
 		if d%2 == 1 {
-			text = fmt.Sprintf("%s item %d (seen %d)", s.Title, d, visit)
+			text += " (seen " + seen + ")"
 		}
-		row.Children = append(row.Children, &ui.Node{
-			Class: "android.widget.TextView", ResourceID: fmt.Sprintf("row_text_%d", d), Text: text, Enabled: true,
+		container.Children = append(container.Children, &ui.Node{
+			Class: "android.widget.LinearLayout", ResourceID: "row_" + n, Enabled: true,
+			Children: []*ui.Node{{
+				Class: "android.widget.TextView", ResourceID: "row_text_" + n, Text: text, Enabled: true,
+			}},
 		})
-		container.Children = append(container.Children, row)
 	}
 	root.Children = []*ui.Node{toolbar, container}
 	return &ui.Screen{Activity: s.Activity, Root: root}

@@ -1,7 +1,9 @@
 package app
 
 import (
+	"cmp"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"taopt/internal/sim"
@@ -107,78 +109,30 @@ func DefaultSpec(name string, seed int64) Spec {
 
 func (s Spec) withDefaults() Spec {
 	d := DefaultSpec(s.Name, s.Seed)
-	if s.Subspaces == 0 {
-		s.Subspaces = d.Subspaces
-	}
-	if s.ScreensMin == 0 {
-		s.ScreensMin = d.ScreensMin
-	}
-	if s.ScreensMax == 0 {
-		s.ScreensMax = d.ScreensMax
-	}
-	if s.WidgetsMin == 0 {
-		s.WidgetsMin = d.WidgetsMin
-	}
-	if s.WidgetsMax == 0 {
-		s.WidgetsMax = d.WidgetsMax
-	}
-	if s.ActivitiesMin == 0 {
-		s.ActivitiesMin = d.ActivitiesMin
-	}
-	if s.ActivitiesMax == 0 {
-		s.ActivitiesMax = d.ActivitiesMax
-	}
-	if s.SharedActivityProb == 0 {
-		s.SharedActivityProb = d.SharedActivityProb
-	}
-	if s.CrossProb == 0 {
-		s.CrossProb = d.CrossProb
-	}
-	if s.ExitProb == 0 {
-		s.ExitProb = d.ExitProb
-	}
-	if s.LayerWidth == 0 {
-		s.LayerWidth = d.LayerWidth
-	}
-	if s.VisitMethodsMin == 0 {
-		s.VisitMethodsMin = d.VisitMethodsMin
-	}
-	if s.VisitMethodsMax == 0 {
-		s.VisitMethodsMax = d.VisitMethodsMax
-	}
-	if s.WidgetMethodsMin == 0 {
-		s.WidgetMethodsMin = d.WidgetMethodsMin
-	}
-	if s.WidgetMethodsMax == 0 {
-		s.WidgetMethodsMax = d.WidgetMethodsMax
-	}
-	if s.ExtraMethods == 0 {
-		s.ExtraMethods = d.ExtraMethods
-	}
-	if s.CrashSites == 0 {
-		s.CrashSites = d.CrashSites
-	}
-	if s.CrashProbMin == 0 {
-		s.CrashProbMin = d.CrashProbMin
-	}
-	if s.CrashProbMax == 0 {
-		s.CrashProbMax = d.CrashProbMax
-	}
-	if s.VolatileTextProb == 0 {
-		s.VolatileTextProb = d.VolatileTextProb
-	}
-	if s.DecorationsMax == 0 {
-		s.DecorationsMax = d.DecorationsMax
-	}
-	if s.Version == "" {
-		s.Version = d.Version
-	}
-	if s.Category == "" {
-		s.Category = d.Category
-	}
-	if s.Downloads == "" {
-		s.Downloads = d.Downloads
-	}
+	s.Subspaces = cmp.Or(s.Subspaces, d.Subspaces)
+	s.ScreensMin = cmp.Or(s.ScreensMin, d.ScreensMin)
+	s.ScreensMax = cmp.Or(s.ScreensMax, d.ScreensMax)
+	s.WidgetsMin = cmp.Or(s.WidgetsMin, d.WidgetsMin)
+	s.WidgetsMax = cmp.Or(s.WidgetsMax, d.WidgetsMax)
+	s.ActivitiesMin = cmp.Or(s.ActivitiesMin, d.ActivitiesMin)
+	s.ActivitiesMax = cmp.Or(s.ActivitiesMax, d.ActivitiesMax)
+	s.SharedActivityProb = cmp.Or(s.SharedActivityProb, d.SharedActivityProb)
+	s.CrossProb = cmp.Or(s.CrossProb, d.CrossProb)
+	s.ExitProb = cmp.Or(s.ExitProb, d.ExitProb)
+	s.LayerWidth = cmp.Or(s.LayerWidth, d.LayerWidth)
+	s.VisitMethodsMin = cmp.Or(s.VisitMethodsMin, d.VisitMethodsMin)
+	s.VisitMethodsMax = cmp.Or(s.VisitMethodsMax, d.VisitMethodsMax)
+	s.WidgetMethodsMin = cmp.Or(s.WidgetMethodsMin, d.WidgetMethodsMin)
+	s.WidgetMethodsMax = cmp.Or(s.WidgetMethodsMax, d.WidgetMethodsMax)
+	s.ExtraMethods = cmp.Or(s.ExtraMethods, d.ExtraMethods)
+	s.CrashSites = cmp.Or(s.CrashSites, d.CrashSites)
+	s.CrashProbMin = cmp.Or(s.CrashProbMin, d.CrashProbMin)
+	s.CrashProbMax = cmp.Or(s.CrashProbMax, d.CrashProbMax)
+	s.VolatileTextProb = cmp.Or(s.VolatileTextProb, d.VolatileTextProb)
+	s.DecorationsMax = cmp.Or(s.DecorationsMax, d.DecorationsMax)
+	s.Version = cmp.Or(s.Version, d.Version)
+	s.Category = cmp.Or(s.Category, d.Category)
+	s.Downloads = cmp.Or(s.Downloads, d.Downloads)
 	return s
 }
 
@@ -342,7 +296,7 @@ func (b *builder) build() {
 		if bi == 0 {
 			n = n*3 + spec.VisitMethodsMax
 		}
-		sc.VisitMethods = b.newMethods(sc.Activity, "onShow", n)
+		sc.VisitMethods = b.newMethods(n)
 	}
 	for k := 1; k <= spec.Subspaces; k++ {
 		for pos, idx := range blocks[k] {
@@ -350,12 +304,12 @@ func (b *builder) build() {
 			n := spec.VisitMethodsMin + rng.Intn(spec.VisitMethodsMax-spec.VisitMethodsMin+1)
 			depth := float64(pos) / float64(len(blocks[k]))
 			n = int(float64(n) * (1 + 1.5*depth))
-			sc.VisitMethods = b.newMethods(sc.Activity, "onShow", n)
+			sc.VisitMethods = b.newMethods(n)
 		}
 	}
 	if spec.LoginRequired {
 		sc := a.Screens[loginIdx]
-		sc.VisitMethods = b.newMethods(sc.Activity, "onShow", spec.VisitMethodsMin)
+		sc.VisitMethods = b.newMethods(spec.VisitMethodsMin)
 	}
 
 	// Crash sites are planted after wiring (see plantCrashes).
@@ -372,16 +326,7 @@ func (b *builder) build() {
 	b.plantCrashes(blocks)
 
 	// Unreachable tail.
-	for i := 0; i < spec.ExtraMethods; i++ {
-		b.app.MethodNames = append(b.app.MethodNames, fmt.Sprintf("%s.internal.Background.m%d", b.pkg, i))
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	a.NumMethods += spec.ExtraMethods
 }
 
 func activitySuffix(j int) string {
@@ -397,17 +342,13 @@ func screenTitle(s int) string {
 	return fmt.Sprintf("Page %d", s)
 }
 
-// newMethods appends n fresh methods named after their owning activity and
-// returns their IDs.
-func (b *builder) newMethods(activity, kind string, n int) []MethodID {
+// newMethods adds n fresh methods to the universe and returns their IDs.
+func (b *builder) newMethods(n int) []MethodID {
 	ids := make([]MethodID, n)
-	base := len(b.app.MethodNames)
-	short := activity[strings.LastIndexByte(activity, '.')+1:]
-	for i := 0; i < n; i++ {
-		b.app.MethodNames = append(b.app.MethodNames,
-			fmt.Sprintf("%s.%s.%s_%d", b.pkg, short, kind, base+i))
-		ids[i] = MethodID(base + i)
+	for i := range ids {
+		ids[i] = MethodID(b.app.NumMethods + i)
 	}
+	b.app.NumMethods += n
 	return ids
 }
 
@@ -417,10 +358,10 @@ func (b *builder) newWidget(screen *ScreenState, label string, target ScreenID) 
 	b.nextRes++
 	screen.Widgets = append(screen.Widgets, Widget{
 		Class:      widgetClasses[rng.Intn(len(widgetClasses))],
-		ResourceID: fmt.Sprintf("w_%d", b.nextRes),
+		ResourceID: "w_" + strconv.Itoa(b.nextRes),
 		Label:      label,
 		Target:     target,
-		Methods:    b.newMethods(screen.Activity, "onClick", n),
+		Methods:    b.newMethods(n),
 		CrashSite:  -1,
 		Volatile:   rng.Bool(spec.VolatileTextProb),
 	})
@@ -431,7 +372,7 @@ func (b *builder) wireHub(blocks [][]int, entry []int) {
 	a, rng := b.app, b.rng
 	main := a.Screens[0]
 	for k := 1; k < len(entry); k++ {
-		b.newWidget(main, fmt.Sprintf("Tab %s", a.Screens[entry[k]].Title), ScreenID(entry[k]))
+		b.newWidget(main, "Tab "+a.Screens[entry[k]].Title, ScreenID(entry[k]))
 	}
 	// A couple of non-navigating widgets (refresh, promo banner).
 	for i := 0; i < 2; i++ {
@@ -473,6 +414,7 @@ func (b *builder) wireSubspace(k int, blocks [][]int, entry []int) {
 		s := a.Screens[idx]
 		l := layerOf(pos)
 		nw := spec.WidgetsMin + rng.Intn(spec.WidgetsMax-spec.WidgetsMin+1)
+		s.Widgets = make([]Widget, 0, nw)
 		for w := 0; w < nw; w++ {
 			switch {
 			case pos == 0 && w == 0:
@@ -492,11 +434,11 @@ func (b *builder) wireSubspace(k int, blocks [][]int, entry []int) {
 			case w <= 1 && l+1 < layers:
 				// Forward edge into the next layer: the flow's spine.
 				t := pickInLayer(l + 1)
-				b.newWidget(s, fmt.Sprintf("Open %s", a.Screens[t].Title), ScreenID(t))
+				b.newWidget(s, "Open "+a.Screens[t].Title, ScreenID(t))
 			case w == 2 && l > 0 && rng.Bool(0.6):
 				// Back toward shallower layers, like list ↔ detail loops.
 				t := pickInLayer(rng.Intn(l))
-				b.newWidget(s, fmt.Sprintf("Back to %s", a.Screens[t].Title), ScreenID(t))
+				b.newWidget(s, "Back to "+a.Screens[t].Title, ScreenID(t))
 			case rng.Bool(0.22):
 				// Non-navigating interaction (toggle, like, play).
 				b.newWidget(s, "Toggle", TargetNone)
@@ -505,7 +447,7 @@ func (b *builder) wireSubspace(k int, blocks [][]int, entry []int) {
 			default:
 				// Sideways within the layer (tabs, sibling items).
 				t := pickInLayer(l)
-				b.newWidget(s, fmt.Sprintf("Open %s", a.Screens[t].Title), ScreenID(t))
+				b.newWidget(s, "Open "+a.Screens[t].Title, ScreenID(t))
 			}
 		}
 	}
@@ -575,15 +517,17 @@ func (b *builder) plantCrashes(blocks [][]int) {
 		w.CrashSite = c
 		w.CrashProb = prob
 		var frames []string
+		short := s.Activity[strings.LastIndexByte(s.Activity, '.')+1:]
 		depth := 3 + rng.Intn(3)
 		for f := 0; f < depth; f++ {
+			// Handler frames name the method pkg.<Activity>.onClick_<id>.
 			var m string
 			if f < len(w.Methods) {
-				m = a.MethodNames[w.Methods[f]]
+				m = fmt.Sprintf("%s.%s.onClick_%d", b.pkg, short, w.Methods[f])
 			} else {
 				m = fmt.Sprintf("%s.runtime.Dispatch.call_%d", b.pkg, f)
 			}
-			frames = append(frames, fmt.Sprintf("%s(%s.java:%d)", m, s.Activity[strings.LastIndexByte(s.Activity, '.')+1:], 40+rng.Intn(400)))
+			frames = append(frames, fmt.Sprintf("%s(%s.java:%d)", m, short, 40+rng.Intn(400)))
 		}
 		a.CrashSites[c] = CrashSite{ID: c, Frames: frames}
 	}

@@ -18,14 +18,12 @@ func MotivatingExample() *App {
 		Login:     -1,
 	}
 
-	next := 0
-	method := func(owner, kind string, n int) []MethodID {
+	method := func(n int) []MethodID {
 		ids := make([]MethodID, n)
 		for i := range ids {
-			a.MethodNames = append(a.MethodNames, fmt.Sprintf("%s.%s.%s_%d", pkg, owner, kind, next))
-			ids[i] = MethodID(next)
-			next++
+			ids[i] = MethodID(a.NumMethods + i)
 		}
+		a.NumMethods += n
 		return ids
 	}
 
@@ -59,7 +57,7 @@ func MotivatingExample() *App {
 			Activity:     pkg + "." + activity,
 			Subspace:     subspace,
 			Title:        title,
-			VisitMethods: method(activity, "onShow", visitMethods),
+			VisitMethods: method(visitMethods),
 			Decorations:  2,
 		}
 		a.Screens = append(a.Screens, s)
@@ -71,7 +69,7 @@ func MotivatingExample() *App {
 			ResourceID: fmt.Sprintf("btn_%s_%d", s.Title, len(s.Widgets)),
 			Label:      label,
 			Target:     target,
-			Methods:    method(s.Activity[len(pkg)+1:], "onClick", methods),
+			Methods:    method(methods),
 			CrashSite:  -1,
 		})
 	}

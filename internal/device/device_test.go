@@ -137,11 +137,11 @@ func TestAutoLogin(t *testing.T) {
 // hub does not re-show shallower functionality screens.
 func resumeApp() *app.App {
 	a := &app.App{
-		Name:        "ResumeApp",
-		Login:       -1,
-		Subspaces:   2,
-		ResumeProb:  1.0,
-		MethodNames: []string{"m0", "m1", "m2"},
+		Name:       "ResumeApp",
+		Login:      -1,
+		Subspaces:  2,
+		ResumeProb: 1.0,
+		NumMethods: 3,
 	}
 	w := func(target app.ScreenID) app.Widget {
 		return app.Widget{Class: "android.widget.Button", ResourceID: "w" + string(rune('a'+int(target)+2)), Label: "w", Target: target, CrashSite: -1}

@@ -134,6 +134,9 @@ func (e *Emulator) showScreen(id app.ScreenID) {
 	}
 }
 
+// Activity returns the Activity of the current screen without rendering it.
+func (e *Emulator) Activity() string { return e.App.Screen(e.cur).Activity }
+
 // Render returns the concrete UI hierarchy currently displayed. Repeated
 // calls without an intervening action return structurally identical screens.
 func (e *Emulator) Render() *ui.Screen {

@@ -64,16 +64,37 @@ func FromScenario(sc *scenario.Campaign) (CampaignConfig, error) {
 	return cfg, nil
 }
 
+// CheckRunScenario reports why the harness cannot run rs — an unknown
+// catalog app, tool or setting — without generating the app, so the
+// campaign service can reject a bad submit before it is queued.
+func CheckRunScenario(rs *scenario.RunSpec) error {
+	if rs.App == nil {
+		if _, err := apps.Lookup(rs.AppName); err != nil {
+			return err
+		}
+	}
+	if _, err := tools.New(rs.Tool, 0); err != nil {
+		return err
+	}
+	_, err := ParseSetting(rs.Setting)
+	return err
+}
+
 // FromRunScenario lowers a compiled run scenario onto a RunConfig: the
-// campaign service's submit path. The app resolves like a campaign cell —
+// campaign service's compute path. The app resolves like a campaign cell —
 // generated from the inline spec, or loaded from the catalog — and the
 // export's scenario_hash names the app document either way, so a service run
 // is indistinguishable from the equivalent `taopt -scenario` invocation.
-// Absent scenario fields stay zero for the usual Run defaults; the tool and
-// setting are validated here so a bad submit fails before it is queued.
+// Absent scenario fields stay zero for the usual Run defaults; anything
+// CheckRunScenario rejects is an error.
 func FromRunScenario(rs *scenario.RunSpec) (RunConfig, error) {
+	if err := CheckRunScenario(rs); err != nil {
+		return RunConfig{}, err
+	}
+	setting, _ := ParseSetting(rs.Setting) // checked above
 	cfg := RunConfig{
 		Tool:          rs.Tool,
+		Setting:       setting,
 		Instances:     rs.Instances,
 		Duration:      rs.Duration,
 		MachineBudget: rs.MachineBudget,
@@ -85,21 +106,9 @@ func FromRunScenario(rs *scenario.RunSpec) (RunConfig, error) {
 		cfg.App = app.Generate(rs.App.Spec)
 		cfg.ScenarioHash = rs.App.Hash
 	} else {
-		aut, err := apps.Load(rs.AppName)
-		if err != nil {
-			return RunConfig{}, err
-		}
-		cfg.App = aut
+		cfg.App = apps.MustLoad(rs.AppName)
 		cfg.ScenarioHash = apps.Hash(rs.AppName)
 	}
-	if _, err := tools.New(rs.Tool, 0); err != nil {
-		return RunConfig{}, err
-	}
-	setting, err := ParseSetting(rs.Setting)
-	if err != nil {
-		return RunConfig{}, err
-	}
-	cfg.Setting = setting
 	if rs.Faults != nil {
 		f := *rs.Faults
 		cfg.Faults = &f

@@ -94,10 +94,7 @@ func New(cfg Config) (*Service, error) {
 		// With the real backend, reject what the harness cannot run (unknown
 		// catalog app or tool) at submit time instead of queueing a run that
 		// is doomed to fail.
-		s.validate = func(rs *scenario.RunSpec) error {
-			_, err := harness.FromRunScenario(rs)
-			return err
-		}
+		s.validate = harness.CheckRunScenario
 	}
 	s.idle = sync.NewCond(&s.mu)
 	recs, err := cfg.Repo.ListRuns()

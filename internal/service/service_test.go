@@ -360,20 +360,34 @@ func TestServiceRestartFailsInterruptedRuns(t *testing.T) {
 }
 
 // With the real backend, documents the harness cannot run are rejected at
-// submit time instead of queueing a doomed run.
+// submit time instead of queueing a doomed run, with the same error the
+// harness would have failed the run with.
 func TestServiceRejectsUnrunnableAtSubmit(t *testing.T) {
 	svc, err := service.New(service.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if _, err := svc.Submit([]byte(`{"kind": "run", "name": "x", "run": {
-		"app": "No Such App", "tool": "monkey", "setting": "baseline"}}`)); err == nil {
-		t.Fatal("unknown catalog app accepted")
-	}
-	if _, err := svc.Submit([]byte(`{"kind": "run", "name": "x", "run": {
-		"app": "Zedge", "tool": "hypermonkey", "setting": "baseline"}}`)); err == nil {
-		t.Fatal("unknown tool accepted")
+	for _, tc := range []struct{ what, doc string }{
+		{"unknown catalog app", `{"kind": "run", "name": "x", "run": {
+			"app": "No Such App", "tool": "monkey", "setting": "baseline"}}`},
+		{"unknown tool", `{"kind": "run", "name": "x", "run": {
+			"app": "Zedge", "tool": "hypermonkey", "setting": "baseline"}}`},
+		{"unknown tool on an inline app", `{"kind": "run", "name": "x", "run": {
+			"inlineApp": {"name": "Tiny", "app": {"subspaces": 4}},
+			"tool": "hypermonkey", "setting": "baseline"}}`},
+	} {
+		_, err := svc.Submit([]byte(tc.doc))
+		if err == nil {
+			t.Fatalf("%s accepted", tc.what)
+		}
+		rs, cerr := scenario.CompileRun([]byte(tc.doc))
+		if cerr != nil {
+			t.Fatalf("%s: %v", tc.what, cerr)
+		}
+		if _, want := harness.FromRunScenario(rs); want == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: submit error %q, harness error %v", tc.what, err, want)
+		}
 	}
 	if st := svc.Stats(); st.Submitted != 0 {
 		t.Fatalf("rejected submits counted: %+v", st)

@@ -49,7 +49,7 @@ func TestTraceMatchesEmulatorPath(t *testing.T) {
 
 func TestCrashFlagPropagates(t *testing.T) {
 	// An app whose only forward widget always crashes.
-	a := &app.App{Name: "Crashy", Login: -1, Subspaces: 1, MethodNames: []string{"m"}}
+	a := &app.App{Name: "Crashy", Login: -1, Subspaces: 1, NumMethods: 1}
 	a.Screens = []*app.ScreenState{{
 		ID: 0, Activity: "A", Subspace: 0, Title: "S",
 		Widgets: []app.Widget{{

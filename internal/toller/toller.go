@@ -136,13 +136,14 @@ func NewDriver(emu *device.Emulator, book *trace.Book, now sim.Duration) *Driver
 		log:    &trace.Log{},
 		blocks: NewBlockSet(),
 	}
-	d.lastSig = book.Observe(emu.Render())
+	screen := emu.Render()
+	d.lastSig = book.Observe(screen)
 	d.emit(trace.Event{
 		Instance: emu.ID,
 		At:       now,
 		Action:   trace.Action{Kind: trace.ActionLaunch},
 		To:       d.lastSig,
-		Activity: emu.Render().Activity,
+		Activity: screen.Activity,
 	})
 	return d
 }
@@ -191,7 +192,8 @@ func (d *Driver) View() View {
 func (d *Driver) Perform(a device.Action, now sim.Duration) device.Result {
 	from := d.lastSig
 	res := d.emu.Perform(a, now)
-	sig := d.book.Observe(d.emu.Render())
+	screen := d.emu.Render()
+	sig := d.book.Observe(screen)
 	d.lastSig = sig
 	d.emit(trace.Event{
 		Instance: d.emu.ID,
@@ -199,7 +201,7 @@ func (d *Driver) Perform(a device.Action, now sim.Duration) device.Result {
 		Action:   trace.Action{Kind: a.Kind, Widget: a.Path},
 		From:     from,
 		To:       sig,
-		Activity: d.emu.Render().Activity,
+		Activity: screen.Activity,
 		Crashed:  res.Crashed,
 	})
 	res.Latency += d.steerIfBlocked(now + res.Latency)
@@ -209,7 +211,7 @@ func (d *Driver) Perform(a device.Action, now sim.Duration) device.Result {
 // blockedHere reports whether the instance currently sits somewhere it must
 // not be: inside a blocked subspace or on a disallowed Activity.
 func (d *Driver) blockedHere() bool {
-	return d.blocks.IsMember(d.lastSig) || !d.blocks.ActivityAllowed(d.emu.Render().Activity)
+	return d.blocks.IsMember(d.lastSig) || !d.blocks.ActivityAllowed(d.emu.Activity())
 }
 
 // steerIfBlocked forces the instance out of a blocked subspace. It returns
@@ -226,7 +228,8 @@ func (d *Driver) steerIfBlocked(now sim.Duration) sim.Duration {
 			res = device.Result{Latency: device.MaxRestartLatency}
 		}
 		extra += res.Latency
-		sig := d.book.Observe(d.emu.Render())
+		screen := d.emu.Render()
+		sig := d.book.Observe(screen)
 		d.lastSig = sig
 		d.emit(trace.Event{
 			Instance: d.emu.ID,
@@ -234,7 +237,7 @@ func (d *Driver) steerIfBlocked(now sim.Duration) sim.Duration {
 			Action:   trace.Action{Kind: trace.ActionBack},
 			From:     from,
 			To:       sig,
-			Activity: d.emu.Render().Activity,
+			Activity: screen.Activity,
 			Enforced: true,
 		})
 		if step >= maxSteerSteps {

@@ -14,10 +14,10 @@ import (
 // two-zone app used across the driver tests.
 func threeZone() *app.App {
 	a := &app.App{
-		Name:        "Zones",
-		Login:       -1,
-		Subspaces:   3,
-		MethodNames: []string{"m"},
+		Name:       "Zones",
+		Login:      -1,
+		Subspaces:  3,
+		NumMethods: 1,
 	}
 	w := func(res string, target app.ScreenID) app.Widget {
 		return app.Widget{Class: "android.widget.Button", ResourceID: res, Label: res, Target: target, CrashSite: -1}
@@ -204,7 +204,7 @@ func TestSteeringRelaunchFallback(t *testing.T) {
 	// An app whose zone cannot be left by Back: entering pushes no usable
 	// stack (the zone screen self-loops). The driver must eventually
 	// relaunch.
-	a := &app.App{Name: "Trap", Login: -1, Subspaces: 2, MethodNames: []string{"m"}}
+	a := &app.App{Name: "Trap", Login: -1, Subspaces: 2, NumMethods: 1}
 	w := func(res string, target app.ScreenID) app.Widget {
 		return app.Widget{Class: "android.widget.Button", ResourceID: res, Label: res, Target: target, CrashSite: -1}
 	}
@@ -223,5 +223,18 @@ func TestSteeringRelaunchFallback(t *testing.T) {
 	tap(t, d, "go")
 	if d.Emulator().Current() == 1 {
 		t.Fatal("steering failed to leave the blocked screen")
+	}
+}
+
+// BenchmarkDriverStep measures one tool step through the driver: a View of
+// the current screen, then Perform of a seeded choice among its actions.
+func BenchmarkDriverStep(b *testing.B) {
+	d, _ := driverFor(app.Generate(app.DefaultSpec("Bench", 7)))
+	pick := sim.NewRNG(7)
+	var now sim.Duration
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v := d.View()
+		now += d.Perform(v.Actions[pick.Intn(len(v.Actions))], now).Latency
 	}
 }

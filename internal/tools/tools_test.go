@@ -140,7 +140,7 @@ func TestMonkeyUsesBack(t *testing.T) {
 // before re-trying one.
 func TestApeSystematicOnState(t *testing.T) {
 	// One-screen app: all widgets are no-ops so the state never changes.
-	a := &app.App{Name: "OneScreen", Login: -1, Subspaces: 1, MethodNames: []string{"m"}}
+	a := &app.App{Name: "OneScreen", Login: -1, Subspaces: 1, NumMethods: 1}
 	var ws []app.Widget
 	for i := 0; i < 6; i++ {
 		ws = append(ws, app.Widget{

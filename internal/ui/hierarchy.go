@@ -11,8 +11,8 @@ package ui
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -99,26 +99,40 @@ func (sig Signature) String() string { return fmt.Sprintf("ui:%012x", uint64(sig
 // and enabled/clickable flags out of the hash as well — disabled elements must
 // not change a screen's identity, otherwise TaOPT's own blocking would
 // manufacture "new" screens.
+//
+//lint:hotpath
 func (s *Screen) Abstract() Signature {
-	h := fnv.New64a()
-	h.Write([]byte(s.Activity))
-	h.Write([]byte{0})
-	writeAbstract(h, s.Root)
-	return Signature(h.Sum64())
+	h := fnvString(fnvOffset64, s.Activity)
+	return Signature(writeAbstract(fnvByte(h, 0), s.Root))
 }
 
-func writeAbstract(h interface{ Write([]byte) (int, error) }, n *Node) {
+//lint:hotpath
+func writeAbstract(h uint64, n *Node) uint64 {
 	if n == nil {
-		return
+		return h
 	}
-	h.Write([]byte{'('})
-	h.Write([]byte(n.Class))
-	h.Write([]byte{'#'})
-	h.Write([]byte(n.ResourceID))
+	h = fnvString(fnvByte(h, '('), n.Class)
+	h = fnvString(fnvByte(h, '#'), n.ResourceID)
 	for _, ch := range n.Children {
-		writeAbstract(h, ch)
+		h = writeAbstract(h, ch)
 	}
-	h.Write([]byte{')'})
+	return fnvByte(h, ')')
+}
+
+// FNV-1a/64, hashed inline over string bytes: the same function as
+// hash/fnv's New64a without a []byte conversion per write.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * fnvPrime64 }
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return h
 }
 
 // WidgetPath identifies an element within an abstract hierarchy: the class
@@ -146,7 +160,7 @@ func PathOf(root *Node, indexes []int) (WidgetPath, error) {
 		if i > 0 {
 			b.WriteByte('.')
 		}
-		fmt.Fprintf(&b, "%d", idx)
+		b.WriteString(strconv.Itoa(idx))
 	}
 	return WidgetPath(b.String()), nil
 }

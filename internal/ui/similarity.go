@@ -1,9 +1,6 @@
 package ui
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "sort"
 
 // Similarity computes the tree similarity of two abstracted UI hierarchies in
 // [0, 1]. It follows the spirit of the comparator used by CountIn in
@@ -53,16 +50,11 @@ func pathMultiset(root *Node) map[uint64]int {
 	out := make(map[uint64]int)
 	var rec func(n *Node, prefix uint64)
 	rec = func(n *Node, prefix uint64) {
-		h := fnv.New64a()
-		var buf [8]byte
+		key := uint64(fnvOffset64)
 		for i := 0; i < 8; i++ {
-			buf[i] = byte(prefix >> (8 * i))
+			key = fnvByte(key, byte(prefix>>(8*i)))
 		}
-		h.Write(buf[:])
-		h.Write([]byte(n.Class))
-		h.Write([]byte{'#'})
-		h.Write([]byte(n.ResourceID))
-		key := h.Sum64()
+		key = fnvString(fnvByte(fnvString(key, n.Class), '#'), n.ResourceID)
 		out[key]++
 		for _, ch := range n.Children {
 			rec(ch, key)
