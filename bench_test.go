@@ -401,14 +401,15 @@ func BenchmarkFindSpace(b *testing.B) {
 }
 
 // BenchmarkTreeSimilarity measures the abstract-hierarchy comparator used by
-// CountIn.
+// CountIn as the analyzer runs it: over shapes computed once per signature.
 func BenchmarkTreeSimilarity(b *testing.B) {
 	app := apps.MustLoad(benchApps[0])
-	s1 := app.Render(0, 0)
-	s2 := app.Render(1, 0)
+	s1 := ui.ShapeOf(app.Render(0, 0))
+	s2 := ui.ShapeOf(app.Render(1, 0))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ui.ScreenSimilarity(s1, s2)
+		ui.ShapeSimilarity(s1, s2)
 	}
 }
 
@@ -437,6 +438,7 @@ func BenchmarkOfflinePartition(b *testing.B) {
 		builder.Add(ui.Signature(r*20+1), ui.Signature(((r+1)%8)*20+1))
 	}
 	g := builder.Graph()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		graph.OfflinePartition(g, graph.DefaultPartitionOptions())

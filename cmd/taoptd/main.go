@@ -19,18 +19,32 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
+	"syscall"
+	"time"
 
 	"taopt/internal/cli"
 	"taopt/internal/service"
 )
 
 var fatalf = cli.Fatalf("taoptd")
+
+// Connection time bounds. A client gets readHeaderTimeout to send its
+// request headers and an idle keep-alive connection is closed after
+// idleTimeout. Nothing bounds writing the response: a ?wait=1 submit holds
+// its request open for the whole compute.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func main() {
 	var (
@@ -66,7 +80,29 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "taoptd: listening on %s (store: %s, workers: %d)\n",
 		ln.Addr(), store, *workers)
-	if err := http.Serve(ln, service.NewHandler(svc)); err != nil {
+	srv := &http.Server{
+		Handler:           service.NewHandler(svc),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		fatalf("%v", err)
+	case sig := <-stop:
+		// A second signal kills the process the default way.
+		signal.Stop(stop)
+		fmt.Fprintf(os.Stderr, "taoptd: %v: draining in-flight requests\n", sig)
+	}
+	// Shutdown returns once every in-flight request has been answered;
+	// the deferred Close then drains queued computes and closes the store.
+	if err := srv.Shutdown(context.Background()); err != nil {
+		fatalf("shutdown: %v", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
 		fatalf("%v", err)
 	}
 }

@@ -200,48 +200,14 @@ func analyse(run *export.Run, opts graph.PartitionOptions) {
 		activityOf[s.Signature] = s.Activity
 	}
 
-	// Per-instance visited vertex sets.
-	visited := make([]map[int]bool, len(logs))
-	for i, l := range logs {
-		visited[i] = make(map[int]bool)
-		for _, ev := range l.Events() {
-			if ev.Enforced {
-				continue
-			}
-			if v, ok := g.VertexOf(ev.To); ok {
-				visited[i][v] = true
-			}
-		}
-	}
-
+	explored := part.ExploredBy(g, logs)
 	fmt.Printf("\noffline UI-subspace partition (%d subspaces, MC-GPP objective %.4f):\n",
 		part.GroupCount(), graph.MaxPairwiseConductance(g, part))
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  SUBSPACE\tSCREENS\tEXPLORED BY\tDOMINANT ACTIVITY")
-	explored := make([]map[int]bool, part.GroupCount())
 	for gi, grp := range part.Groups {
-		per := make(map[int]bool)
-		need := 2
-		if len(grp) < need {
-			need = len(grp)
-		}
-		for i := range visited {
-			count := 0
-			for _, v := range grp {
-				if visited[i][v] {
-					count++
-					if count >= need {
-						break
-					}
-				}
-			}
-			if count >= need {
-				per[i] = true
-			}
-		}
-		explored[gi] = per
 		fmt.Fprintf(tw, "  %d\t%d\t%d/%d instances\t%s\n",
-			gi, len(grp), len(per), len(logs), dominantActivity(g, grp, activityOf))
+			gi, len(grp), len(explored[gi]), len(logs), dominantActivity(g, grp, activityOf))
 	}
 	tw.Flush()
 

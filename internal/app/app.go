@@ -244,6 +244,17 @@ func (a *App) Render(id ScreenID, visit int) *ui.Screen {
 	return &ui.Screen{Activity: s.Activity, Root: root}
 }
 
+// WidgetPaths returns the ui.WidgetPath of each widget as Render lays it
+// out: widget i is child i of the container, which is the root's child 1.
+// Paths hold no text, so they are the same on every visit.
+func (s *ScreenState) WidgetPaths() []ui.WidgetPath {
+	out := make([]ui.WidgetPath, len(s.Widgets))
+	for i, w := range s.Widgets {
+		out[i] = ui.WidgetPath(w.Class + "#" + w.ResourceID + "@1." + strconv.Itoa(i))
+	}
+	return out
+}
+
 // Outcome describes the effect of firing a widget.
 type Outcome struct {
 	// Next is the resulting screen, TargetNone to stay, or TargetBack to pop.

@@ -90,9 +90,9 @@ type Analyzer struct {
 	book *trace.Book
 
 	perInstance map[int]*instanceTrace
-	simCache    map[[2]ui.Signature]bool
-	// intern is shared by every instance's SpaceTracker: signatures are
-	// interned once and Matcher verdicts memoised once, fleet-trace-wide.
+	// intern is shared by every instance's SpaceTracker and by Match:
+	// signatures are interned once and similarity verdicts memoised once,
+	// fleet-trace-wide, for the tracked and legacy paths alike.
 	intern *internTable
 }
 
@@ -120,33 +120,46 @@ func NewAnalyzer(cfg AnalyzerConfig, book *trace.Book) *Analyzer {
 	if cfg.ScoreMax == 0 {
 		cfg.ScoreMax = 0.5
 	}
-	a := &Analyzer{
+	ts := &treeSimilarity{book: book, threshold: cfg.SimilarityThreshold}
+	return &Analyzer{
 		cfg:         cfg,
 		book:        book,
 		perInstance: make(map[int]*instanceTrace),
-		simCache:    make(map[[2]ui.Signature]bool),
+		intern:      newInternTable(ts.judge),
 	}
-	a.intern = newInternTable(a)
-	return a
 }
 
 // Match implements Matcher with the cached tree similarity of canonical
-// exemplar hierarchies (CountIn's comparator).
+// exemplar hierarchies (CountIn's comparator), memoised in the intern
+// table.
 func (a *Analyzer) Match(x, y ui.Signature) bool {
-	if x == y {
-		return true
+	return a.intern.matches(a.intern.intern(x), a.intern.intern(y))
+}
+
+// treeSimilarity judges a pair of interned signatures by the tree similarity
+// of the book's exemplars against the match threshold. Each signature's
+// shape is computed once, on its first comparison, and kept by intern id,
+// so a judgement is a merge of two sorted path vectors.
+type treeSimilarity struct {
+	book      *trace.Book
+	threshold float64
+	shapes    []*ui.Shape
+}
+
+func (m *treeSimilarity) judge(t *internTable, a, b int32) bool {
+	return ui.ShapeSimilarity(m.shape(t, a), m.shape(t, b)) >= m.threshold
+}
+
+// shape returns id's exemplar shape, nil while the book holds no exemplar
+// for it.
+func (m *treeSimilarity) shape(t *internTable, id int32) *ui.Shape {
+	if int(id) >= len(m.shapes) {
+		m.shapes = append(m.shapes, make([]*ui.Shape, t.len()-len(m.shapes))...)
 	}
-	key := [2]ui.Signature{x, y}
-	if y < x {
-		key = [2]ui.Signature{y, x}
+	if m.shapes[id] == nil {
+		m.shapes[id] = ui.ShapeOf(m.book.Lookup(t.sig(id)))
 	}
-	if v, ok := a.simCache[key]; ok {
-		return v
-	}
-	sx, sy := a.book.Lookup(x), a.book.Lookup(y)
-	v := ui.ScreenSimilarity(sx, sy) >= a.cfg.SimilarityThreshold
-	a.simCache[key] = v
-	return v
+	return m.shapes[id]
 }
 
 // Observe folds one transition event into the instance's trace and, every

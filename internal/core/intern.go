@@ -5,24 +5,25 @@ import (
 )
 
 // internTable interns abstract-screen signatures into small dense integers
-// and memoises the configured Matcher's verdict for every pair it is ever
-// asked about. On the analysis hot path, abstract-state comparison then
-// degenerates to an integer index into a flat matrix — the Matcher itself
-// (tree similarity over canonical exemplars) runs at most once per unordered
-// signature pair for the lifetime of the table.
+// and memoises its judge's verdict for every pair it is ever asked about. On
+// the analysis hot path, abstract-state comparison then degenerates to an
+// integer index into a flat matrix — the judge itself (tree similarity over
+// canonical exemplars) runs at most once per unordered signature pair for
+// the lifetime of the table.
 //
-// The table requires the Matcher to be deterministic and symmetric (Match(a,
-// b) == Match(b, a) for all a, b): verdicts are cached forever and mirrored
-// across the diagonal, exactly as FindSpace's per-call cache does. Every
-// matcher in this repository (Analyzer's tree similarity, MatchExact, the
-// test matchers) satisfies both.
+// The table requires the judge to be deterministic and symmetric (a, b
+// judged as b, a): verdicts are cached forever and mirrored across the
+// diagonal, exactly as FindSpace's per-call cache does. Every judge in this
+// repository (the Analyzer's tree similarity, MatchExact, the test
+// matchers) satisfies both.
 //
-// One table is shared by all of an Analyzer's per-instance SpaceTrackers, so
-// a pair compared on one instance's trace is never re-compared on another's.
+// One table is shared by all of an Analyzer's per-instance SpaceTrackers and
+// its Match, so a pair compared on one instance's trace is never re-compared
+// on another's, nor by the legacy FindSpace path.
 type internTable struct {
-	m    Matcher
-	ids  map[ui.Signature]int32
-	sigs []ui.Signature
+	judge judge
+	ids   map[ui.Signature]int32
+	sigs  []ui.Signature
 
 	// match is a stride×stride matrix in row-major order:
 	// 0 unknown, 1 match, -1 no match. The diagonal is filled with 1 at
@@ -32,9 +33,18 @@ type internTable struct {
 	stride int
 }
 
-// newInternTable returns an empty table judging pairs with m.
-func newInternTable(m Matcher) *internTable {
-	return &internTable{m: m, ids: make(map[ui.Signature]int32)}
+// judge decides whether interned ids a and b match. The table calls it at
+// most once per unordered pair.
+type judge func(t *internTable, a, b int32) bool
+
+// byMatcher judges interned ids with m over their signatures.
+func byMatcher(m Matcher) judge {
+	return func(t *internTable, a, b int32) bool { return m.Match(t.sigs[a], t.sigs[b]) }
+}
+
+// newInternTable returns an empty table judging pairs with j.
+func newInternTable(j judge) *internTable {
+	return &internTable{judge: j, ids: make(map[ui.Signature]int32)}
 }
 
 // len returns the number of interned signatures.
@@ -76,7 +86,7 @@ func (t *internTable) grow() {
 }
 
 // matches reports whether the interned screens a and b count as "the same"
-// under the table's Matcher, consulting it only on the first query for the
+// under the table's judge, consulting it only on the first query for the
 // pair. Identical ids match without consulting anything, mirroring
 // FindSpace's per-call cache.
 func (t *internTable) matches(a, b int32) bool {
@@ -86,7 +96,7 @@ func (t *internTable) matches(a, b int32) bool {
 	i := int(a)*t.stride + int(b)
 	v := t.match[i]
 	if v == 0 {
-		if t.m.Match(t.sigs[a], t.sigs[b]) {
+		if t.judge(t, a, b) {
 			v = 1
 		} else {
 			v = -1

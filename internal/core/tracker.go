@@ -48,7 +48,7 @@ type SpaceTracker struct {
 // NewSpaceTracker returns a tracker with its own interning table judging
 // pairs with m. m must be deterministic and symmetric (see internTable).
 func NewSpaceTracker(lMin sim.Duration, m Matcher) *SpaceTracker {
-	return newSpaceTrackerShared(newInternTable(m), lMin)
+	return newSpaceTrackerShared(newInternTable(byMatcher(m)), lMin)
 }
 
 // newSpaceTrackerShared returns a tracker sharing an existing interning

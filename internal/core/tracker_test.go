@@ -157,7 +157,7 @@ func (c countingMatcher) Match(a, b ui.Signature) bool {
 // runs at most once per unordered pair, (c) the diagonal never consults it.
 func TestInternTableMemoisesAcrossGrowth(t *testing.T) {
 	calls := 0
-	it := newInternTable(countingMatcher{calls: &calls})
+	it := newInternTable(byMatcher(countingMatcher{calls: &calls}))
 	const n = 70 // forces stride growth 16 → 128
 	ids := make([]int32, n)
 	for i := 0; i < n; i++ {

@@ -59,6 +59,10 @@ type Emulator struct {
 	resume    map[int]app.ScreenID // functionality -> last screen (task state)
 	loggedIn  bool
 	restarts  int
+	// paths[id] holds screen id's widget paths, filled on the screen's
+	// first Actions call. The cache is the emulator's own: the App is shared
+	// by every emulator of a fleet.
+	paths [][]ui.WidgetPath
 
 	// Coverage and Crashes are this instance's MiniTrace/Logcat analogues.
 	Coverage *coverage.Set
@@ -76,6 +80,7 @@ func NewEmulator(id int, a *app.App, rng *sim.RNG) *Emulator {
 		App:      a,
 		rng:      rng,
 		visits:   make(map[app.ScreenID]int),
+		paths:    make([][]ui.WidgetPath, len(a.Screens)),
 		resume:   make(map[int]app.ScreenID),
 		Coverage: coverage.NewSet(a.MethodCount()),
 		Crashes:  crash.NewLog(a.Name),
@@ -137,6 +142,17 @@ func (e *Emulator) showScreen(id app.ScreenID) {
 // Activity returns the Activity of the current screen without rendering it.
 func (e *Emulator) Activity() string { return e.App.Screen(e.cur).Activity }
 
+// Shown identifies what the emulator displays: the current screen and how
+// many times it has been shown. Render is a pure function of it, and every
+// change to the display changes it, so an equal Shown means an equal render.
+type Shown struct {
+	Screen app.ScreenID
+	Visit  int
+}
+
+// Shown returns the current screen and its visit count.
+func (e *Emulator) Shown() Shown { return Shown{e.cur, e.visits[e.cur]} }
+
 // Render returns the concrete UI hierarchy currently displayed. Repeated
 // calls without an intervening action return structurally identical screens.
 func (e *Emulator) Render() *ui.Screen {
@@ -149,20 +165,23 @@ func (e *Emulator) Render() *ui.Screen {
 //
 // rendered must originate from this emulator's Render: the i'th clickable of
 // the container corresponds to widget i of the current screen.
+//
+//lint:hotpath
 func (e *Emulator) Actions(rendered *ui.Screen) []Action {
 	s := e.App.Screen(e.cur)
+	paths := e.paths[e.cur]
+	if paths == nil {
+		paths = s.WidgetPaths()
+		e.paths[e.cur] = paths
+	}
 	container := rendered.Root.Children[1]
-	var out []Action
+	out := make([]Action, 0, len(s.Widgets)+1)
 	for i := range s.Widgets {
 		node := container.Children[i]
 		if !node.Clickable || !node.Enabled {
 			continue
 		}
-		path, err := ui.PathOf(rendered.Root, []int{1, i})
-		if err != nil {
-			panic(fmt.Sprintf("device: rendered screen lost widget %d: %v", i, err))
-		}
-		out = append(out, Action{Kind: trace.ActionTap, Widget: i, Path: path, Node: node})
+		out = append(out, Action{Kind: trace.ActionTap, Widget: i, Path: paths[i], Node: node})
 	}
 	out = append(out, Action{Kind: trace.ActionBack, Widget: -1})
 	return out

@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "taopt/internal/trace"
 
 // Partition is a disjoint grouping of a graph's vertices into subspaces.
 type Partition struct {
@@ -38,161 +38,321 @@ func DefaultPartitionOptions() PartitionOptions {
 // merging stops once every remaining inter-region coupling is below
 // MaxCoupling. The exact MC-GPP optimum is NP-hard (Section 4.1); this greedy
 // heuristic is the study instrument, not the contribution.
+//
+// Ties go to the lowest (a, b) root pair, and in the fold phase to the
+// lowest neighbour root. Every flow and weight is summed in edge order
+// (source vertex ascending, then Out position), so each merge compares the
+// same floating-point values whichever regions merged before it.
 func OfflinePartition(g *Graph, opts PartitionOptions) Partition {
 	n := g.N()
 	if n == 0 {
 		return Partition{Assign: []int{}}
 	}
-
-	parent := make([]int, n)
-	size := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-		size[i] = 1
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if size[ra] < size[rb] {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-		size[ra] += size[rb]
-	}
-
-	// regionTables recomputes per-root aggregate flow and weight from the
-	// immutable edge list. O(E) per call; the graphs under study are small
-	// (hundreds of screens), so recomputation beats incremental bookkeeping
-	// for clarity and correctness.
-	type pair struct{ a, b int }
-	regionTables := func() (flow map[pair]float64, weight map[int]float64) {
-		flow = make(map[pair]float64)
-		weight = make(map[int]float64)
-		for i := range g.Out {
-			ri := find(i)
-			for _, e := range g.Out[i] {
-				rj := find(e.To)
-				weight[ri] += e.P
-				if ri != rj {
-					k := pair{ri, rj}
-					if rj < ri {
-						k = pair{rj, ri}
-					}
-					flow[k] += e.P
-				}
-			}
-		}
-		return flow, weight
-	}
-
-	coupling := func(f float64, wa, wb float64) float64 {
-		den := wa
-		if wb < den {
-			den = wb
-		}
-		if den <= 0 {
-			return 0
-		}
-		return f / den
-	}
-
+	r := newRegions(g)
 	for {
-		flow, weight := regionTables()
-		bestA, bestB, bestC := -1, -1, 0.0
-		keys := make([]pair, 0, len(flow))
-		for k := range flow {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].a != keys[j].a {
-				return keys[i].a < keys[j].a
-			}
-			return keys[i].b < keys[j].b
-		})
-		for _, k := range keys {
-			if c := coupling(flow[k], weight[k.a], weight[k.b]); c > bestC {
-				bestA, bestB, bestC = k.a, k.b, c
+		best := pick{lo: -1}
+		for x := range r.best {
+			if r.parent[x] == x && r.best[x].beats(best) {
+				best = r.best[x]
 			}
 		}
-		if bestA < 0 || bestC < opts.MaxCoupling {
+		if best.lo < 0 || best.c < opts.MaxCoupling {
 			break
 		}
-		union(bestA, bestB)
+		r.union(best.lo, best.hi)
 	}
 
-	// Fold tiny groups into their strongest neighbour.
+	// Fold tiny groups into their strongest neighbour, rescanning from the
+	// lowest root after every fold.
 	if opts.MinGroupSize > 1 {
-		for {
-			flow, _ := regionTables()
-			merged := false
-			for i := 0; i < n && !merged; i++ {
-				r := find(i)
-				if r != i || size[r] >= opts.MinGroupSize {
+		for folded := true; folded; {
+			folded = false
+			for i := 0; i < n && !folded; i++ {
+				if r.parent[i] != i || r.size[i] >= opts.MinGroupSize {
 					continue
 				}
-				bestB, bestF := -1, 0.0
-				keys := make([]pair, 0, len(flow))
-				for k := range flow {
-					keys = append(keys, k)
-				}
-				sort.Slice(keys, func(x, y int) bool {
-					if keys[x].a != keys[y].a {
-						return keys[x].a < keys[y].a
-					}
-					return keys[x].b < keys[y].b
-				})
-				for _, k := range keys {
-					other := -1
-					if k.a == r {
-						other = k.b
-					} else if k.b == r {
-						other = k.a
-					}
-					if other >= 0 && flow[k] > bestF {
-						bestB, bestF = other, flow[k]
+				to, most := -1, 0.0
+				for _, f := range r.rows[i] {
+					if f.flow > most || (f.flow == most && to >= 0 && f.root < to) {
+						to, most = f.root, f.flow
 					}
 				}
-				if bestB >= 0 {
-					union(r, bestB)
-					merged = true
+				if to >= 0 {
+					r.union(i, to)
+					folded = true
 				}
-			}
-			if !merged {
-				break
 			}
 		}
 	}
 
-	// Materialise groups.
-	byRoot := make(map[int][]int)
-	for i := 0; i < n; i++ {
-		byRoot[find(i)] = append(byRoot[find(i)], i)
-	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return byRoot[roots[i]][0] < byRoot[roots[j]][0] })
+	// Materialise groups in order of their smallest vertex.
 	p := Partition{Assign: make([]int, n)}
-	for gi, r := range roots {
-		vs := byRoot[r]
-		sort.Ints(vs)
-		p.Groups = append(p.Groups, vs)
-		for _, v := range vs {
-			p.Assign[v] = gi
+	index := make([]int, n)
+	for i := range index {
+		index[i] = -1
+	}
+	for v := 0; v < n; v++ {
+		root := r.find(v)
+		if index[root] < 0 {
+			index[root] = len(p.Groups)
+			p.Groups = append(p.Groups, nil)
 		}
+		gi := index[root]
+		p.Groups[gi] = append(p.Groups[gi], v)
+		p.Assign[v] = gi
 	}
 	return p
+}
+
+// regions is the partitioner's union-find over vertices plus, per region
+// root, the bookkeeping a merge round reads: the region's out-weight, its
+// flow to every neighbouring region and its strongest coupling. A union
+// re-sums only the merged region's row from its incident edges and patches
+// that one entry in each neighbour's row; no other region's sums change.
+type regions struct {
+	// Edges are numbered in edge order: source vertex ascending, then
+	// position in Out. Sums follow that order so they are bit-identical to
+	// a sweep over the whole graph.
+	src, dst []int32
+	p        []float64
+
+	parent, size []int
+	// Per region root:
+	weight []float64 // sum of P over the region's out-edges
+	edges  [][]int32 // ids of edges with an endpoint in the region, ascending
+	rows   [][]flowTo
+	best   []pick
+
+	slot []int // scratch: neighbour root -> index in the row being built, or -1
+}
+
+// flowTo is one entry of a region's row: a neighbouring region and the
+// total P of the edges between the two, both directions.
+type flowTo struct {
+	root int
+	flow float64
+}
+
+// pick is a candidate merge: the region pair (lo < hi) and its coupling.
+// lo is -1 when there is none.
+type pick struct {
+	lo, hi int
+	c      float64
+}
+
+// beats reports whether p is a better merge than q: a positive coupling
+// above q's, or equal to it on a lower (lo, hi) pair.
+func (p pick) beats(q pick) bool {
+	if p.lo < 0 || !(p.c > 0) {
+		return false
+	}
+	if q.lo < 0 || p.c > q.c {
+		return true
+	}
+	return p.c == q.c && (p.lo < q.lo || p.lo == q.lo && p.hi < q.hi)
+}
+
+func newRegions(g *Graph) *regions {
+	n := g.N()
+	r := &regions{
+		parent: make([]int, n),
+		size:   make([]int, n),
+		weight: make([]float64, n),
+		edges:  make([][]int32, n),
+		rows:   make([][]flowTo, n),
+		best:   make([]pick, n),
+		slot:   make([]int, n),
+	}
+	for v, out := range g.Out {
+		for _, e := range out {
+			id := int32(len(r.p))
+			r.src = append(r.src, int32(v))
+			r.dst = append(r.dst, int32(e.To))
+			r.p = append(r.p, e.P)
+			r.edges[v] = append(r.edges[v], id)
+			if e.To != v {
+				r.edges[e.To] = append(r.edges[e.To], id)
+			}
+		}
+	}
+	for v := range r.parent {
+		r.parent[v] = v
+		r.size[v] = 1
+		r.slot[v] = -1
+	}
+	for v := range r.parent {
+		r.sum(v)
+	}
+	for v := range r.parent {
+		r.best[v] = r.strongest(v)
+	}
+	return r
+}
+
+func (r *regions) find(x int) int {
+	for r.parent[x] != x {
+		r.parent[x] = r.parent[r.parent[x]]
+		x = r.parent[x]
+	}
+	return x
+}
+
+// union merges the regions of a and b under the larger one's root, then
+// brings the merged region's row and its neighbours' entries for it up to
+// date.
+func (r *regions) union(a, b int) {
+	ra, rb := r.find(a), r.find(b)
+	if ra == rb {
+		return
+	}
+	if r.size[ra] < r.size[rb] {
+		ra, rb = rb, ra
+	}
+	r.parent[rb] = ra
+	r.size[ra] += r.size[rb]
+	r.edges[ra] = mergeIDs(r.edges[ra], r.edges[rb])
+	r.edges[rb], r.rows[rb] = nil, nil
+	r.sum(ra)
+	for _, f := range r.rows[ra] {
+		row := r.rows[f.root]
+		found := false
+		for i := 0; i < len(row); i++ {
+			switch row[i].root {
+			case ra:
+				row[i].flow, found = f.flow, true
+			case rb:
+				row[i] = row[len(row)-1]
+				row = row[:len(row)-1]
+				i--
+			}
+		}
+		if !found {
+			row = append(row, flowTo{ra, f.flow})
+		}
+		r.rows[f.root] = row
+		r.best[f.root] = r.strongest(f.root)
+	}
+	r.best[ra] = r.strongest(ra)
+}
+
+// sum recomputes root m's weight and row from its incident edges in edge
+// order.
+func (r *regions) sum(m int) {
+	w := 0.0
+	row := r.rows[m][:0]
+	for _, e := range r.edges[m] {
+		s, d := r.find(int(r.src[e])), r.find(int(r.dst[e]))
+		other := d
+		if s == m {
+			w += r.p[e]
+		} else {
+			other = s
+		}
+		if other == m {
+			continue
+		}
+		if r.slot[other] < 0 {
+			r.slot[other] = len(row)
+			row = append(row, flowTo{root: other})
+		}
+		row[r.slot[other]].flow += r.p[e]
+	}
+	for _, f := range row {
+		r.slot[f.root] = -1
+	}
+	r.weight[m], r.rows[m] = w, row
+}
+
+// strongest returns root x's best merge among its neighbours.
+func (r *regions) strongest(x int) pick {
+	best := pick{lo: -1}
+	for _, f := range r.rows[x] {
+		c := pick{lo: x, hi: f.root}
+		if c.hi < c.lo {
+			c.lo, c.hi = c.hi, c.lo
+		}
+		c.c = coupling(f.flow, r.weight[c.lo], r.weight[c.hi])
+		if c.beats(best) {
+			best = c
+		}
+	}
+	return best
+}
+
+// coupling normalises the flow between two regions by the lighter one's
+// out-weight.
+func coupling(f, wa, wb float64) float64 {
+	den := wa
+	if wb < den {
+		den = wb
+	}
+	if den <= 0 {
+		return 0
+	}
+	return f / den
+}
+
+// mergeIDs merges two ascending edge-id lists, keeping one copy of the ids
+// both hold (the edges between the two regions).
+func mergeIDs(a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i, j = i+1, j+1
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// ExploredBy returns, per group of p, the set of indexes of logs that
+// explored it (Section 3.1's "Measuring overlaps of UI subspace
+// exploration"). A log explores a group if its tool-caused visits reach at
+// least two of the group's screens, or all of a smaller one: touching a
+// single screen of a region is passing by, not exploring. g must be the
+// graph p partitions.
+func (p Partition) ExploredBy(g *Graph, logs []*trace.Log) []map[int]bool {
+	visited := make([]map[int]bool, len(logs)) // log -> vertex set
+	for i, l := range logs {
+		visited[i] = make(map[int]bool)
+		for _, ev := range l.Events() {
+			if ev.Enforced {
+				continue
+			}
+			if v, ok := g.VertexOf(ev.To); ok {
+				visited[i][v] = true
+			}
+		}
+	}
+	explored := make([]map[int]bool, len(p.Groups))
+	for gi, grp := range p.Groups {
+		need := min(2, len(grp))
+		per := make(map[int]bool)
+		for i := range visited {
+			count := 0
+			for _, v := range grp {
+				if visited[i][v] {
+					if count++; count >= need {
+						break
+					}
+				}
+			}
+			if count >= need {
+				per[i] = true
+			}
+		}
+		explored[gi] = per
+	}
+	return explored
 }
 
 // MaxPairwiseConductance returns the maximum φ(Gi, Gj) over all ordered pairs

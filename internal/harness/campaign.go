@@ -346,58 +346,16 @@ func summarize(key CellKey, res *RunResult, instances int) *CellSummary {
 }
 
 // subspaceOverlap applies the offline UI-subspace partition to the combined
-// baseline traces and counts, per subspace, how many instances explored it
-// (Section 3.1's "Measuring overlaps of UI subspace exploration"). An
-// instance counts as exploring a subspace if it visited at least two of its
-// screens (or all of a smaller one) — touching a single screen of a region
-// is passing by, not exploring.
+// baseline traces and counts, per subspace, how many of the first instances
+// explored it (graph.Partition.ExploredBy).
 func subspaceOverlap(res *RunResult, instances int) (int, []int) {
+	logs := res.Traces()
 	b := graph.NewBuilder()
-	for _, inst := range res.Instances {
-		b.AddTrace(inst.Trace)
+	for _, l := range logs {
+		b.AddTrace(l)
 	}
 	g := b.Graph()
 	part := graph.OfflinePartition(g, graph.DefaultPartitionOptions())
-
-	n := len(res.Instances)
-	if n > instances {
-		n = instances
-	}
-	visited := make([]map[int]bool, n) // instance -> vertex set
-	for i := 0; i < n; i++ {
-		visited[i] = make(map[int]bool)
-		for _, ev := range res.Instances[i].Trace.Events() {
-			if ev.Enforced {
-				continue
-			}
-			if v, ok := g.VertexOf(ev.To); ok {
-				visited[i][v] = true
-			}
-		}
-	}
-
-	explored := make([]map[int]bool, len(part.Groups))
-	for gi, grp := range part.Groups {
-		need := 2
-		if len(grp) < need {
-			need = len(grp)
-		}
-		per := make(map[int]bool)
-		for i := 0; i < n; i++ {
-			count := 0
-			for _, v := range grp {
-				if visited[i][v] {
-					count++
-					if count >= need {
-						break
-					}
-				}
-			}
-			if count >= need {
-				per[i] = true
-			}
-		}
-		explored[gi] = per
-	}
+	explored := part.ExploredBy(g, logs[:min(len(logs), instances)])
 	return len(part.Groups), metrics.OverlapHistogram(explored, instances)
 }

@@ -125,6 +125,13 @@ type Driver struct {
 	blocks    *BlockSet
 	listeners []Listener
 	lastSig   ui.Signature
+	// kept is the screen NewDriver, Perform or steerIfBlocked last
+	// rendered, whose signature is lastSig. The next View hands it out
+	// instead of rendering again if the emulator still shows keptAt, then
+	// drops it: a screen reaches the tool once, because the tool may keep
+	// it and View disables blocked widgets in place.
+	kept   *ui.Screen
+	keptAt device.Shown
 }
 
 // NewDriver attaches to emu, sharing the campaign-wide screen book, and
@@ -136,8 +143,7 @@ func NewDriver(emu *device.Emulator, book *trace.Book, now sim.Duration) *Driver
 		log:    &trace.Log{},
 		blocks: NewBlockSet(),
 	}
-	screen := emu.Render()
-	d.lastSig = book.Observe(screen)
+	screen := d.render()
 	d.emit(trace.Event{
 		Instance: emu.ID,
 		At:       now,
@@ -170,12 +176,24 @@ func (d *Driver) emit(ev trace.Event) {
 	}
 }
 
+// render renders the current screen, records it in the book as lastSig and
+// keeps it for the next View.
+func (d *Driver) render() *ui.Screen {
+	screen := d.emu.Render()
+	d.lastSig = d.book.Observe(screen)
+	d.kept, d.keptAt = screen, d.emu.Shown()
+	return screen
+}
+
 // View renders the current screen, applies entrypoint blocks, and enumerates
 // the actions available to the tool.
 func (d *Driver) View() View {
-	screen := d.emu.Render()
-	sig := d.book.Observe(screen)
-	d.lastSig = sig
+	screen := d.kept
+	if screen == nil || d.keptAt != d.emu.Shown() {
+		screen = d.render()
+	}
+	d.kept = nil
+	sig := d.lastSig
 	if blocked := d.blocks.BlockedWidgets(sig); len(blocked) > 0 {
 		for path := range blocked {
 			if n := ui.FindPath(screen.Root, path); n != nil {
@@ -192,15 +210,13 @@ func (d *Driver) View() View {
 func (d *Driver) Perform(a device.Action, now sim.Duration) device.Result {
 	from := d.lastSig
 	res := d.emu.Perform(a, now)
-	screen := d.emu.Render()
-	sig := d.book.Observe(screen)
-	d.lastSig = sig
+	screen := d.render()
 	d.emit(trace.Event{
 		Instance: d.emu.ID,
 		At:       now + res.Latency,
 		Action:   trace.Action{Kind: a.Kind, Widget: a.Path},
 		From:     from,
-		To:       sig,
+		To:       d.lastSig,
 		Activity: screen.Activity,
 		Crashed:  res.Crashed,
 	})
@@ -228,15 +244,13 @@ func (d *Driver) steerIfBlocked(now sim.Duration) sim.Duration {
 			res = device.Result{Latency: device.MaxRestartLatency}
 		}
 		extra += res.Latency
-		screen := d.emu.Render()
-		sig := d.book.Observe(screen)
-		d.lastSig = sig
+		screen := d.render()
 		d.emit(trace.Event{
 			Instance: d.emu.ID,
 			At:       now + extra,
 			Action:   trace.Action{Kind: trace.ActionBack},
 			From:     from,
-			To:       sig,
+			To:       d.lastSig,
 			Activity: screen.Activity,
 			Enforced: true,
 		})

@@ -4,6 +4,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"maps"
+	"math"
 	"testing"
 
 	"taopt/internal/apps"
@@ -60,6 +61,35 @@ func oraclePaths(root *ui.Node) map[uint64]int {
 	return out
 }
 
+// oracleSimilarity is the tree similarity as first written: the Dice
+// coefficient of two path multisets held in maps.
+func oracleSimilarity(a, b *ui.Node) float64 {
+	if a == nil || b == nil {
+		if a == b {
+			return 1
+		}
+		return 0
+	}
+	pa, pb := oraclePaths(a), oraclePaths(b)
+	if len(pa) == 0 && len(pb) == 0 {
+		return 1
+	}
+	var inter, total int
+	for k, ca := range pa {
+		total += ca
+		if cb, ok := pb[k]; ok {
+			inter += min(ca, cb)
+		}
+	}
+	for _, cb := range pb {
+		total += cb
+	}
+	if total == 0 {
+		return 1
+	}
+	return float64(2*inter) / float64(total)
+}
+
 func checkAgainstOracle(t *testing.T, what string, s *ui.Screen) {
 	t.Helper()
 	if got, want := s.Abstract(), oracleAbstract(s); got != want {
@@ -68,9 +98,51 @@ func checkAgainstOracle(t *testing.T, what string, s *ui.Screen) {
 	if s.Root == nil {
 		return
 	}
-	if got, want := ui.PathMultiset(s.Root), oraclePaths(s.Root); !maps.Equal(got, want) {
+	got := make(map[uint64]int)
+	paths := ui.Paths(s.Root)
+	for i, pc := range paths {
+		if i > 0 && paths[i-1].Key >= pc.Key {
+			t.Fatalf("%s: path vector not strictly sorted at %d: %v", what, i, paths)
+		}
+		got[pc.Key] = pc.Count
+	}
+	if want := oraclePaths(s.Root); !maps.Equal(got, want) {
 		t.Fatalf("%s: path multiset differs from the hash/fnv oracle:\n got %v\nwant %v", what, got, want)
 	}
+}
+
+// checkSimilarity requires the sorted-vector Dice to equal the map-based
+// oracle bit for bit, through both Similarity and cached vectors.
+func checkSimilarity(t *testing.T, what string, a, b *ui.Node) {
+	t.Helper()
+	want := math.Float64bits(oracleSimilarity(a, b))
+	if got := math.Float64bits(ui.Similarity(a, b)); got != want {
+		t.Fatalf("%s: Similarity = %v, map oracle = %v", what, math.Float64frombits(got), math.Float64frombits(want))
+	}
+	if got := math.Float64bits(ui.Dice(ui.Paths(b), ui.Paths(a))); got != want {
+		t.Fatalf("%s: Dice(b, a) = %v, map oracle = %v", what, math.Float64frombits(got), math.Float64frombits(want))
+	}
+}
+
+// mutate returns a copy of n with one random subtree dropped or
+// duplicated, so the pair shares most but not all of its paths.
+func mutate(rng *sim.RNG, n *ui.Node) *ui.Node {
+	c := n.Clone()
+	at := c
+	for len(at.Children) > 0 && rng.Bool(0.6) {
+		at = at.Children[rng.Intn(len(at.Children))]
+	}
+	if len(at.Children) == 0 {
+		at.Children = append(at.Children, c.Clone())
+		return c
+	}
+	i := rng.Intn(len(at.Children))
+	if rng.Bool(0.5) {
+		at.Children = append(at.Children[:i], at.Children[i+1:]...)
+	} else {
+		at.Children = append(at.Children, at.Children[i].Clone())
+	}
+	return c
 }
 
 // randString draws a short string over ASCII, the hash's separator bytes
@@ -102,20 +174,50 @@ func randTree(rng *sim.RNG, depth int) *ui.Node {
 
 func TestHashesMatchFNVOracleOnRandomTrees(t *testing.T) {
 	rng := sim.NewRNG(20)
+	var prev *ui.Node
 	for i := 0; i < 1000; i++ {
 		s := &ui.Screen{Activity: randString(rng)}
 		if i%50 != 0 {
 			s.Root = randTree(rng, rng.Intn(6))
 		}
 		checkAgainstOracle(t, "random tree", s)
+		checkSimilarity(t, "random tree vs itself", s.Root, s.Root)
+		checkSimilarity(t, "random tree vs previous", s.Root, prev)
+		if s.Root != nil {
+			checkSimilarity(t, "random tree vs mutant", s.Root, mutate(rng, s.Root))
+		}
+		prev = s.Root
 	}
 }
 
 func TestHashesMatchFNVOracleOnCatalogScreens(t *testing.T) {
 	for _, name := range []string{"Filters For Selfie", "Sketch", "Zedge"} {
 		a := apps.MustLoad(name)
+		var screens []*ui.Screen
 		for _, s := range a.Screens {
-			checkAgainstOracle(t, name+"/"+s.Title, a.Render(s.ID, 2))
+			r := a.Render(s.ID, 2)
+			checkAgainstOracle(t, name+"/"+s.Title, r)
+			screens = append(screens, r)
 		}
+		// Each screen against itself, its predecessor, the main screen and
+		// one drawn at random: same-activity neighbours share most paths.
+		rng := sim.NewRNG(int64(len(screens)))
+		for i, x := range screens {
+			for _, y := range []*ui.Screen{x, screens[max(i-1, 0)], screens[0], screens[rng.Intn(len(screens))]} {
+				checkSimilarity(t, name+"/"+x.Activity, x.Root, y.Root)
+			}
+		}
+	}
+}
+
+func TestDiceDoesNotAllocate(t *testing.T) {
+	a := apps.MustLoad("Zedge")
+	x, y := ui.Paths(a.Render(0, 1).Root), ui.Paths(a.Render(1, 1).Root)
+	sx, sy := ui.ShapeOf(a.Render(0, 1)), ui.ShapeOf(a.Render(1, 1))
+	if n := testing.AllocsPerRun(100, func() { ui.Dice(x, y) }); n != 0 {
+		t.Fatalf("Dice allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ui.ShapeSimilarity(sx, sy) }); n != 0 {
+		t.Fatalf("ShapeSimilarity allocates %v times per call", n)
 	}
 }

@@ -1,6 +1,9 @@
 package ui
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Similarity computes the tree similarity of two abstracted UI hierarchies in
 // [0, 1]. It follows the spirit of the comparator used by CountIn in
@@ -12,31 +15,79 @@ import "sort"
 // 1 exactly for structurally identical trees regardless of text, and degrades
 // smoothly when list rows are added/removed — the dominant source of benign
 // structural variation in mobile UIs.
-func Similarity(a, b *Node) float64 {
-	if a == nil || b == nil {
-		if a == b {
-			return 1
+func Similarity(a, b *Node) float64 { return Dice(Paths(a), Paths(b)) }
+
+// PathCount is one entry of a PathVector: the hash of an abstract
+// root-to-node path and how many nodes end it.
+type PathCount struct {
+	Key   uint64
+	Count int
+}
+
+// PathVector is a hierarchy's path multiset, sorted by Key. Computing it
+// once per tree lets repeated comparisons run as a merge of two slices.
+type PathVector []PathCount
+
+// Paths returns root's path multiset; a nil root has an empty one.
+func Paths(root *Node) PathVector {
+	if root == nil {
+		return nil
+	}
+	keys := appendPathKeys(make([]uint64, 0, 64), root, 0)
+	slices.Sort(keys)
+	out := make(PathVector, 0, len(keys))
+	for _, k := range keys {
+		if n := len(out); n > 0 && out[n-1].Key == k {
+			out[n-1].Count++
+			continue
 		}
-		return 0
+		out = append(out, PathCount{Key: k, Count: 1})
 	}
-	pa := pathMultiset(a)
-	pb := pathMultiset(b)
-	if len(pa) == 0 && len(pb) == 0 {
-		return 1
+	return out
+}
+
+// appendPathKeys appends the path hash of n and of every node below it; a
+// node's hash is the FNV-1a of its parent's hash bytes, its class, '#' and
+// its resource ID.
+func appendPathKeys(keys []uint64, n *Node, prefix uint64) []uint64 {
+	key := uint64(fnvOffset64)
+	for i := 0; i < 8; i++ {
+		key = fnvByte(key, byte(prefix>>(8*i)))
 	}
+	key = fnvString(fnvByte(fnvString(key, n.Class), '#'), n.ResourceID)
+	keys = append(keys, key)
+	for _, ch := range n.Children {
+		keys = appendPathKeys(keys, ch, key)
+	}
+	return keys
+}
+
+// Dice returns the Dice coefficient of two path multisets: twice the
+// shared count over the total count, 1 when both are empty.
+//
+//lint:hotpath
+func Dice(a, b PathVector) float64 {
 	var inter, total int
-	for k, ca := range pa {
-		total += ca
-		if cb, ok := pb[k]; ok {
-			if cb < ca {
-				inter += cb
-			} else {
-				inter += ca
-			}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].Key < b[j].Key:
+			total += a[i].Count
+			i++
+		case b[j].Key < a[i].Key:
+			total += b[j].Count
+			j++
+		default:
+			inter += min(a[i].Count, b[j].Count)
+			total += a[i].Count + b[j].Count
+			i, j = i+1, j+1
 		}
 	}
-	for _, cb := range pb {
-		total += cb
+	for ; i < len(a); i++ {
+		total += a[i].Count
+	}
+	for ; j < len(b); j++ {
+		total += b[j].Count
 	}
 	if total == 0 {
 		return 1
@@ -44,29 +95,25 @@ func Similarity(a, b *Node) float64 {
 	return float64(2*inter) / float64(total)
 }
 
-// pathMultiset maps the hash of each abstract root-to-node path to its
-// number of occurrences.
-func pathMultiset(root *Node) map[uint64]int {
-	out := make(map[uint64]int)
-	var rec func(n *Node, prefix uint64)
-	rec = func(n *Node, prefix uint64) {
-		key := uint64(fnvOffset64)
-		for i := 0; i < 8; i++ {
-			key = fnvByte(key, byte(prefix>>(8*i)))
-		}
-		key = fnvString(fnvByte(fnvString(key, n.Class), '#'), n.ResourceID)
-		out[key]++
-		for _, ch := range n.Children {
-			rec(ch, key)
-		}
-	}
-	rec(root, 0)
-	return out
+// Shape is what ScreenSimilarity reads of a screen: its activity and its
+// path multiset.
+type Shape struct {
+	Activity string
+	Paths    PathVector
 }
 
-// ScreenSimilarity compares two screens, treating a differing activity name
-// as an immediate mismatch — the abstraction keys on activity first.
-func ScreenSimilarity(a, b *Screen) float64 {
+// ShapeOf returns s's shape, nil for a nil screen.
+func ShapeOf(s *Screen) *Shape {
+	if s == nil {
+		return nil
+	}
+	return &Shape{Activity: s.Activity, Paths: Paths(s.Root)}
+}
+
+// ShapeSimilarity is ScreenSimilarity over shapes computed beforehand.
+//
+//lint:hotpath
+func ShapeSimilarity(a, b *Shape) float64 {
 	if a == nil || b == nil {
 		if a == b {
 			return 1
@@ -76,7 +123,13 @@ func ScreenSimilarity(a, b *Screen) float64 {
 	if a.Activity != b.Activity {
 		return 0
 	}
-	return Similarity(a.Root, b.Root)
+	return Dice(a.Paths, b.Paths)
+}
+
+// ScreenSimilarity compares two screens, treating a differing activity name
+// as an immediate mismatch — the abstraction keys on activity first.
+func ScreenSimilarity(a, b *Screen) float64 {
+	return ShapeSimilarity(ShapeOf(a), ShapeOf(b))
 }
 
 // TopKSimilar returns the indexes of the k screens in candidates most similar

@@ -9,7 +9,8 @@
 #      (the cache-equivalence oracle, end to end);
 #   2. re-submitting the document under a different name is a cache hit
 #      (X-Taopt-Cache: hit) serving byte-identical bytes;
-#   3. after a service restart over the same data directory the hit still
+#   3. SIGTERM stops the service cleanly (exit status 0);
+#   4. after a service restart over the same data directory the hit still
 #      serves — durably, with zero recomputes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -84,9 +85,14 @@ curl -fsS "$BASE/v1/runs/$RERUN_ID/export" > "$WORK/hit-export.json"
 diff "$WORK/served-export.json" "$WORK/hit-export.json" \
     || { echo "cache hit is not byte-identical" >&2; exit 1; }
 
-echo "service-e2e: restarting the service over the same data directory"
-kill "$SERVER_PID" && wait "$SERVER_PID" 2>/dev/null || true
+echo "service-e2e: stopping the service with SIGTERM"
+kill -TERM "$SERVER_PID"
+STATUS=0
+wait "$SERVER_PID" || STATUS=$?
 SERVER_PID=""
+[ "$STATUS" -eq 0 ] || { echo "taoptd exited $STATUS on SIGTERM, want 0" >&2; exit 1; }
+
+echo "service-e2e: restarting the service over the same data directory"
 start_server
 submit "$WORK/run.json" > "$WORK/submit3.json"
 [ "$(header x-taopt-cache)" = "hit" ] || { echo "post-restart resubmit was not a cache hit" >&2; exit 1; }
