@@ -162,10 +162,9 @@ func main() {
 		faultRate = flag.Float64("faults", 0, "instance-failure rate for fault injection (chaos derives its own 0/5/20% grid)")
 		workers   = flag.Int("workers", 1, "campaign cells computed in parallel (0 = GOMAXPROCS); results are identical to -workers=1")
 		binDir    = flag.String("bintrace-dir", "", "stream every computed cell's run as a binary trace file into this directory (analyze with tracetool corpus)")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 		quiet     = flag.Bool("q", false, "suppress per-run progress lines")
 	)
+	cpuProf, memProf := cli.ProfileFlags()
 	flag.Parse()
 	if *workers == 0 {
 		*workers = runtime.GOMAXPROCS(0)

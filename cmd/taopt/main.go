@@ -59,11 +59,10 @@ func main() {
 		wirelog   = flag.String("wirelog", "", "record the full coordination message log to this file (replay it with tracetool wirelog)")
 		bintrace  = flag.String("bintrace", "", "record the run as a binary trace to this file (render JSON, Chrome or decision views with tracetool render)")
 		telemetry = flag.Bool("telemetry", false, "collect the coordinator's decision log and run metrics; prints a digest and adds them to the -bintrace record")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 		list      = flag.Bool("list", false, "list evaluation apps and exit")
 		verbose   = flag.Bool("v", false, "print per-instance details and identified subspaces")
 	)
+	cpuProf, memProf := cli.ProfileFlags()
 	flag.Parse()
 
 	stopProfiles, err := cli.StartProfiles(*cpuProf, *memProf)

@@ -119,15 +119,17 @@ func TestRenderClickableOrderMatchesWidgets(t *testing.T) {
 	a := Generate(DefaultSpec("C", 8))
 	s := a.Screens[a.Main]
 	rendered := a.Render(a.Main, 0)
-	paths := ui.Clickables(rendered.Root)
-	if len(paths) != len(s.Widgets) {
-		t.Fatalf("clickables = %d, widgets = %d", len(paths), len(s.Widgets))
-	}
-	for i, p := range paths {
-		n := rendered.Root
-		for _, idx := range p {
-			n = n.Children[idx]
+	var clickables []*ui.Node
+	rendered.Root.Walk(func(n *ui.Node) bool {
+		if n.Clickable {
+			clickables = append(clickables, n)
 		}
+		return true
+	})
+	if len(clickables) != len(s.Widgets) {
+		t.Fatalf("clickables = %d, widgets = %d", len(clickables), len(s.Widgets))
+	}
+	for i, n := range clickables {
 		if n.ResourceID != s.Widgets[i].ResourceID {
 			t.Fatalf("clickable %d is %q, want widget %q", i, n.ResourceID, s.Widgets[i].ResourceID)
 		}

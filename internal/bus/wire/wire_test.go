@@ -178,7 +178,9 @@ func TestRecorderFrameOrdering(t *testing.T) {
 	var now sim.Duration
 	var buf bytes.Buffer
 	book := trace.NewBook()
-	sig := book.Observe(testScreen())
+	screen := testScreen()
+	sig := screen.Abstract()
+	book.Observe(sig, func() *ui.Screen { return screen })
 
 	rec := NewRecorder(&buf, func() sim.Duration { return now }, book, Header{App: "x", Tool: "monkey", Setting: "baseline"})
 	base := bus.NewInline()
@@ -226,7 +228,7 @@ func TestRecorderFrameOrdering(t *testing.T) {
 		t.Fatalf("screen defined as %v, want %v", log.Frames[0].Sig, sig)
 	}
 	// The decoded screen hashes back to its recorded signature.
-	if re := trace.NewBook().Observe(log.Frames[0].Screen); re != sig {
+	if re := log.Frames[0].Screen.Abstract(); re != sig {
 		t.Fatalf("decoded screen re-hashes to %v, want %v", re, sig)
 	}
 }

@@ -1,11 +1,19 @@
 package cli
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
+
+// ProfileFlags declares -cpuprofile and -memprofile on the default flag
+// set. Pass their values to StartProfiles after flag.Parse.
+func ProfileFlags() (cpuPath, memPath *string) {
+	return flag.String("cpuprofile", "", "write a pprof CPU profile to this file"),
+		flag.String("memprofile", "", "write a pprof heap profile to this file")
+}
 
 // StartProfiles starts the pprof profiles the command binaries expose via
 // -cpuprofile/-memprofile. Either path may be empty to skip that profile.

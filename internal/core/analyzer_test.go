@@ -9,6 +9,13 @@ import (
 	"taopt/internal/ui"
 )
 
+// observe registers s in book and returns its signature.
+func observe(book *trace.Book, s *ui.Screen) ui.Signature {
+	sig := s.Abstract()
+	book.Observe(sig, func() *ui.Screen { return s })
+	return sig
+}
+
 // structScreen builds a screen with `widgets` clickable children; structural
 // similarity between two such screens grows with shared child counts.
 func structScreen(activity string, widgets int) *ui.Screen {
@@ -30,12 +37,12 @@ func structScreen(activity string, widgets int) *ui.Screen {
 func TestAnalyzerMatchUsesTreeSimilarity(t *testing.T) {
 	book := trace.NewBook()
 	// Same activity, nearly identical structure: 12 vs 13 widgets.
-	s12 := book.Observe(structScreen("A", 12))
-	s13 := book.Observe(structScreen("A", 13))
+	s12 := observe(book, structScreen("A", 12))
+	s13 := observe(book, structScreen("A", 13))
 	// Same activity, very different structure.
-	s3 := book.Observe(structScreen("A", 3))
+	s3 := observe(book, structScreen("A", 3))
 	// Different activity.
-	other := book.Observe(structScreen("B", 12))
+	other := observe(book, structScreen("B", 12))
 
 	a := NewAnalyzer(DefaultAnalyzerConfig(LMinShort), book)
 	if !a.Match(s12, s12) {
@@ -58,7 +65,7 @@ func TestAnalyzerMatchUsesTreeSimilarity(t *testing.T) {
 
 func TestAnalyzerObserveCadence(t *testing.T) {
 	book := trace.NewBook()
-	sig := book.Observe(structScreen("A", 4))
+	sig := observe(book, structScreen("A", 4))
 	cfg := DefaultAnalyzerConfig(LMinShort)
 	cfg.AnalyzeEvery = 10
 	a := NewAnalyzer(cfg, book)
@@ -87,7 +94,7 @@ func TestAnalyzerObserveCadence(t *testing.T) {
 
 func TestAnalyzerSkipsEnforcedEvents(t *testing.T) {
 	book := trace.NewBook()
-	sig := book.Observe(structScreen("A", 4))
+	sig := observe(book, structScreen("A", 4))
 	a := NewAnalyzer(DefaultAnalyzerConfig(LMinShort), book)
 	for i := 0; i < 50; i++ {
 		a.Observe(trace.Event{Instance: 1, At: sim.Duration(i), To: sig, Enforced: true})
@@ -99,7 +106,7 @@ func TestAnalyzerSkipsEnforcedEvents(t *testing.T) {
 
 func TestAnalyzerWindowCap(t *testing.T) {
 	book := trace.NewBook()
-	sig := book.Observe(structScreen("A", 4))
+	sig := observe(book, structScreen("A", 4))
 	cfg := DefaultAnalyzerConfig(LMinShort)
 	cfg.WindowCap = 50
 	a := NewAnalyzer(cfg, book)
@@ -113,7 +120,7 @@ func TestAnalyzerWindowCap(t *testing.T) {
 
 func TestAnalyzerResetInstance(t *testing.T) {
 	book := trace.NewBook()
-	sig := book.Observe(structScreen("A", 4))
+	sig := observe(book, structScreen("A", 4))
 	a := NewAnalyzer(DefaultAnalyzerConfig(LMinShort), book)
 	a.Observe(trace.Event{Instance: 1, At: 0, To: sig})
 	a.ResetInstance(1)
@@ -128,8 +135,8 @@ func TestAnalyzerFindsSubspaceEndToEnd(t *testing.T) {
 	// two regions are structurally distinct, so CountIn separates them.
 	var regionA, regionB []ui.Signature
 	for i := 0; i < 5; i++ {
-		regionA = append(regionA, book.Observe(structScreen(fmt.Sprintf("A%d", i), 4+i)))
-		regionB = append(regionB, book.Observe(structScreen(fmt.Sprintf("B%d", i), 14+i)))
+		regionA = append(regionA, observe(book, structScreen(fmt.Sprintf("A%d", i), 4+i)))
+		regionB = append(regionB, observe(book, structScreen(fmt.Sprintf("B%d", i), 14+i)))
 	}
 	cfg := DefaultAnalyzerConfig(LMinShort)
 	cfg.AnalyzeEvery = 10

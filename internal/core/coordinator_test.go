@@ -114,7 +114,7 @@ func testBook(tokens int) (*trace.Book, []ui.Signature) {
 			Root: &ui.Node{Class: "FrameLayout", ResourceID: fmt.Sprintf("root%d", i),
 				Enabled: true, Children: children},
 		}
-		sigs[i] = book.Observe(s)
+		sigs[i] = observe(book, s)
 	}
 	return book, sigs
 }

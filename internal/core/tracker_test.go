@@ -209,7 +209,7 @@ func TestAnalyzerLegacyAndTrackedCandidatesIdentical(t *testing.T) {
 	book := trace.NewBook()
 	var sigs []ui.Signature
 	for i := 0; i < 12; i++ {
-		sigs = append(sigs, book.Observe(structScreen("A", 3+i)))
+		sigs = append(sigs, observe(book, structScreen("A", 3+i)))
 	}
 	mk := func(legacy bool) *Analyzer {
 		cfg := DefaultAnalyzerConfig(LMinShort)
@@ -256,7 +256,7 @@ func TestAnalyzerLegacyAndTrackedCandidatesIdentical(t *testing.T) {
 // window and the tracker window, including the cap and the enforced-skip.
 func TestAnalyzerTraceLenBothModes(t *testing.T) {
 	book := trace.NewBook()
-	sig := book.Observe(structScreen("A", 4))
+	sig := observe(book, structScreen("A", 4))
 	for _, legacy := range []bool{true, false} {
 		cfg := DefaultAnalyzerConfig(LMinShort)
 		cfg.WindowCap = 30
@@ -287,7 +287,7 @@ func TestAnalyzerTraceLenBothModes(t *testing.T) {
 // or cadence counters.
 func TestAnalyzerResetInstanceReleasesState(t *testing.T) {
 	book := trace.NewBook()
-	sig := book.Observe(structScreen("A", 4))
+	sig := observe(book, structScreen("A", 4))
 	for _, legacy := range []bool{true, false} {
 		cfg := DefaultAnalyzerConfig(LMinShort)
 		cfg.Legacy = legacy

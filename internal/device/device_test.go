@@ -7,6 +7,7 @@ import (
 	"taopt/internal/app"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
+	"taopt/internal/ui"
 )
 
 func testApp() *app.App { return app.MotivatingExample() }
@@ -19,8 +20,7 @@ func newEmu(t *testing.T) *Emulator {
 // tapTo finds the action navigating to a target title and performs it.
 func tapAction(t *testing.T, e *Emulator, widget int) Result {
 	t.Helper()
-	rendered := e.Render()
-	for _, a := range e.Actions(rendered) {
+	for _, a := range e.Actions(nil) {
 		if a.Widget == widget {
 			return e.Perform(a, 0)
 		}
@@ -189,20 +189,42 @@ func TestResumeSemantics(t *testing.T) {
 	}
 }
 
+// TestActionsRespectDisabled checks that a blocked widget path is left out
+// of the actions, and that the rest keep widget order, with Back last.
 func TestActionsRespectDisabled(t *testing.T) {
 	e := newEmu(t)
-	rendered := e.Render()
-	container := rendered.Root.Children[1]
-	container.Children[0].Enabled = false
-	acts := e.Actions(rendered)
-	for _, a := range acts {
-		if a.Widget == 0 {
-			t.Fatal("disabled widget still actionable")
+	paths := e.App.Screen(e.Current()).WidgetPaths()
+	acts := e.Actions(map[ui.WidgetPath]bool{paths[0]: true, "not#a@widget": true})
+	if len(acts) != len(paths) {
+		t.Fatalf("%d actions for %d widgets with one blocked, want %d", len(acts), len(paths), len(paths))
+	}
+	for i, a := range acts[:len(acts)-1] {
+		if a.Kind != trace.ActionTap || a.Widget != i+1 || a.Path != paths[i+1] {
+			t.Fatalf("action %d = %+v, want a tap on widget %d", i, a, i+1)
 		}
 	}
 	// Back remains.
 	if acts[len(acts)-1].Kind != trace.ActionBack {
 		t.Fatal("Back action missing")
+	}
+}
+
+// TestFarmSharesScreenCache checks that the emulators of one farm fill and
+// read one screen cache, while a standalone emulator has its own.
+func TestFarmSharesScreenCache(t *testing.T) {
+	f := NewFarm(testApp(), sim.NewRNG(1), 2, false)
+	a1, _ := f.Allocate(0)
+	a2, _ := f.Allocate(0)
+	if &a1.Emu.screens[0] != &a2.Emu.screens[0] {
+		t.Fatal("emulators of one farm must share a screen cache")
+	}
+	if &newEmu(t).screens[0] == &a1.Emu.screens[0] {
+		t.Fatal("a standalone emulator must have its own screen cache")
+	}
+	main := a1.Emu.Current()
+	sig := a1.Emu.Signature()
+	if got := a2.Emu.screens[main]; got.paths == nil || got.sig != sig {
+		t.Fatal("an entry one emulator filled must be visible to the other")
 	}
 }
 

@@ -32,8 +32,6 @@ type Action struct {
 	Widget int
 	// Path locates the acted-on element in the rendered hierarchy.
 	Path ui.WidgetPath
-	// Node is the rendered element (nil for Back).
-	Node *ui.Node
 }
 
 // Result describes the effect of performing an action.
@@ -59,10 +57,7 @@ type Emulator struct {
 	resume    map[int]app.ScreenID // functionality -> last screen (task state)
 	loggedIn  bool
 	restarts  int
-	// paths[id] holds screen id's widget paths, filled on the screen's
-	// first Actions call. The cache is the emulator's own: the App is shared
-	// by every emulator of a fleet.
-	paths [][]ui.WidgetPath
+	screens   screenCache
 
 	// Coverage and Crashes are this instance's MiniTrace/Logcat analogues.
 	Coverage *coverage.Set
@@ -72,15 +67,34 @@ type Emulator struct {
 // maxBackStack caps Android-style task depth.
 const maxBackStack = 32
 
-// NewEmulator boots an instance of a on a fresh emulator. rng must be an
-// independent stream for this instance.
+// screenCache holds what every render of an app screen has in common,
+// indexed by screen ID: a render differs between visits only in its text, so
+// its abstract signature and widget paths are fixed per screen. An entry is
+// filled on the screen's first use. A Farm shares one cache among the
+// emulators it allocates. It is never kept on the App: runs on several
+// goroutines may share one App, so nothing is filled lazily on it.
+type screenCache []screenInfo
+
+type screenInfo struct {
+	sig   ui.Signature
+	paths []ui.WidgetPath // nil until the entry is filled
+}
+
+func newScreenCache(a *app.App) screenCache { return make(screenCache, len(a.Screens)) }
+
+// NewEmulator boots an instance of a on a fresh emulator with its own
+// screen cache. rng must be an independent stream for this instance.
 func NewEmulator(id int, a *app.App, rng *sim.RNG) *Emulator {
+	return newEmulator(id, a, rng, newScreenCache(a))
+}
+
+func newEmulator(id int, a *app.App, rng *sim.RNG, screens screenCache) *Emulator {
 	e := &Emulator{
 		ID:       id,
 		App:      a,
 		rng:      rng,
 		visits:   make(map[app.ScreenID]int),
-		paths:    make([][]ui.WidgetPath, len(a.Screens)),
+		screens:  screens,
 		resume:   make(map[int]app.ScreenID),
 		Coverage: coverage.NewSet(a.MethodCount()),
 		Crashes:  crash.NewLog(a.Name),
@@ -142,46 +156,43 @@ func (e *Emulator) showScreen(id app.ScreenID) {
 // Activity returns the Activity of the current screen without rendering it.
 func (e *Emulator) Activity() string { return e.App.Screen(e.cur).Activity }
 
-// Shown identifies what the emulator displays: the current screen and how
-// many times it has been shown. Render is a pure function of it, and every
-// change to the display changes it, so an equal Shown means an equal render.
-type Shown struct {
-	Screen app.ScreenID
-	Visit  int
-}
-
-// Shown returns the current screen and its visit count.
-func (e *Emulator) Shown() Shown { return Shown{e.cur, e.visits[e.cur]} }
-
 // Render returns the concrete UI hierarchy currently displayed. Repeated
 // calls without an intervening action return structurally identical screens.
 func (e *Emulator) Render() *ui.Screen {
 	return e.App.Render(e.cur, e.visits[e.cur])
 }
 
-// Actions enumerates the executable actions on the rendered screen. Elements
-// disabled in rendered (e.g. by the Toller driver's entrypoint blocking) are
-// excluded. Back is always available.
-//
-// rendered must originate from this emulator's Render: the i'th clickable of
-// the container corresponds to widget i of the current screen.
+// current returns the current screen's cache entry, filling it from a render
+// on the screen's first use.
+func (e *Emulator) current() *screenInfo {
+	in := &e.screens[e.cur]
+	if in.paths == nil {
+		in.sig = e.Render().Abstract()
+		in.paths = e.App.Screen(e.cur).WidgetPaths()
+	}
+	return in
+}
+
+// Signature returns the abstract signature of the current screen — that of
+// Render().Abstract() — without rendering it.
 //
 //lint:hotpath
-func (e *Emulator) Actions(rendered *ui.Screen) []Action {
-	s := e.App.Screen(e.cur)
-	paths := e.paths[e.cur]
-	if paths == nil {
-		paths = s.WidgetPaths()
-		e.paths[e.cur] = paths
-	}
-	container := rendered.Root.Children[1]
-	out := make([]Action, 0, len(s.Widgets)+1)
-	for i := range s.Widgets {
-		node := container.Children[i]
-		if !node.Clickable || !node.Enabled {
+func (e *Emulator) Signature() ui.Signature { return e.current().sig }
+
+// Actions enumerates the executable actions on the current screen: a tap on
+// every widget whose path is not in blocked (the Toller driver's entrypoint
+// blocks for this screen; nil blocks none), then Back, which is always
+// available.
+//
+//lint:hotpath
+func (e *Emulator) Actions(blocked map[ui.WidgetPath]bool) []Action {
+	paths := e.current().paths
+	out := make([]Action, 0, len(paths)+1)
+	for i, p := range paths {
+		if blocked[p] {
 			continue
 		}
-		out = append(out, Action{Kind: trace.ActionTap, Widget: i, Path: paths[i], Node: node})
+		out = append(out, Action{Kind: trace.ActionTap, Widget: i, Path: p})
 	}
 	out = append(out, Action{Kind: trace.ActionBack, Widget: -1})
 	return out

@@ -23,12 +23,15 @@ var (
 
 // Farm manages a pool of emulator slots for one app, mirroring a testing
 // cloud: the coordinator allocates and de-allocates testing instances, and
-// the farm accounts the machine time each allocation consumed.
+// the farm accounts the machine time each allocation consumed. Its
+// emulators share one screen cache; a farm and its emulators belong to one
+// run, which is one goroutine, so the cache needs no lock.
 type Farm struct {
 	app        *app.App
 	rng        *sim.RNG
 	maxDevices int
 	autoLogin  bool
+	screens    screenCache
 
 	nextID    int
 	active    map[int]*Allocation
@@ -71,6 +74,7 @@ func NewFarm(a *app.App, rng *sim.RNG, maxDevices int, autoLogin bool) *Farm {
 		rng:        rng,
 		maxDevices: maxDevices,
 		autoLogin:  autoLogin,
+		screens:    newScreenCache(a),
 		active:     make(map[int]*Allocation),
 	}
 }
@@ -93,7 +97,7 @@ func (f *Farm) Allocate(now sim.Duration) (*Allocation, error) {
 	}
 	id := f.nextID
 	f.nextID++
-	emu := NewEmulator(id, f.app, f.rng.Fork(int64(id)))
+	emu := newEmulator(id, f.app, f.rng.Fork(int64(id)), f.screens)
 	if f.autoLogin {
 		emu.AutoLogin()
 	}

@@ -29,6 +29,7 @@ import (
 	"taopt/internal/sim"
 	"taopt/internal/trace"
 	"taopt/internal/trace/bin"
+	"taopt/internal/ui"
 )
 
 // ReplayWireLog re-drives the run recorded in rd and returns its export —
@@ -236,10 +237,11 @@ func (e *wireReplay) removeActive(id int) {
 }
 
 func (e *wireReplay) observe(f wire.Frame) {
-	sig := e.book.Observe(f.Screen)
+	sig := f.Screen.Abstract()
 	if sig != f.Sig {
 		e.fail("screen definition hashes to %v, recorded as %v (codec or abstraction drift)", sig, f.Sig)
 	}
+	e.book.Observe(sig, func() *ui.Screen { return f.Screen })
 }
 
 func (e *wireReplay) lease(f wire.Frame) {

@@ -22,15 +22,11 @@ func ObserveStream(appName string, n int) ([]trace.Event, *trace.Book, error) {
 		return nil, nil, err
 	}
 	book := trace.NewBook()
-	var sigs []ui.Signature
-	seen := make(map[ui.Signature]bool)
 	for i := range aut.Screens {
-		sig := book.Observe(aut.Render(app.ScreenID(i), 0))
-		if !seen[sig] {
-			seen[sig] = true
-			sigs = append(sigs, sig)
-		}
+		screen := aut.Render(app.ScreenID(i), 0)
+		book.Observe(screen.Abstract(), func() *ui.Screen { return screen })
 	}
+	sigs := book.Signatures()
 	if len(sigs) == 0 {
 		return nil, nil, fmt.Errorf("harness: app %q rendered no screens", appName)
 	}

@@ -80,7 +80,7 @@ func TestViewActionsExcludeBlockedButKeepBack(t *testing.T) {
 	d, _ := driverFor(a)
 	v := d.View()
 	for _, act := range v.Actions {
-		if act.Node != nil {
+		if act.Kind == trace.ActionTap {
 			d.Blocks().BlockWidget(v.Sig, act.Path)
 		}
 	}

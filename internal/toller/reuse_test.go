@@ -2,6 +2,8 @@ package toller
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"taopt/internal/apps"
@@ -11,27 +13,53 @@ import (
 	"taopt/internal/ui"
 )
 
-// freshView is what View must return: a new render of the emulator's
-// current screen with the driver's current blocks applied.
-func freshView(d *Driver) (*ui.Screen, ui.Signature) {
-	screen := d.Emulator().Render()
-	sig := screen.Abstract()
-	for path := range d.Blocks().BlockedWidgets(sig) {
-		if n := ui.FindPath(screen.Root, path); n != nil {
-			n.Enabled = false
-		}
+// treePaths calls fn with every node of the tree under n, in pre-order, and
+// the node's WidgetPath: class#resource@child.indexes from the root, where
+// at holds n's own indexes.
+func treePaths(n *ui.Node, at []int, fn func(ui.WidgetPath, *ui.Node)) {
+	idx := make([]string, len(at))
+	for i, x := range at {
+		idx[i] = strconv.Itoa(x)
 	}
-	return screen, sig
+	fn(ui.WidgetPath(n.Class+"#"+n.ResourceID+"@"+strings.Join(idx, ".")), n)
+	for i, ch := range n.Children {
+		treePaths(ch, append(at[:len(at):len(at)], i), fn)
+	}
 }
 
-// TestViewReusesRenderOnlyWhenUnchanged drives seeded random sessions that
-// mix tool actions with everything else that can move or modify the screen
-// between a Perform and the next View: entrypoint blocks, member blocks
-// that steer the instance back, activity restrictions that end in a
+// treeView is View computed the way the driver did when it built a tree on
+// every step: a fresh render of the emulator's current screen, hashed for
+// the signature; every node on a blocked path disabled; then a tap on each
+// enabled clickable child of the container, and Back.
+func treeView(d *Driver) View {
+	screen := d.Emulator().Render()
+	sig := screen.Abstract()
+	blocked := d.Blocks().BlockedWidgets(sig)
+	paths := make(map[*ui.Node]ui.WidgetPath)
+	treePaths(screen.Root, nil, func(p ui.WidgetPath, n *ui.Node) {
+		paths[n] = p
+		if blocked[p] {
+			n.Enabled = false
+		}
+	})
+	var acts []device.Action
+	for i, n := range screen.Root.Children[1].Children {
+		if n.Clickable && n.Enabled {
+			acts = append(acts, device.Action{Kind: trace.ActionTap, Widget: i, Path: paths[n]})
+		}
+	}
+	acts = append(acts, device.Action{Kind: trace.ActionBack, Widget: -1})
+	return View{Activity: screen.Activity, Sig: sig, Actions: acts}
+}
+
+// TestViewMatchesTreeOracle drives seeded random sessions that mix tool
+// actions with everything else that can move the instance or change what it
+// may do between a Perform and the next View: entrypoint blocks, member
+// blocks that steer the instance back, activity restrictions that end in a
 // relaunch, crashes, lifted blocks, and relaunches and logins from outside
-// the driver. Every View must equal a fresh render with the current blocks
-// applied, and must never hand out a screen it handed out before.
-func TestViewReusesRenderOnlyWhenUnchanged(t *testing.T) {
+// the driver. Every View must equal treeView, and the book must hold a
+// render of every signature a View or an event names.
+func TestViewMatchesTreeOracle(t *testing.T) {
 	for _, name := range []string{"Filters For Selfie", "Quizlet"} {
 		for seed := int64(1); seed <= 4; seed++ {
 			a := apps.MustLoad(name)
@@ -47,38 +75,30 @@ func TestViewReusesRenderOnlyWhenUnchanged(t *testing.T) {
 			}
 			book := trace.NewBook()
 			d := NewDriver(device.NewEmulator(0, a, rng.Fork(1)), book, 0)
-			handedOut := make(map[*ui.Screen]bool)
+			inBook := func(step int, sig ui.Signature) {
+				if s := book.Lookup(sig); s == nil || s.Abstract() != sig {
+					t.Fatalf("%s seed %d step %d: the book holds no render of %v", name, seed, step, sig)
+				}
+			}
 			now := sim.Duration(0)
 			var last View
 			view := func(step int) View {
-				want, wantSig := freshView(d)
+				want := treeView(d)
 				v := d.View()
-				if handedOut[v.Screen] {
-					t.Fatalf("%s seed %d step %d: View returned a screen it returned before", name, seed, step)
+				if !reflect.DeepEqual(v, want) {
+					t.Fatalf("%s seed %d step %d: View differs from the tree oracle\n got %+v\nwant %+v", name, seed, step, v, want)
 				}
-				handedOut[v.Screen] = true
-				if v.Sig != wantSig || !reflect.DeepEqual(v.Screen, want) {
-					t.Fatalf("%s seed %d step %d: View differs from a fresh render with blocks applied", name, seed, step)
-				}
-				if wantActs := d.Emulator().Actions(want); !reflect.DeepEqual(v.Actions, wantActs) {
-					t.Fatalf("%s seed %d step %d: View actions differ from the fresh render's", name, seed, step)
-				}
-				for _, act := range v.Actions {
-					if act.Kind != trace.ActionTap {
-						continue
-					}
-					if p, err := ui.PathOf(v.Screen.Root, []int{1, act.Widget}); err != nil || p != act.Path {
-						t.Fatalf("%s seed %d step %d: action path %q, PathOf gives %q (%v)", name, seed, step, act.Path, p, err)
-					}
-				}
+				inBook(step, v.Sig)
 				last = v
 				return v
 			}
 			view(0)
+			blocked := 0
 			for step := 1; step <= 1500; step++ {
 				switch r := rng.Float64(); {
 				case r < 0.55:
 					v := view(step)
+					blocked += len(d.Blocks().BlockedWidgets(v.Sig))
 					res := d.Perform(v.Actions[rng.Intn(len(v.Actions))], now)
 					now += res.Latency
 				case r < 0.65:
@@ -104,7 +124,8 @@ func TestViewReusesRenderOnlyWhenUnchanged(t *testing.T) {
 				}
 			}
 			var crashes, steered int
-			for _, ev := range d.Trace().Events() {
+			for i, ev := range d.Trace().Events() {
+				inBook(i, ev.To)
 				if ev.Crashed {
 					crashes++
 				}
@@ -112,27 +133,64 @@ func TestViewReusesRenderOnlyWhenUnchanged(t *testing.T) {
 					steered++
 				}
 			}
-			if crashes == 0 || steered == 0 {
-				t.Fatalf("%s seed %d: session had %d crashes and %d steering steps; both must occur", name, seed, crashes, steered)
+			if crashes == 0 || steered == 0 || blocked == 0 {
+				t.Fatalf("%s seed %d: session had %d crashes, %d steering steps and %d blocked widgets in views; all must occur",
+					name, seed, crashes, steered, blocked)
 			}
 		}
 	}
 }
 
 // TestWidgetPathsMatchRenderedTree checks the paths Actions hands out
-// without walking the tree: each equals ui.PathOf on the rendered
-// hierarchy, for every widget of every catalog screen.
+// without walking the tree: each equals the rendered widget's path, for
+// every widget of every catalog screen.
 func TestWidgetPathsMatchRenderedTree(t *testing.T) {
 	for _, name := range apps.Names() {
 		a := apps.MustLoad(name)
 		for _, s := range a.Screens {
+			paths := make(map[*ui.Node]ui.WidgetPath)
 			root := a.Render(s.ID, 3).Root
+			treePaths(root, nil, func(p ui.WidgetPath, n *ui.Node) { paths[n] = p })
 			for i, p := range s.WidgetPaths() {
-				want, err := ui.PathOf(root, []int{1, i})
-				if err != nil || p != want {
-					t.Fatalf("%s screen %d widget %d: path %q, PathOf gives %q (%v)", name, s.ID, i, p, want, err)
+				if want := paths[root.Children[1].Children[i]]; p != want {
+					t.Fatalf("%s screen %d widget %d: path %q, rendered tree gives %q", name, s.ID, i, p, want)
 				}
 			}
 		}
+	}
+}
+
+// TestSignatureIndependentOfVisit checks the premise of the emulator's
+// per-screen signature: a screen's render hashes the same on every visit,
+// for every catalog screen.
+func TestSignatureIndependentOfVisit(t *testing.T) {
+	for _, name := range apps.Names() {
+		a := apps.MustLoad(name)
+		for _, s := range a.Screens {
+			want := a.Render(s.ID, 0).Abstract()
+			for _, visit := range []int{1, 2, 37} {
+				if got := a.Render(s.ID, visit).Abstract(); got != want {
+					t.Fatalf("%s screen %d: visit %d hashes to %v, visit 0 to %v", name, s.ID, visit, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestViewStepDoesNotRender bounds the allocations of one View+Perform step
+// between screens the book has seen. A tree render alone costs dozens, so
+// a per-step render coming back fails this test.
+func TestViewStepDoesNotRender(t *testing.T) {
+	d, _ := driverFor(threeZone())
+	step := func() {
+		v := d.View()
+		d.Perform(v.Actions[0], 0)
+	}
+	// Hub -> A, then A -> A2 and back forever: see every screen once.
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(200, step); n > 1 {
+		t.Fatalf("View+Perform on seen screens: %v allocations per step, want at most 1", n)
 	}
 }

@@ -3,12 +3,14 @@
 // It (1) reports every UI transition — hierarchy changes along with the
 // triggering UI action — without modifying the tool or the AUT, and (2)
 // enforces entrypoint blocks: on each screen update it identifies UI elements
-// matching a blocked entrypoint and disables them before the tool can
+// matching a blocked entrypoint and withholds them before the tool can
 // interact with them (Section 5.3).
 //
-// Tool-agnosticism is structural: tools receive only a View (a rendered
-// hierarchy plus executable actions) and never see app internals; TaOPT's
-// core receives only trace.Events and never sees the tool.
+// Tool-agnosticism is structural: tools receive only a View (the screen's
+// activity, its abstract signature and its executable actions) and never see
+// app internals; TaOPT's core receives only trace.Events and never sees the
+// tool. A concrete hierarchy is built only when the screen book sees a
+// signature for the first time.
 package toller
 
 import (
@@ -18,12 +20,13 @@ import (
 	"taopt/internal/ui"
 )
 
-// View is what a testing tool observes: the current (possibly
-// block-modified) hierarchy and the actions it may take.
+// View is what a testing tool observes: the current screen's activity and
+// abstract signature, and the actions it may take there. Blocked entrypoints
+// are left out of Actions.
 type View struct {
-	Screen  *ui.Screen
-	Sig     ui.Signature
-	Actions []device.Action
+	Activity string
+	Sig      ui.Signature
+	Actions  []device.Action
 }
 
 // Listener receives UI transition notifications.
@@ -76,7 +79,7 @@ func (b *BlockSet) ActivityAllowed(activity string) bool {
 }
 
 // BlockWidget marks the element at path on screens with signature from as a
-// blocked entrypoint: the driver disables it on every render.
+// blocked entrypoint: the driver leaves it out of every View of them.
 func (b *BlockSet) BlockWidget(from ui.Signature, path ui.WidgetPath) {
 	m, ok := b.widgets[from]
 	if !ok {
@@ -125,13 +128,6 @@ type Driver struct {
 	blocks    *BlockSet
 	listeners []Listener
 	lastSig   ui.Signature
-	// kept is the screen NewDriver, Perform or steerIfBlocked last
-	// rendered, whose signature is lastSig. The next View hands it out
-	// instead of rendering again if the emulator still shows keptAt, then
-	// drops it: a screen reaches the tool once, because the tool may keep
-	// it and View disables blocked widgets in place.
-	kept   *ui.Screen
-	keptAt device.Shown
 }
 
 // NewDriver attaches to emu, sharing the campaign-wide screen book, and
@@ -143,13 +139,12 @@ func NewDriver(emu *device.Emulator, book *trace.Book, now sim.Duration) *Driver
 		log:    &trace.Log{},
 		blocks: NewBlockSet(),
 	}
-	screen := d.render()
 	d.emit(trace.Event{
 		Instance: emu.ID,
 		At:       now,
 		Action:   trace.Action{Kind: trace.ActionLaunch},
-		To:       d.lastSig,
-		Activity: screen.Activity,
+		To:       d.observe(),
+		Activity: emu.Activity(),
 	})
 	return d
 }
@@ -176,32 +171,20 @@ func (d *Driver) emit(ev trace.Event) {
 	}
 }
 
-// render renders the current screen, records it in the book as lastSig and
-// keeps it for the next View.
-func (d *Driver) render() *ui.Screen {
-	screen := d.emu.Render()
-	d.lastSig = d.book.Observe(screen)
-	d.kept, d.keptAt = screen, d.emu.Shown()
-	return screen
+// observe reads the current screen's signature into lastSig and records the
+// screen in the book, which renders it only on the signature's first sight.
+func (d *Driver) observe() ui.Signature {
+	d.lastSig = d.emu.Signature()
+	d.book.Observe(d.lastSig, d.emu.Render)
+	return d.lastSig
 }
 
-// View renders the current screen, applies entrypoint blocks, and enumerates
-// the actions available to the tool.
+// View observes the current screen and enumerates the actions available to
+// the tool, leaving out the screen's blocked entrypoints. Observing on every
+// call also picks up relaunches made outside the driver.
 func (d *Driver) View() View {
-	screen := d.kept
-	if screen == nil || d.keptAt != d.emu.Shown() {
-		screen = d.render()
-	}
-	d.kept = nil
-	sig := d.lastSig
-	if blocked := d.blocks.BlockedWidgets(sig); len(blocked) > 0 {
-		for path := range blocked {
-			if n := ui.FindPath(screen.Root, path); n != nil {
-				n.Enabled = false
-			}
-		}
-	}
-	return View{Screen: screen, Sig: sig, Actions: d.emu.Actions(screen)}
+	sig := d.observe()
+	return View{Activity: d.emu.Activity(), Sig: sig, Actions: d.emu.Actions(d.blocks.BlockedWidgets(sig))}
 }
 
 // Perform executes a tool-chosen action at virtual time now, records the
@@ -210,14 +193,13 @@ func (d *Driver) View() View {
 func (d *Driver) Perform(a device.Action, now sim.Duration) device.Result {
 	from := d.lastSig
 	res := d.emu.Perform(a, now)
-	screen := d.render()
 	d.emit(trace.Event{
 		Instance: d.emu.ID,
 		At:       now + res.Latency,
 		Action:   trace.Action{Kind: a.Kind, Widget: a.Path},
 		From:     from,
-		To:       d.lastSig,
-		Activity: screen.Activity,
+		To:       d.observe(),
+		Activity: d.emu.Activity(),
 		Crashed:  res.Crashed,
 	})
 	res.Latency += d.steerIfBlocked(now + res.Latency)
@@ -244,14 +226,13 @@ func (d *Driver) steerIfBlocked(now sim.Duration) sim.Duration {
 			res = device.Result{Latency: device.MaxRestartLatency}
 		}
 		extra += res.Latency
-		screen := d.render()
 		d.emit(trace.Event{
 			Instance: d.emu.ID,
 			At:       now + extra,
 			Action:   trace.Action{Kind: trace.ActionBack},
 			From:     from,
-			To:       d.lastSig,
-			Activity: screen.Activity,
+			To:       d.observe(),
+			Activity: d.emu.Activity(),
 			Enforced: true,
 		})
 		if step >= maxSteerSteps {

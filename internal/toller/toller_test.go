@@ -40,12 +40,22 @@ func driverFor(a *app.App) (*Driver, *trace.Book) {
 	return NewDriver(emu, book, 0), book
 }
 
+// resource returns the resource ID of the widget act taps on d's current
+// screen, "" for Back.
+func resource(d *Driver, act device.Action) string {
+	if act.Kind != trace.ActionTap {
+		return ""
+	}
+	emu := d.Emulator()
+	return emu.App.Screen(emu.Current()).Widgets[act.Widget].ResourceID
+}
+
 // tap performs the view action acting on the widget with the given resource.
 func tap(t *testing.T, d *Driver, res string) device.Result {
 	t.Helper()
 	v := d.View()
 	for _, act := range v.Actions {
-		if act.Node != nil && act.Node.ResourceID == res {
+		if resource(d, act) == res {
 			return d.Perform(act, 0)
 		}
 	}
@@ -97,7 +107,7 @@ func TestBlockWidgetDisablesElement(t *testing.T) {
 	v := d.View()
 	var path ui.WidgetPath
 	for _, act := range v.Actions {
-		if act.Node != nil && act.Node.ResourceID == "toA" {
+		if resource(d, act) == "toA" {
 			path = act.Path
 		}
 	}
@@ -105,14 +115,14 @@ func TestBlockWidgetDisablesElement(t *testing.T) {
 
 	v2 := d.View()
 	for _, act := range v2.Actions {
-		if act.Node != nil && act.Node.ResourceID == "toA" {
+		if resource(d, act) == "toA" {
 			t.Fatal("blocked element still actionable")
 		}
 	}
 	// Other actions unaffected.
 	found := false
 	for _, act := range v2.Actions {
-		if act.Node != nil && act.Node.ResourceID == "toB" {
+		if resource(d, act) == "toB" {
 			found = true
 		}
 	}

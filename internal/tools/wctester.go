@@ -106,7 +106,7 @@ func (w *WCTester) Choose(v toller.View) device.Action {
 }
 
 func (w *WCTester) observe(v toller.View) {
-	if w.hasLast && v.Screen.Activity != w.lastActivity && w.lastKey != "" {
+	if w.hasLast && v.Activity != w.lastActivity && w.lastKey != "" {
 		w.activityChanger[w.lastKey] = true
 	}
 }
@@ -117,7 +117,7 @@ func (w *WCTester) record(v toller.View, act device.Action) device.Action {
 		key = elementKey(act.Path)
 		w.triedGlobal[key] = true
 	}
-	w.lastActivity = v.Screen.Activity
+	w.lastActivity = v.Activity
 	w.lastKey = key
 	w.hasLast = true
 	return act

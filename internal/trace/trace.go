@@ -113,15 +113,17 @@ func NewBook() *Book {
 	return &Book{screens: make(map[ui.Signature]*ui.Screen)}
 }
 
-// Observe registers screen (cloning it on first sight) and returns its
-// signature.
-func (b *Book) Observe(screen *ui.Screen) ui.Signature {
-	sig := screen.Abstract()
+// Observe records that a screen with signature sig was seen. On the
+// signature's first sight it calls render for the exemplar and keeps the
+// returned screen, which the caller must not modify afterwards; otherwise
+// render is not called.
+//
+//lint:hotpath
+func (b *Book) Observe(sig ui.Signature, render func() *ui.Screen) {
 	if _, ok := b.screens[sig]; !ok {
-		b.screens[sig] = screen.Clone()
+		b.screens[sig] = render()
 		b.order = append(b.order, sig)
 	}
-	return sig
 }
 
 // Lookup returns the canonical exemplar for sig, or nil.

@@ -37,6 +37,13 @@ func TestLogScreens(t *testing.T) {
 	}
 }
 
+// observe registers s in b and returns its signature.
+func observe(b *Book, s *ui.Screen) ui.Signature {
+	sig := s.Abstract()
+	b.Observe(sig, func() *ui.Screen { return s })
+	return sig
+}
+
 func TestBookDedup(t *testing.T) {
 	b := NewBook()
 	s1 := mkScreen("A", "r1")
@@ -44,9 +51,9 @@ func TestBookDedup(t *testing.T) {
 	s2.Root.Children[0].Text = "different"
 	s3 := mkScreen("B", "r1")
 
-	sig1 := b.Observe(s1)
-	sig2 := b.Observe(s2)
-	sig3 := b.Observe(s3)
+	sig1 := observe(b, s1)
+	sig2 := observe(b, s2)
+	sig3 := observe(b, s3)
 	if sig1 != sig2 {
 		t.Fatal("text variants must share a signature")
 	}
@@ -59,7 +66,7 @@ func TestBookDedup(t *testing.T) {
 	if got := b.Signatures(); len(got) != 2 || got[0] != sig1 {
 		t.Fatalf("Signatures = %v", got)
 	}
-	if b.Lookup(sig3).Activity != "B" {
+	if b.Lookup(sig1) != s1 || b.Lookup(sig3).Activity != "B" {
 		t.Fatal("Lookup returned wrong exemplar")
 	}
 	if b.Lookup(ui.Signature(12345)) != nil {
@@ -67,13 +74,27 @@ func TestBookDedup(t *testing.T) {
 	}
 }
 
-func TestBookClonesExemplar(t *testing.T) {
+// TestBookRendersOnlyOnFirstSight checks that Observe builds a hierarchy
+// only for a signature it has not seen, and keeps that hierarchy as is.
+func TestBookRendersOnlyOnFirstSight(t *testing.T) {
 	b := NewBook()
-	s := mkScreen("A", "r1")
-	sig := b.Observe(s)
-	s.Root.Children[0].ResourceID = "mutated"
-	if b.Lookup(sig).Root.Children[0].ResourceID == "mutated" {
-		t.Fatal("Book must clone observed screens")
+	renders := 0
+	render := func(activity string) func() *ui.Screen {
+		return func() *ui.Screen { renders++; return mkScreen(activity, "r1") }
+	}
+	b.Observe(1, render("A"))
+	first := b.Lookup(1)
+	b.Observe(1, render("A"))
+	b.Observe(2, render("B"))
+	b.Observe(1, render("A"))
+	if renders != 2 {
+		t.Fatalf("render called %d times for 2 distinct signatures", renders)
+	}
+	if b.Lookup(1) != first || first.Activity != "A" || b.Lookup(2).Activity != "B" {
+		t.Fatal("Book must keep the first-sight render of each signature")
+	}
+	if got := b.Signatures(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("Signatures = %v, want first-seen order [1 2]", got)
 	}
 }
 

@@ -9,12 +9,7 @@
 // similarity (following [66]).
 package ui
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Node is one element of a UI hierarchy.
 type Node struct {
@@ -24,28 +19,12 @@ type Node struct {
 	ResourceID string
 	// Text is the displayed text. Text is *not* part of the abstraction.
 	Text string
-	// Enabled reports whether the element accepts interaction. The Toller
-	// driver clears it on elements matching blocked entrypoints.
+	// Enabled reports whether the element accepts interaction.
 	Enabled bool
 	// Clickable marks elements that produce UI actions when tapped.
 	Clickable bool
 	// Children in drawing order.
 	Children []*Node
-}
-
-// Clone returns a deep copy of the subtree rooted at n.
-func (n *Node) Clone() *Node {
-	if n == nil {
-		return nil
-	}
-	c := *n
-	if len(n.Children) > 0 {
-		c.Children = make([]*Node, len(n.Children))
-		for i, ch := range n.Children {
-			c.Children[i] = ch.Clone()
-		}
-	}
-	return &c
 }
 
 // Walk visits n and every descendant in depth-first pre-order. If f returns
@@ -76,14 +55,6 @@ func (n *Node) Size() int {
 type Screen struct {
 	Activity string
 	Root     *Node
-}
-
-// Clone returns a deep copy of the screen.
-func (s *Screen) Clone() *Screen {
-	if s == nil {
-		return nil
-	}
-	return &Screen{Activity: s.Activity, Root: s.Root.Clone()}
 }
 
 // Signature identifies an abstract UI screen: the hierarchy with all element
@@ -137,92 +108,6 @@ func fnvString(h uint64, s string) uint64 {
 
 // WidgetPath identifies an element within an abstract hierarchy: the class
 // and resource ID of the element plus its child-index path from the root.
-// It is stable across text changes, which is what the coordinator needs to
-// re-identify a blocked entrypoint element on a fresh render of the screen.
+// It is stable across text changes, so an entrypoint block recorded on one
+// visit of a screen names the same element on every later visit.
 type WidgetPath string
-
-// PathOf returns the WidgetPath for the node reached from root by the given
-// child-index path.
-func PathOf(root *Node, indexes []int) (WidgetPath, error) {
-	n := root
-	for _, i := range indexes {
-		if n == nil || i < 0 || i >= len(n.Children) {
-			return "", fmt.Errorf("ui: invalid widget path %v", indexes)
-		}
-		n = n.Children[i]
-	}
-	var b strings.Builder
-	b.WriteString(n.Class)
-	b.WriteByte('#')
-	b.WriteString(n.ResourceID)
-	b.WriteByte('@')
-	for i, idx := range indexes {
-		if i > 0 {
-			b.WriteByte('.')
-		}
-		b.WriteString(strconv.Itoa(idx))
-	}
-	return WidgetPath(b.String()), nil
-}
-
-// FindPath locates the node with the given WidgetPath in root, returning nil
-// if the path does not resolve (e.g. the screen structure changed).
-func FindPath(root *Node, p WidgetPath) *Node {
-	s := string(p)
-	at := strings.LastIndexByte(s, '@')
-	if at < 0 {
-		return nil
-	}
-	n := root
-	rest := s[at+1:]
-	if rest != "" {
-		for _, part := range strings.Split(rest, ".") {
-			idx := 0
-			for _, c := range part {
-				if c < '0' || c > '9' {
-					return nil
-				}
-				idx = idx*10 + int(c-'0')
-			}
-			if n == nil || idx >= len(n.Children) {
-				return nil
-			}
-			n = n.Children[idx]
-		}
-	}
-	// Validate class#resource prefix to guard against structural drift.
-	want := s[:at]
-	if want != n.Class+"#"+n.ResourceID {
-		return nil
-	}
-	return n
-}
-
-// Clickables returns, in pre-order, the index paths of all clickable and
-// enabled elements of the hierarchy. These are the actions a tool can take.
-func Clickables(root *Node) [][]int {
-	var out [][]int
-	var rec func(n *Node, path []int)
-	rec = func(n *Node, path []int) {
-		if n == nil {
-			return
-		}
-		if n.Clickable && n.Enabled {
-			out = append(out, append([]int(nil), path...))
-		}
-		for i, ch := range n.Children {
-			rec(ch, append(path, i))
-		}
-	}
-	rec(root, nil)
-	return out
-}
-
-// SortedClasses returns the multiset of element classes in the subtree,
-// sorted; useful for debugging and for coarse structural comparisons.
-func SortedClasses(root *Node) []string {
-	var classes []string
-	root.Walk(func(n *Node) bool { classes = append(classes, n.Class); return true })
-	sort.Strings(classes)
-	return classes
-}

@@ -1,9 +1,6 @@
 package ui
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Similarity computes the tree similarity of two abstracted UI hierarchies in
 // [0, 1]. It follows the spirit of the comparator used by CountIn in
@@ -95,7 +92,7 @@ func Dice(a, b PathVector) float64 {
 	return float64(2*inter) / float64(total)
 }
 
-// Shape is what ScreenSimilarity reads of a screen: its activity and its
+// Shape is what ShapeSimilarity reads of a screen: its activity and its
 // path multiset.
 type Shape struct {
 	Activity string
@@ -110,7 +107,9 @@ func ShapeOf(s *Screen) *Shape {
 	return &Shape{Activity: s.Activity, Paths: Paths(s.Root)}
 }
 
-// ShapeSimilarity is ScreenSimilarity over shapes computed beforehand.
+// ShapeSimilarity compares two screens by their shapes, treating a
+// differing activity name as an immediate mismatch — the abstraction keys on
+// activity first.
 //
 //lint:hotpath
 func ShapeSimilarity(a, b *Shape) float64 {
@@ -124,33 +123,4 @@ func ShapeSimilarity(a, b *Shape) float64 {
 		return 0
 	}
 	return Dice(a.Paths, b.Paths)
-}
-
-// ScreenSimilarity compares two screens, treating a differing activity name
-// as an immediate mismatch — the abstraction keys on activity first.
-func ScreenSimilarity(a, b *Screen) float64 {
-	return ShapeSimilarity(ShapeOf(a), ShapeOf(b))
-}
-
-// TopKSimilar returns the indexes of the k screens in candidates most similar
-// to target, most similar first. Ties break toward lower index for
-// determinism.
-func TopKSimilar(target *Screen, candidates []*Screen, k int) []int {
-	type scored struct {
-		idx int
-		sim float64
-	}
-	scoredAll := make([]scored, len(candidates))
-	for i, c := range candidates {
-		scoredAll[i] = scored{i, ScreenSimilarity(target, c)}
-	}
-	sort.SliceStable(scoredAll, func(i, j int) bool { return scoredAll[i].sim > scoredAll[j].sim })
-	if k > len(scoredAll) {
-		k = len(scoredAll)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = scoredAll[i].idx
-	}
-	return out
 }
