@@ -5,8 +5,8 @@
 // -bintrace records the run: one binary trace (.taoptb) holding every event,
 // sample, decision and end-of-run summary. The JSON export, the Chrome trace
 // and the decision log are views of that record, rendered offline with
-// tracetool render. -wirelog records the coordination message log that
-// tracetool wirelog -replay re-drives.
+// tracetool render. -replayable adds the coordination protocol records to
+// that trace, so tracetool replay can re-drive the run from it.
 //
 // Usage:
 //
@@ -17,7 +17,8 @@
 //	taopt -app Zedge -faultplan outage.json -tool ape -setting taopt-duration
 //	taopt -app Zedge -tool ape -setting taopt-duration -telemetry -bintrace run.taoptb
 //	tracetool render -view json run.taoptb > run.json
-//	taopt -app Zedge -tool ape -setting taopt-duration -wirelog run.wirelog
+//	taopt -app Zedge -tool ape -setting taopt-duration -faults 0.2 -bintrace run.taoptb -replayable
+//	tracetool replay -out replayed.json run.taoptb
 //	taopt -list
 package main
 
@@ -45,22 +46,22 @@ import (
 
 func main() {
 	var (
-		appName   = flag.String("app", "demo", `evaluation app name from -list, or "demo" for the Figure 2 shopping app`)
-		scenFile  = flag.String("scenario", "", "run the app defined by this scenario file (kind app) instead of -app")
-		planFile  = flag.String("faultplan", "", "inject the fault plan defined by this scenario file (kind fault-plan)")
-		tool      = flag.String("tool", "monkey", "testing tool: "+strings.Join(tools.Names(), ", "))
-		setting   = flag.String("setting", "baseline", "baseline | taopt-duration | taopt-resource | activity-partition | pats | single-long")
-		instances = flag.Int("instances", harness.DefaultInstances, "concurrent testing instances (d_max)")
-		duration  = flag.Int("duration", 60, "wall-clock budget l_p in minutes")
-		budget    = flag.Int("budget", 0, "machine-time budget in minutes (default instances × duration)")
-		seed      = flag.Int64("seed", 1, "campaign seed")
-		stagMin   = flag.Float64("stagnation", 0, "override stagnation window in minutes (0 = paper default)")
-		faultRate = flag.Float64("faults", 0, "inject device-farm failures at this instance-failure rate (e.g. 0.2)")
-		wirelog   = flag.String("wirelog", "", "record the full coordination message log to this file (replay it with tracetool wirelog)")
-		bintrace  = flag.String("bintrace", "", "record the run as a binary trace to this file (render JSON, Chrome or decision views with tracetool render)")
-		telemetry = flag.Bool("telemetry", false, "collect the coordinator's decision log and run metrics; prints a digest and adds them to the -bintrace record")
-		list      = flag.Bool("list", false, "list evaluation apps and exit")
-		verbose   = flag.Bool("v", false, "print per-instance details and identified subspaces")
+		appName    = flag.String("app", "demo", `evaluation app name from -list, or "demo" for the Figure 2 shopping app`)
+		scenFile   = flag.String("scenario", "", "run the app defined by this scenario file (kind app) instead of -app")
+		planFile   = flag.String("faultplan", "", "inject the fault plan defined by this scenario file (kind fault-plan)")
+		tool       = flag.String("tool", "monkey", "testing tool: "+strings.Join(tools.Names(), ", "))
+		setting    = flag.String("setting", "baseline", "baseline | taopt-duration | taopt-resource | activity-partition | pats | single-long")
+		instances  = flag.Int("instances", harness.DefaultInstances, "concurrent testing instances (d_max)")
+		duration   = flag.Int("duration", 60, "wall-clock budget l_p in minutes")
+		budget     = flag.Int("budget", 0, "machine-time budget in minutes (default instances × duration)")
+		seed       = flag.Int64("seed", 1, "campaign seed")
+		stagMin    = flag.Float64("stagnation", 0, "override stagnation window in minutes (0 = paper default)")
+		faultRate  = flag.Float64("faults", 0, "inject device-farm failures at this instance-failure rate (e.g. 0.2)")
+		replayable = flag.Bool("replayable", false, "add the coordination protocol to the -bintrace record (replay it with tracetool replay)")
+		bintrace   = flag.String("bintrace", "", "record the run as a binary trace to this file (render JSON, Chrome or decision views with tracetool render)")
+		telemetry  = flag.Bool("telemetry", false, "collect the coordinator's decision log and run metrics; prints a digest and adds them to the -bintrace record")
+		list       = flag.Bool("list", false, "list evaluation apps and exit")
+		verbose    = flag.Bool("v", false, "print per-instance details and identified subspaces")
 	)
 	cpuProf, memProf := cli.ProfileFlags()
 	flag.Parse()
@@ -153,13 +154,13 @@ func main() {
 		fc := faults.DefaultConfig(*faultRate)
 		cfg.Faults = &fc
 	}
-	var wlog *os.File
-	if *wirelog != "" {
-		var err error
-		if wlog, err = os.Create(*wirelog); err != nil {
-			fatalf("%v", err)
+	if *replayable {
+		// The -stagnation override is not recorded, so such a trace could
+		// never replay.
+		if *bintrace == "" || *stagMin > 0 {
+			fatalf("-replayable needs -bintrace and excludes -stagnation")
 		}
-		cfg.WireLog = wlog
+		cfg.Replayable = true
 	}
 	var btrace *os.File
 	if *bintrace != "" {
@@ -181,12 +182,6 @@ func main() {
 	res, err := harness.Run(cfg)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if wlog != nil {
-		if err := wlog.Close(); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("wire log:       %s\n", *wirelog)
 	}
 	if btrace != nil {
 		if err := btrace.Close(); err != nil {

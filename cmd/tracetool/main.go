@@ -6,7 +6,9 @@
 // transition graph, applies the preliminary study's conservative
 // min-conductance partition and reports per-subspace exploration overlap
 // and AJS; decisions cross-checks the decision log against the run's
-// outcome. The corpus command streams a directory of *.taoptb files
+// outcome. The replay command re-drives a replayable trace (taopt
+// -replayable) into the run's export, or dumps any trace one line per
+// record. The corpus command streams a directory of *.taoptb files
 // (cmd/experiments -bintrace-dir) in one pass and reports crash-signature
 // clusters across runs, coverage-curve percentiles across seeds, and flaky
 // cells whose outcome diverges for the same scenario.
@@ -20,9 +22,8 @@
 //	tracetool run.taoptb
 //	tracetool partition -min-coupling 0.12 run.json
 //	tracetool decisions run.taoptb
-//	tracetool wirelog run.wirelog
-//	tracetool wirelog a.wirelog b.wirelog
-//	tracetool wirelog -replay -replay-out replayed.json run.wirelog
+//	tracetool replay -out replayed.json run.taoptb
+//	tracetool replay -dump run.taoptb
 //	tracetool corpus traces/
 //	tracetool help
 package main
@@ -62,7 +63,7 @@ var commands = []command{
 	{"partition", "[flags] <run>", "offline UI-subspace partition of a recorded run (default command)", partitionMain},
 	{"decisions", "<run>", "replay the recorded decision log against the run's recorded outcome", decisionsMain},
 	{"render", "[-view json|chrome|decisions] <run>", "write one view of a run record to stdout", renderMain},
-	{"wirelog", "[flags] <log> [log2]", "dump, diff or replay recorded coordination message logs", wirelogMain},
+	{"replay", "[-out run.json] [-dump] <run" + corpus.Ext + ">", "re-drive a replayable trace into its export, or dump its records", replayMain},
 	{"corpus", "<dir>", "cross-run analytics over a directory of binary traces (*" + corpus.Ext + ")", corpusMain},
 }
 

@@ -1,19 +1,27 @@
+// Package wire records the coordination protocol of internal/bus into a
+// run's binary trace: every trace event delivered to the coordinator and
+// every Command/Reply exchange, plus the boundary effects replay needs
+// (screen trees, leases, fates, ticks). They travel as the protocol records
+// of a replayable .taoptb stream (internal/trace/bin), next to the ground
+// events, samples and summaries the stream carries anyway, and
+// export.Replay re-drives the run from them byte-for-byte. The recorded
+// stream, not the process that produced it, is the reproducibility
+// contract, and replaying it is the proof that the protocol survives
+// serialisation.
 package wire
 
 import (
-	"fmt"
-	"io"
+	"errors"
 
 	"taopt/internal/bus"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
+	"taopt/internal/trace/bin"
 	"taopt/internal/ui"
 )
 
-// Recorder captures a run's full bidirectional message log — every ground
-// event, every post-fault delivery, every Command/Reply exchange, plus the
-// boundary effects replay needs (instance leases, screen definitions, ticks,
-// samples) — to one deterministic wire-log file.
+// Recorder writes a run's protocol records into its replayable binary
+// trace.
 //
 // It decorates the transport stack at two seams:
 //
@@ -21,67 +29,39 @@ import (
 //
 // Outer sees the protocol as the endpoints speak it (ground events before
 // fault decoration, commands with their replies); Inner sees what survived
-// the fault plan (delivered events, injected fates). Recording both sides
-// makes the log self-contained: export.ReplayWireLog re-drives the
-// coordinator from the Delivered frames and rebuilds the export from the
-// ground frames, byte-for-byte, with no farm, tools or fault plan present.
+// the fault plan (delivered events, injected fates). Ground events are the
+// stream's own event records, so Outer only defines the screens they
+// reference. Recording both sides makes the stream self-contained:
+// export.Replay re-drives the coordinator from the delivered records and
+// rebuilds the export from the ground records, with no farm, tools or fault
+// plan present.
 type Recorder struct {
-	w    io.Writer
+	w    *bin.Writer
 	now  func() sim.Duration
 	book *trace.Book
 	seen map[ui.Signature]bool
 	// depth distinguishes sends traversing the stack (recorded once, by
 	// Outer) from fate injections entering below it (recorded by Inner as
-	// FrameFate).
+	// fates).
 	depth int
 	// coordinating marks the exchanges recorded while the coordinator is
-	// calling into the run; their command frames carry Frame.Coord.
+	// calling into the run; their command records carry Command.Coord.
 	coordinating bool
-	err          error
 }
 
-// NewRecorder starts a wire log on w: magic, version, then the header frame.
-// book resolves screen signatures to exemplar hierarchies for lazy
-// FrameScreen definitions; now supplies frame timestamps.
-func NewRecorder(w io.Writer, now func() sim.Duration, book *trace.Book, hdr Header) *Recorder {
-	r := &Recorder{w: w, now: now, book: book, seen: make(map[ui.Signature]bool)}
-	if _, err := w.Write(append([]byte(logMagic), logVersion)); err != nil {
-		r.fail(err)
-	}
-	r.frame(Frame{Kind: FrameHeader, At: 0, Header: hdr})
-	return r
+// NewRecorder records into w, which must have been opened with
+// bin.NewReplayWriter. book resolves screen signatures to exemplar
+// hierarchies for lazy tree definitions; now supplies record timestamps.
+// Write errors latch in w.
+func NewRecorder(w *bin.Writer, now func() sim.Duration, book *trace.Book) *Recorder {
+	return &Recorder{w: w, now: now, book: book, seen: make(map[ui.Signature]bool)}
 }
 
-// Err returns the first write or encode error, or nil. The harness surfaces
-// it at the end of the run — a truncated wire log must fail loudly, not
-// replay wrongly.
-func (r *Recorder) Err() error { return r.err }
-
-func (r *Recorder) fail(err error) {
-	if r.err == nil {
-		r.err = fmt.Errorf("wire: recording: %w", err)
-	}
-}
-
-func (r *Recorder) frame(f Frame) {
-	if r.err != nil {
-		return
-	}
-	buf, err := appendFrame(nil, f)
-	if err != nil {
-		r.fail(err)
-		return
-	}
-	if _, err := r.w.Write(buf); err != nil {
-		r.fail(err)
-	}
-}
-
-// define writes a FrameScreen for each not-yet-defined signature, so every
-// frame that references a signature is preceded by its definition. Screens
-// are defined in first-reference order, which (because the driver publishes
-// immediately after every first-sight Observe) equals the trace book's
-// insertion order — replay rebuilds an identical book.
+// define writes a tree record for each not-yet-defined signature, so every
+// protocol record that references a signature is preceded by its
+// definition. Screens are defined in first-reference order, which (because
+// the driver publishes immediately after every first-sight Observe) equals
+// the trace book's insertion order — replay rebuilds an identical book.
 func (r *Recorder) define(sigs ...ui.Signature) {
 	for _, sig := range sigs {
 		if sig == 0 || r.seen[sig] {
@@ -89,21 +69,20 @@ func (r *Recorder) define(sigs ...ui.Signature) {
 		}
 		screen := r.book.Lookup(sig)
 		if screen == nil {
-			// Not in the book yet (e.g. a zero-valued From); the frame's
+			// Not in the book yet (e.g. a zero-valued From); the record's
 			// consumer treats undefined signatures as opaque.
 			continue
 		}
 		r.seen[sig] = true
-		r.frame(Frame{Kind: FrameScreen, At: r.now(), Sig: sig, Screen: screen})
+		r.w.Tree(r.now(), uint64(sig), screen)
 	}
 }
 
-// Lease records one instance boot: the ID plus the initial launch event,
-// which the driver emits before any listener subscribes (so it never crosses
-// the transport and must be captured here).
+// Lease records one instance boot. The launch event, which the driver
+// emits before any listener subscribes, is the stream's next event record.
 func (r *Recorder) Lease(id int, launch trace.Event) {
 	r.define(launch.To)
-	r.frame(Frame{Kind: FrameLease, At: r.now(), Instance: id, Event: launch})
+	r.w.Lease(r.now(), id)
 }
 
 // Coordinating marks whether the exchanges recorded from now on are sent by
@@ -114,26 +93,17 @@ func (r *Recorder) Coordinating(on bool) { r.coordinating = on }
 
 // Local records a Command/Reply exchange the runner resolved without
 // touching the transport (end-of-run allocation guards). Replay matches
-// these frames exactly like transported exchanges.
+// these records exactly like transported exchanges.
 func (r *Recorder) Local(cmd bus.Command, rep bus.Reply) {
-	r.frame(Frame{Kind: FrameCommand, At: r.now(), Cmd: cmd, Coord: r.coordinating})
-	r.frame(Frame{Kind: FrameReply, At: r.now(), Reply: rep})
+	r.w.Command(r.now(), encodeCommand(cmd, r.coordinating))
+	r.w.Reply(r.now(), encodeReply(rep))
 }
 
 // TickMark records one strategy tick.
-func (r *Recorder) TickMark() { r.frame(Frame{Kind: FrameTick, At: r.now()}) }
+func (r *Recorder) TickMark() { r.w.Tick(r.now()) }
 
-// Sample records one timeline sample point.
-func (r *Recorder) Sample(s Sample) { r.frame(Frame{Kind: FrameSample, At: r.now(), Sample: s}) }
-
-// Instance records one lease's end-of-run summary.
-func (r *Recorder) Instance(s Summary) { r.frame(Frame{Kind: FrameInstance, At: r.now(), Summary: s}) }
-
-// End closes the log with the run's totals.
-func (r *Recorder) End(e RunEnd) { r.frame(Frame{Kind: FrameRunEnd, At: r.now(), End: e}) }
-
-// Outer decorates the coordinator-facing transport: it records ground
-// events on their way in and every Command/Reply exchange.
+// Outer decorates the coordinator-facing transport: it defines the screens
+// of ground events and records every Command/Reply exchange.
 func (r *Recorder) Outer(t bus.Transport) bus.Transport { return &outerRec{rec: r, inner: t} }
 
 // Inner decorates the transport below the fault plan: it records what was
@@ -147,7 +117,6 @@ type outerRec struct {
 
 func (t *outerRec) Publish(ev trace.Event) {
 	t.rec.define(ev.From, ev.To)
-	t.rec.frame(Frame{Kind: FrameEvent, At: t.rec.now(), Event: ev})
 	t.inner.Publish(ev)
 }
 
@@ -157,13 +126,14 @@ func (t *outerRec) Stats() bus.Stats                  { return t.inner.Stats() }
 
 func (t *outerRec) Send(cmd bus.Command) bus.Reply {
 	t.rec.define(cmd.Screen)
-	t.rec.frame(Frame{Kind: FrameCommand, At: t.rec.now(), Cmd: cmd, Coord: t.rec.coordinating})
+	t.rec.w.Command(t.rec.now(), encodeCommand(cmd, t.rec.coordinating))
 	t.rec.depth++
 	rep := t.inner.Send(cmd)
 	t.rec.depth--
-	// Effect frames written during the exchange (screen definitions, leases)
-	// sit between the command and its reply; replay consumes them in place.
-	t.rec.frame(Frame{Kind: FrameReply, At: t.rec.now(), Reply: rep})
+	// Effect records written during the exchange (screen trees, leases,
+	// launch events) sit between the command and its reply; replay
+	// consumes them in place.
+	t.rec.w.Reply(t.rec.now(), encodeReply(rep))
 	return rep
 }
 
@@ -174,7 +144,7 @@ type innerRec struct {
 
 func (t *innerRec) Publish(ev trace.Event) {
 	t.rec.define(ev.From, ev.To)
-	t.rec.frame(Frame{Kind: FrameDelivered, At: t.rec.now(), Event: ev})
+	t.rec.w.Delivered(t.rec.now(), ev)
 	t.inner.Publish(ev)
 }
 
@@ -183,12 +153,86 @@ func (t *innerRec) Bind(ex bus.Executor)              { t.inner.Bind(ex) }
 func (t *innerRec) Stats() bus.Stats                  { return t.inner.Stats() }
 
 func (t *innerRec) Send(cmd bus.Command) bus.Reply {
-	if t.rec.depth > 0 {
-		// A command traversing the stack; Outer already recorded the
-		// exchange.
-		return t.inner.Send(cmd)
+	if t.rec.depth == 0 {
+		// A fate injection from the fault plan, entering below the
+		// coordinator; a command traversing the stack was recorded by
+		// Outer.
+		t.rec.w.Fate(t.rec.now(), encodeCommand(cmd, false))
 	}
-	// A fate injection from the fault plan, entering below the coordinator.
-	t.rec.frame(Frame{Kind: FrameFate, At: t.rec.now(), Cmd: cmd})
 	return t.inner.Send(cmd)
 }
+
+// --- commands, replies and error classes ----------------------------------
+
+func encodeCommand(c bus.Command, coord bool) bin.Command {
+	return bin.Command{
+		Kind: byte(c.Kind), Instance: c.Instance,
+		Screen: uint64(c.Screen), Widget: string(c.Widget), Coord: coord,
+	}
+}
+
+// DecodeCommand rebuilds a recorded command.
+func DecodeCommand(c bin.Command) bus.Command {
+	return bus.Command{
+		Kind: bus.CommandKind(c.Kind), Instance: c.Instance,
+		Screen: ui.Signature(c.Screen), Widget: ui.WidgetPath(c.Widget),
+	}
+}
+
+// Reply errors are recorded as a sentinel class plus the full message, so
+// the coordinator's two error probes — errors.Is against the retry
+// sentinels and err.Error() for the decision log — behave identically
+// whether a reply came from the live transport or a replayed stream.
+const (
+	errClassNone byte = iota
+	errClassBusy
+	errClassTimeout
+	errClassNotBound
+	errClassOther
+)
+
+func encodeReply(rep bus.Reply) bin.Reply {
+	out := bin.Reply{Instance: rep.Instance}
+	switch err := rep.Err; {
+	case err == nil:
+		return out
+	case errors.Is(err, bus.ErrFarmBusy):
+		out.ErrClass = errClassBusy
+	case errors.Is(err, bus.ErrTimeout):
+		out.ErrClass = errClassTimeout
+	case errors.Is(err, bus.ErrNotBound):
+		out.ErrClass = errClassNotBound
+	default:
+		out.ErrClass = errClassOther
+	}
+	out.Err = rep.Err.Error()
+	return out
+}
+
+// DecodeReply rebuilds a recorded reply, restoring its error's sentinel
+// chain.
+func DecodeReply(rep bin.Reply) bus.Reply {
+	out := bus.Reply{Instance: rep.Instance}
+	switch rep.ErrClass {
+	case errClassNone:
+	case errClassBusy:
+		out.Err = &replyError{msg: rep.Err, sentinel: bus.ErrFarmBusy}
+	case errClassTimeout:
+		out.Err = &replyError{msg: rep.Err, sentinel: bus.ErrTimeout}
+	case errClassNotBound:
+		out.Err = &replyError{msg: rep.Err, sentinel: bus.ErrNotBound}
+	default:
+		out.Err = errors.New(rep.Err)
+	}
+	return out
+}
+
+// replyError is a decoded reply error: the original message with the
+// sentinel chain restored.
+type replyError struct {
+	msg      string
+	sentinel error
+}
+
+func (e *replyError) Error() string { return e.msg }
+func (e *replyError) Unwrap() error { return e.sentinel }

@@ -840,8 +840,8 @@ func (c *Coordinator) sendBlock(cmd bus.Command) {
 // from outside into the subspace is disabled, and members are marked so the
 // driver steers the tool out if it slips in through an unobserved edge.
 // Members are visited in sorted signature order — the command sequence on
-// the transport is part of the run's reproducible record (wire logs are
-// diffed byte-for-byte), so it must not inherit map iteration order.
+// the transport is part of the run's reproducible record (replayable traces
+// are diffed byte-for-byte), so it must not inherit map iteration order.
 func (c *Coordinator) blockSubspace(id int, sub *Subspace) {
 	members := make([]ui.Signature, 0, len(sub.Members))
 	for m := range sub.Members {

@@ -118,6 +118,9 @@ func Scan(r io.Reader, name string, size int64) (*RunStat, error) {
 		case bin.KindTransport:
 			// Chaos transport accounting is export-level detail; corpus
 			// stats aggregate run outcomes only.
+		case bin.KindReplay, bin.KindTree, bin.KindDelivered, bin.KindCommand, bin.KindFate,
+			bin.KindReply, bin.KindLease, bin.KindTick, bin.KindAccounting:
+			// Protocol records of a replayable trace describe the same run.
 		case bin.KindHeader, bin.KindStrDef, bin.KindSigDef:
 			// The Reader consumes header and interning records internally;
 			// one surfacing from Next means the stream (or Reader) is broken.

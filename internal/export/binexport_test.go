@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -193,9 +194,11 @@ func TestBinRoundTripCatalog(t *testing.T) {
 	}
 }
 
-// FuzzTraceBinCodec fuzzes ReadBin over arbitrary bytes: it must never
-// panic, and whenever a stream decodes cleanly, encode∘decode must be a
-// fixed point from the first re-encode on.
+// FuzzTraceBinCodec fuzzes ReadBin and Replay over arbitrary bytes: neither
+// may panic, Replay fails only with a typed error, and whenever a stream
+// decodes cleanly, encode∘decode must be a fixed point from the first
+// re-encode on. The seeds add a replayable chaos trace and truncated copies
+// of it to the plain streams.
 func FuzzTraceBinCodec(f *testing.F) {
 	cells := binCells()
 	for _, name := range []string{"golden", "chaos"} {
@@ -212,7 +215,23 @@ func FuzzTraceBinCodec(f *testing.F) {
 	}
 	f.Add([]byte(bin.Magic))
 	f.Add([]byte{})
+	cfg := cells["chaos"]
+	var replayable bytes.Buffer
+	cfg.Duration, cfg.Instances = 2*sim.Duration(60e9), 2 // a small seed mutates faster
+	cfg.BinTrace, cfg.Replayable = &replayable, true
+	if _, err := harness.Run(cfg); err != nil {
+		f.Fatal(err)
+	}
+	raw := replayable.Bytes()
+	f.Add(raw)
+	for _, n := range []int{len(raw) / 2, 4096, 256} {
+		f.Add(raw[:n])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, _, err := Replay(bytes.NewReader(data)); err != nil &&
+			!errors.Is(err, bin.ErrCorrupt) && !errors.Is(err, ErrNotReplayable) && !errors.Is(err, ErrDiverged) {
+			t.Fatalf("untyped replay error: %v", err)
+		}
 		run, err := ReadBin(bytes.NewReader(data))
 		if err != nil {
 			return // corrupt input rejected: fine, as long as no panic

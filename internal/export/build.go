@@ -10,8 +10,8 @@ import (
 
 // builder assembles a Run from a run's binary-trace records: the one place
 // the document's sections and nil-versus-empty rules are decided. FromResult
-// (live result), ReadBin (decoded stream) and ReplayWireLog (replayed wire
-// log) all feed it. Slice and pointer fields are materialised only when
+// (live result), ReadBin (decoded stream) and Replay (re-driven replayable
+// stream) all feed it. Slice and pointer fields are materialised only when
 // their records (or header flags) appear, so a record sequence rebuilds the
 // byte-identical JSON of the run that wrote it.
 type builder struct {
@@ -193,6 +193,10 @@ func (b *builder) record(rec bin.Record) error {
 		b.Metric(rec.Metric)
 	case bin.KindEnd:
 		b.End(rec.End)
+	case bin.KindReplay, bin.KindTree, bin.KindDelivered, bin.KindCommand, bin.KindFate,
+		bin.KindReply, bin.KindLease, bin.KindTick, bin.KindAccounting:
+		// Protocol records are Replay's input; the run they describe is
+		// already in the other records.
 	case bin.KindHeader, bin.KindStrDef, bin.KindSigDef:
 		// The Reader consumes header and interning records internally;
 		// one surfacing from Next means the stream (or Reader) is broken.

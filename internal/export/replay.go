@@ -1,22 +1,26 @@
-// Replay: re-derive a run's export from its recorded wire log.
+// Replay: re-derive a run's export from its replayable binary trace.
 //
-// The wire log is the full bidirectional message record of a run (see
-// internal/bus/wire): ground trace events, post-fault deliveries, every
-// Command/Reply exchange, and the boundary effects (leases, screen
-// definitions, ticks, samples, per-lease summaries, run totals). Those
-// frames are sufficient to re-drive the coordinator — and only the
-// coordinator — without the farm, the testing tools or the fault plan:
-// tool decisions are replayed from the recorded events, never re-run.
+// A replayable trace (harness.RunConfig.Replayable, taopt -replayable) is an
+// ordinary .taoptb stream plus the protocol records of internal/bus/wire:
+// post-fault deliveries, every Command/Reply exchange, and the boundary
+// effects (screen trees, leases, fates, ticks, the run-end transport
+// accounting). With the ground events, samples and summaries the stream
+// carries anyway, those records are sufficient to re-drive the coordinator
+// — and only the coordinator — without the farm, the testing tools or the
+// fault plan: tool decisions are replayed from the recorded events, never
+// re-run.
 //
-// Replay is strict. The coordinator's sends are matched frame-for-frame
+// Replay is strict. The coordinator's sends are matched record by record
 // against the recorded coordinator exchanges; any divergence (a command the
-// log does not carry next, a recorded coordinator command the replayed
+// stream does not carry next, a recorded coordinator command the replayed
 // coordinator does not send, a count that does not reconcile with the
-// recorded run totals) is an error, not a best-effort continuation. A wire
-// log either reproduces its run byte-for-byte or it fails loudly.
+// recorded totals) is an error, not a best-effort continuation. A
+// replayable trace either reproduces its run byte-for-byte or it fails
+// loudly.
 package export
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -32,33 +36,52 @@ import (
 	"taopt/internal/ui"
 )
 
-// ReplayWireLog re-drives the run recorded in rd and returns its export —
+var (
+	// ErrNotReplayable marks a trace replay cannot re-drive: a plain
+	// stream, or a run whose coordinator config was overridden.
+	ErrNotReplayable = errors.New("export: replay: not a replayable trace (record the run with -replayable)")
+	// ErrDiverged marks a replayable trace whose records the replayed
+	// coordinator, or the recorded totals, do not agree with.
+	ErrDiverged = errors.New("export: replay diverged")
+)
+
+// Replay re-drives the run recorded in rd and returns its export —
 // byte-identical to the live run's — plus the re-derived coordinator
 // decision log (empty for baseline settings). The telemetry block is never
-// emitted: the metrics registry samples live harness state the log does not
-// carry, so a telemetry-enabled run replays to its telemetry-free export.
-func ReplayWireLog(rd io.Reader) (*Run, *obs.Log, error) {
-	log, err := wire.ReadLog(rd)
+// emitted: the metrics registry samples live harness state the trace does
+// not carry, so a telemetry-enabled run replays to its telemetry-free
+// export. Every error wraps ErrNotReplayable, ErrDiverged or
+// bin.ErrCorrupt.
+func Replay(rd io.Reader) (*Run, *obs.Log, error) {
+	br, err := bin.NewReader(rd)
 	if err != nil {
 		return nil, nil, err
 	}
-	if log.Header.CoreOverride {
-		return nil, nil, fmt.Errorf("export: replay: run used a caller-supplied core.Config, which wire logs do not serialise")
+	h := br.Header()
+	if h.ExportVersion != FormatVersion {
+		return nil, nil, fmt.Errorf("%w: format version %d (want %d)", ErrNotReplayable, h.ExportVersion, FormatVersion)
 	}
-	h := log.Header
-	e := &wireReplay{
-		hdr:    h,
-		frames: log.Frames,
-		book:   trace.NewBook(),
-		out: newBuilder(bin.Header{
-			App: h.App, Tool: h.Tool, Setting: h.Setting, Seed: h.Seed,
-			ScenarioHash: h.ScenarioHash, ExportVersion: FormatVersion,
-			Faults: h.FaultsEnabled,
-		}),
-		summaries: make(map[int]wire.Summary),
+	first, err := br.Next()
+	switch {
+	case err == io.EOF || err == nil && first.Kind != bin.KindReplay:
+		return nil, nil, ErrNotReplayable
+	case err != nil:
+		return nil, nil, err
+	case first.Replay.CoreOverride:
+		return nil, nil, fmt.Errorf("%w: the run overrode the coordinator config, which is not recorded", ErrNotReplayable)
+	}
+	h.Telemetry = false
+	e := &replayer{
+		rd:        br,
+		cfg:       *first.Replay,
+		faults:    h.Faults,
+		book:      trace.NewBook(),
+		out:       newBuilder(h),
+		leased:    make(map[int]bool),
+		summaries: make(map[int]bin.InstanceSummary),
 		decisions: &obs.Log{},
 	}
-	switch e.hdr.Setting {
+	switch h.Setting {
 	case "taopt-duration":
 		e.buildCoordinator(core.DurationConstrained)
 	case "taopt-resource":
@@ -68,23 +91,24 @@ func ReplayWireLog(rd io.Reader) (*Run, *obs.Log, error) {
 		e.coord.Start()
 	}
 	e.drive()
+	if e.err == nil {
+		e.reconcile()
+	}
 	if e.err != nil {
 		return nil, nil, e.err
-	}
-	if err := e.reconcile(); err != nil {
-		return nil, nil, err
 	}
 	return e.export(), e.decisions, nil
 }
 
-// wireReplay re-drives one recorded run. It implements core.Env and
-// bus.Sender against the frame cursor: where the live coordinator talked to
-// the harness and the transport, the replayed one talks to the log.
-type wireReplay struct {
-	hdr    wire.Header
-	frames []wire.Frame
+// replayer re-drives one recorded run. It implements core.Env and
+// bus.Sender against the record cursor: where the live coordinator talked
+// to the harness and the transport, the replayed one talks to the stream.
+type replayer struct {
+	rd     *bin.Reader
 	pos    int
 	now    sim.Duration
+	cfg    bin.ReplayConfig
+	faults bool
 
 	// active mirrors the farm's active-allocation set. Instance IDs are
 	// allocated monotonically and device.Farm.Active sorts by ID, so a
@@ -97,113 +121,134 @@ type wireReplay struct {
 
 	// out receives the recorded events and samples as they are consumed;
 	// export closes it with the re-derived tail.
-	out        *builder
-	leaseOrder []int
-	summaries  map[int]wire.Summary
-	end        *wire.RunEnd
-	grounds    int
-	delivered  int
+	out       *builder
+	leases    []int
+	leased    map[int]bool
+	summaries map[int]bin.InstanceSummary
+	acct      *bin.Transport
+	end       *bin.End
+	grounds   int
+	delivered int
 
 	err error
 }
 
-// senderFunc adapts the engine's frame-matching send to bus.Sender.
+// senderFunc adapts the engine's record-matching send to bus.Sender.
 type senderFunc func(bus.Command) bus.Reply
 
 func (f senderFunc) Send(cmd bus.Command) bus.Reply { return f(cmd) }
 
-func (e *wireReplay) buildCoordinator(mode core.Mode) {
+func (e *replayer) buildCoordinator(mode core.Mode) {
 	cfg := core.DefaultConfig(mode)
 	cfg.Obs = e.decisions
 	e.coord = core.NewCoordinator(cfg, e, senderFunc(e.send), e.book)
 }
 
-func (e *wireReplay) fail(format string, args ...any) {
+func (e *replayer) fail(format string, args ...any) {
 	if e.err == nil {
-		e.err = fmt.Errorf("export: replay: frame %d: %s", e.pos, fmt.Sprintf(format, args...))
+		e.err = fmt.Errorf("%w: record %d: %s", ErrDiverged, e.pos, fmt.Sprintf(format, args...))
 	}
 }
 
-func (e *wireReplay) next() (wire.Frame, bool) {
-	if e.err != nil || e.pos >= len(e.frames) {
-		return wire.Frame{}, false
+// next returns the next record, or false at the end of the stream or after
+// a failure. It skips decision records, which the replayed coordinator
+// re-derives; a protocol record advances the replay clock.
+func (e *replayer) next() (bin.Record, bool) {
+	for e.err == nil {
+		rec, err := e.rd.Next()
+		if err != nil {
+			if err != io.EOF {
+				e.err = err
+			}
+			break
+		}
+		e.pos++
+		if rec.Kind == bin.KindDecision {
+			continue
+		}
+		if rec.Kind.Protocol() {
+			e.now = rec.At
+		}
+		return rec, true
 	}
-	f := e.frames[e.pos]
-	e.pos++
-	e.now = f.At
-	return f, true
+	return bin.Record{}, false
 }
+
+// diverged is the reply a send gets once the replay has failed.
+var diverged = bus.Reply{Err: ErrDiverged}
 
 // --- core.Env ------------------------------------------------------------
 
-func (e *wireReplay) Now() sim.Duration { return e.now }
+func (e *replayer) Now() sim.Duration { return e.now }
 
-func (e *wireReplay) MaxInstances() int { return e.hdr.MaxDevices }
+func (e *replayer) MaxInstances() int { return e.cfg.MaxDevices }
 
-func (e *wireReplay) ActiveInstances() []int {
+func (e *replayer) ActiveInstances() []int {
 	return append([]int(nil), e.active...)
 }
 
-func (e *wireReplay) Allocate() (int, error) {
+func (e *replayer) Allocate() (int, error) {
 	rep := e.send(bus.Command{Kind: bus.Allocate})
 	return rep.Instance, rep.Err
 }
 
-func (e *wireReplay) Deallocate(id int) error {
+func (e *replayer) Deallocate(id int) error {
 	return e.send(bus.Command{Kind: bus.Deallocate, Instance: id}).Err
 }
 
-// --- frame consumption ---------------------------------------------------
+// --- record consumption --------------------------------------------------
 
 // send matches one coordinator-originated command against the next recorded
 // exchange and returns the recorded reply. The live run's decision sequence
 // is deterministic, so the replayed coordinator must ask for exactly what
-// the log carries next — anything else is divergence.
-func (e *wireReplay) send(cmd bus.Command) bus.Reply {
-	f, ok := e.next()
-	if !ok {
-		e.fail("coordinator sent %s but the log has no frames left", cmd.Kind)
-		return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
+// the stream carries next — anything else is divergence.
+func (e *replayer) send(cmd bus.Command) bus.Reply {
+	rec, ok := e.next()
+	switch {
+	case !ok:
+		e.fail("coordinator sent %s but the stream has no records left", cmd.Kind)
+	case rec.Kind != bin.KindCommand:
+		e.fail("coordinator sent %s but the stream carries a %v record", cmd.Kind, rec.Kind)
+	case wire.DecodeCommand(*rec.Command) != cmd || !rec.Command.Coord:
+		e.fail("coordinator sent %+v but the stream recorded %+v", cmd, *rec.Command)
+	default:
+		return e.consumeExchange(cmd)
 	}
-	if f.Kind != wire.FrameCommand {
-		e.fail("coordinator sent %s but the log carries a %v frame", cmd.Kind, f.Kind)
-		return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
-	}
-	if f.Cmd != cmd || !f.Coord {
-		e.fail("coordinator sent %+v but the log recorded %+v (coordinator-sent: %v)", cmd, f.Cmd, f.Coord)
-		return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
-	}
-	return e.consumeExchange(cmd)
+	return diverged
 }
 
-// consumeExchange reads the effect frames of one in-flight command (screen
-// definitions, instance leases) up to its reply, then applies the exchange
-// to the mirrored farm state.
-func (e *wireReplay) consumeExchange(cmd bus.Command) bus.Reply {
+// consumeExchange reads the effect records of one in-flight command (screen
+// trees, leases and their launch events) up to its reply, then
+// applies the exchange to the mirrored farm state.
+func (e *replayer) consumeExchange(cmd bus.Command) bus.Reply {
 	for {
-		f, ok := e.next()
+		rec, ok := e.next()
 		if !ok {
 			e.fail("exchange for %s has no reply", cmd.Kind)
-			return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
+			return diverged
 		}
-		//lint:allow exhaustive "only screen, lease and reply frames are legal inside an exchange; the default fails the replay as divergence"
-		switch f.Kind {
-		case wire.FrameScreen:
-			e.observe(f)
-		case wire.FrameLease:
-			e.lease(f)
-		case wire.FrameReply:
-			e.apply(cmd, f.Reply)
-			return f.Reply
+		//lint:allow exhaustive "only trees, leases, launch events and the reply are legal inside an exchange; the default fails the replay as divergence"
+		switch rec.Kind {
+		case bin.KindTree:
+			e.observe(rec)
+		case bin.KindLease:
+			e.lease(rec.Lease)
+		case bin.KindEvent:
+			e.grounds++
+			e.out.Event(rec.Event)
+		case bin.KindReply:
+			rep := wire.DecodeReply(*rec.Reply)
+			e.apply(cmd, rep)
+			return rep
 		default:
-			e.fail("unexpected %v frame inside a %s exchange", f.Kind, cmd.Kind)
-			return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
+			e.fail("unexpected %v record inside a %s exchange", rec.Kind, cmd.Kind)
+			return diverged
 		}
 	}
 }
 
 // apply mirrors an exchange's effect on the farm's active set.
-func (e *wireReplay) apply(cmd bus.Command, rep bus.Reply) {
+func (e *replayer) apply(cmd bus.Command, rep bus.Reply) {
 	switch cmd.Kind {
 	case bus.Allocate:
 		if rep.Err == nil {
@@ -214,12 +259,12 @@ func (e *wireReplay) apply(cmd bus.Command, rep bus.Reply) {
 			e.removeActive(cmd.Instance)
 		}
 	case bus.BlockWidget, bus.BlockMember, bus.Kill, bus.Hang:
-		// Blocks steer tools and fates arrive as FrameFate injections;
-		// neither changes the mirrored active set here.
+		// Blocks steer tools and fates arrive as fate records; neither
+		// changes the mirrored active set here.
 	}
 }
 
-func (e *wireReplay) addActive(id int) {
+func (e *replayer) addActive(id int) {
 	i := sort.SearchInts(e.active, id)
 	if i < len(e.active) && e.active[i] == id {
 		return
@@ -229,130 +274,138 @@ func (e *wireReplay) addActive(id int) {
 	e.active[i] = id
 }
 
-func (e *wireReplay) removeActive(id int) {
+func (e *replayer) removeActive(id int) {
 	i := sort.SearchInts(e.active, id)
 	if i < len(e.active) && e.active[i] == id {
 		e.active = append(e.active[:i], e.active[i+1:]...)
 	}
 }
 
-func (e *wireReplay) observe(f wire.Frame) {
-	sig := f.Screen.Abstract()
-	if sig != f.Sig {
-		e.fail("screen definition hashes to %v, recorded as %v (codec or abstraction drift)", sig, f.Sig)
+func (e *replayer) observe(rec bin.Record) {
+	sig := rec.Tree.Abstract()
+	if uint64(sig) != rec.Screen.Sig {
+		e.fail("screen tree hashes to %v, recorded as %v (codec or abstraction drift)", sig, ui.Signature(rec.Screen.Sig))
 	}
-	e.book.Observe(sig, func() *ui.Screen { return f.Screen })
+	e.book.Observe(sig, func() *ui.Screen { return rec.Tree })
 }
 
-func (e *wireReplay) lease(f wire.Frame) {
-	e.leaseOrder = append(e.leaseOrder, f.Instance)
-	e.out.Event(f.Event)
+func (e *replayer) lease(id int) {
+	if e.leased[id] {
+		e.fail("instance %d is leased twice", id)
+		return
+	}
+	e.leased[id] = true
+	e.leases = append(e.leases, id)
 }
 
-// drive consumes the top-level frame stream: ground events and samples feed
-// the run builder, deliveries feed the coordinator, runner-sent
+// drive consumes the top-level record stream: ground events and samples
+// feed the run builder, deliveries feed the coordinator, runner-sent
 // exchanges and fate injections update the mirrored farm state. A
 // coordinator-sent exchange is consumed only by the replayed coordinator's
 // own send; meeting one here means the replay diverged.
-func (e *wireReplay) drive() {
-	for e.err == nil && e.pos < len(e.frames) {
-		f, _ := e.next()
-		switch f.Kind {
-		case wire.FrameScreen:
-			e.observe(f)
-		case wire.FrameEvent:
+func (e *replayer) drive() {
+	for {
+		rec, ok := e.next()
+		if !ok {
+			return
+		}
+		switch rec.Kind {
+		case bin.KindTree:
+			e.observe(rec)
+		case bin.KindEvent:
 			e.grounds++
-			e.out.Event(f.Event)
-		case wire.FrameDelivered:
+			e.out.Event(rec.Event)
+		case bin.KindDelivered:
 			e.delivered++
 			if e.coord != nil {
-				e.coord.OnTransition(f.Event)
+				e.coord.OnTransition(rec.Event)
 			}
-		case wire.FrameCommand:
-			if f.Coord {
-				e.fail("the log records a coordinator %s the replayed coordinator did not send", f.Cmd.Kind)
+		case bin.KindCommand:
+			if rec.Command.Coord {
+				e.fail("the stream records a coordinator %s the replayed coordinator did not send", bus.CommandKind(rec.Command.Kind))
 				break
 			}
 			// A runner-sent exchange: a baseline strategy's allocation, an
 			// end-of-run deallocation, or a guard-rejected request.
-			e.consumeExchange(f.Cmd)
-		case wire.FrameFate:
+			e.consumeExchange(wire.DecodeCommand(*rec.Command))
+		case bin.KindFate:
 			// An injected Kill removes the instance from the farm; a Hang
 			// leaves it allocated (and billed) in place.
-			if f.Cmd.Kind == bus.Kill {
-				e.removeActive(f.Cmd.Instance)
+			if cmd := wire.DecodeCommand(*rec.Command); cmd.Kind == bus.Kill {
+				e.removeActive(cmd.Instance)
 			}
-		case wire.FrameLease:
-			e.lease(f)
-		case wire.FrameTick:
+		case bin.KindLease:
+			e.lease(rec.Lease)
+		case bin.KindTick:
 			if e.coord != nil {
-				e.coord.Tick(f.At)
+				e.coord.Tick(rec.At)
 			}
-		case wire.FrameSample:
-			e.out.Sample(f.Sample)
-		case wire.FrameInstance:
-			e.summaries[f.Summary.ID] = f.Summary
-		case wire.FrameRunEnd:
-			e.end = &f.End
-		case wire.FrameHeader, wire.FrameReply:
-			// The header is consumed before drive starts and replies are
-			// consumed inside their exchange; either at top level means the
-			// log and this replayer have diverged.
-			e.fail("%v frame outside its exchange (replay diverged)", f.Kind)
+		case bin.KindSample:
+			e.out.Sample(rec.Sample)
+		case bin.KindInstance:
+			if _, dup := e.summaries[rec.Summary.ID]; dup {
+				e.fail("instance %d has two end-of-run summaries", rec.Summary.ID)
+			}
+			e.summaries[rec.Summary.ID] = rec.Summary
+		case bin.KindAccounting:
+			e.acct = &rec.Transport
+		case bin.KindEnd:
+			e.end = &rec.End
+		case bin.KindDecision, bin.KindSubspace, bin.KindScreen, bin.KindTransport, bin.KindMetric:
+			// Re-derived by the replay (or, for metrics, not replayed);
+			// next already skips decisions.
+		case bin.KindReply:
+			e.fail("reply record outside its exchange")
+		case bin.KindHeader, bin.KindStrDef, bin.KindSigDef, bin.KindReplay:
+			e.fail("%v record surfaced mid-stream", rec.Kind)
 		default:
-			e.fail("unhandled frame kind %v", f.Kind)
+			e.fail("unexpected %v record", rec.Kind)
 		}
 	}
 }
 
-// reconcile cross-checks the re-driven state against the recorded run
-// totals: the frame counts must reconcile with the transport accounting and
-// the replayed coordinator must land in the recorded end state.
-func (e *wireReplay) reconcile() error {
-	if e.end == nil {
-		return fmt.Errorf("export: replay: log carries no run-end frame (truncated recording)")
+// reconcile cross-checks the re-driven state against the recorded totals:
+// the record counts must reconcile with the transport accounting, the
+// replayed coordinator must land in the recorded end state, and every lease
+// must have exactly one end-of-run summary.
+func (e *replayer) reconcile() {
+	a := e.acct
+	switch {
+	case a == nil || e.end == nil:
+		e.fail("stream ends without its accounting and end records (truncated recording)")
+		return
+	// Every ground event but the launches is a publish the transport
+	// counted — except delayed events the run ended before re-delivering,
+	// which were recorded at emission but never credited. Allow exactly
+	// that slack.
+	case e.grounds-len(e.leases) < a.Events || e.grounds-len(e.leases) > a.Events+a.Delayed:
+		e.fail("%d ground events for %d leases but the run published %d (delayed %d)", e.grounds, len(e.leases), a.Events, a.Delayed)
+	case e.delivered != a.Delivered:
+		e.fail("%d delivered records but the run delivered %d", e.delivered, a.Delivered)
+	case e.coord != nil && e.coord.OrphanCount() != a.OrphansPending:
+		e.fail("coordinator ends with %d pending orphans, run recorded %d", e.coord.OrphanCount(), a.OrphansPending)
+	case len(e.summaries) != len(e.leases):
+		e.fail("%d end-of-run summaries for %d leases", len(e.summaries), len(e.leases))
 	}
-	// Every ground frame is a publish the transport counted — except delayed
-	// events the run ended before re-delivering, which the recorder saw at
-	// emission but the accounting never credits. Allow exactly that slack.
-	if lost := e.grounds - e.end.Stats.Published; lost < 0 || lost > e.end.Stats.Delayed {
-		return fmt.Errorf("export: replay: %d ground event frames but the run published %d (delayed %d)",
-			e.grounds, e.end.Stats.Published, e.end.Stats.Delayed)
-	}
-	if e.delivered != e.end.Stats.Delivered {
-		return fmt.Errorf("export: replay: %d delivery frames but the run delivered %d", e.delivered, e.end.Stats.Delivered)
-	}
-	if e.coord != nil && e.coord.OrphanCount() != e.end.OrphansPending {
-		return fmt.Errorf("export: replay: coordinator ends with %d pending orphans, run recorded %d", e.coord.OrphanCount(), e.end.OrphansPending)
-	}
-	for _, id := range e.leaseOrder {
+	for _, id := range e.leases {
 		if _, ok := e.summaries[id]; !ok {
-			return fmt.Errorf("export: replay: instance %d has a lease but no end-of-run summary", id)
+			e.fail("instance %d has a lease but no end-of-run summary", id)
 		}
 	}
-	return nil
 }
 
 // export closes the run builder with the re-derived tail, in the order
 // harness.RunResult.Records emits a live run, so the replayed bytes match
 // the live bytes.
-func (e *wireReplay) export() *Run {
-	end := e.end
-	tail := harness.Tail{
-		Book:            e.book,
-		Faults:          e.hdr.FaultsEnabled,
-		Stats:           end.Stats,
-		FailedInstances: end.FailedInstances,
-		OrphansPending:  end.OrphansPending,
-		End: bin.End{
-			WallNS: end.WallNS, MachineNS: end.MachineNS,
-			Coverage: end.Coverage, UniqueCrashes: end.UniqueCrashes,
-		},
+func (e *replayer) export() *Run {
+	tail := harness.Tail{Book: e.book, End: *e.end}
+	if e.faults {
+		tail.Transport = e.acct
 	}
 	if e.coord != nil {
 		tail.Subspaces = e.coord.Subspaces()
 	}
-	for _, id := range e.leaseOrder {
+	for _, id := range e.leases {
 		tail.Instances = append(tail.Instances, e.summaries[id])
 	}
 	tail.Records(e.out)
@@ -360,4 +413,4 @@ func (e *wireReplay) export() *Run {
 }
 
 // Statically assert the engine satisfies the coordinator's environment seam.
-var _ core.Env = (*wireReplay)(nil)
+var _ core.Env = (*replayer)(nil)

@@ -103,8 +103,8 @@ type RunConfig struct {
 	Seed int64
 	// ScenarioHash is the canonical content hash of the scenario document
 	// that defined the run's app (internal/scenario). It is carried verbatim
-	// into the export and wire-log headers so every result file names the
-	// exact scenario that produced it; empty for apps built in code.
+	// into the export and binary-trace headers so every result file names
+	// the exact scenario that produced it; empty for apps built in code.
 	ScenarioHash string
 	// SampleEvery is the timeline sampling period (default 10s).
 	SampleEvery sim.Duration
@@ -119,11 +119,11 @@ type RunConfig struct {
 	// log and the run's metrics registry (see internal/obs). Off by default;
 	// a disabled run carries a nil sink and pays nothing on the hot path.
 	Telemetry bool
-	// WireLog, when non-nil, records the run's full bidirectional message
-	// log in the internal/bus/wire format: every ground event, delivery,
-	// command exchange and boundary effect, from which export.ReplayWireLog
-	// re-derives the run byte-for-byte.
-	WireLog io.Writer
+	// Replayable adds the coordination protocol to the BinTrace stream
+	// (internal/bus/wire): every delivery, command exchange and boundary
+	// effect, from which export.Replay re-derives the run byte-for-byte.
+	// It needs BinTrace.
+	Replayable bool
 	// BinTrace, when non-nil, streams the run in the compact binary
 	// trace+telemetry format (internal/trace/bin): events, samples and
 	// decisions leave the process in fixed-size chunks as they happen, and
@@ -233,17 +233,14 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if _, err := tools.New(cfg.Tool, 0); err != nil {
 		return nil, err
 	}
+	if cfg.Replayable && cfg.BinTrace == nil {
+		return nil, fmt.Errorf("harness: RunConfig.Replayable needs a BinTrace to record into")
+	}
 	r := newRunner(cfg)
 	r.run()
 	res := r.result()
-	// A truncated or failed wire log must fail the run loudly: a silently
-	// incomplete log would replay wrongly later.
-	if r.rec != nil {
-		if err := r.rec.Err(); err != nil {
-			return nil, err
-		}
-	}
-	// Likewise a truncated binary trace: it would read as a corrupt stream.
+	// A truncated binary trace must fail the run loudly: it would read as a
+	// corrupt stream, or replay wrongly.
 	if r.bin != nil {
 		if err := r.bin.Close(); err != nil {
 			return nil, fmt.Errorf("harness: binary trace: %w", err)
@@ -295,7 +292,7 @@ type runner struct {
 	// producer below guards on it, so a disabled run takes no telemetry
 	// branches beyond one nil check).
 	tel *obs.Telemetry
-	// rec is the wire-log recorder when RunConfig.WireLog is set.
+	// rec writes the protocol records when RunConfig.Replayable is set.
 	rec *wire.Recorder
 	// bin is the streaming binary trace writer when RunConfig.BinTrace is
 	// set (nil otherwise). It taps the driver-side ground truth, exactly
@@ -315,14 +312,6 @@ func newRunner(cfg RunConfig) *runner {
 	if cfg.Telemetry {
 		r.tel = obs.NewTelemetry()
 	}
-	if cfg.BinTrace != nil {
-		r.bin = bin.NewWriter(cfg.BinTrace, cfg.recordHeader())
-		if r.tel != nil {
-			// Stream decisions out as the coordinator emits them instead of
-			// buffering them to run end.
-			r.tel.DecisionLog().Tee(r.bin.Decision)
-		}
-	}
 
 	maxDevices := cfg.Instances
 	autoLogin := true
@@ -341,31 +330,36 @@ func newRunner(cfg RunConfig) *runner {
 		maxDevices = 1
 		r.wallDeadline = cfg.MachineBudget
 	}
-	r.farm = device.NewFarm(cfg.App, r.rng.Fork(1000003), maxDevices, autoLogin)
-	// The transport stack, innermost first: the Inline base transport, the
-	// fault decorator on chaos runs (a nil plan leaves it undecorated), and
-	// — when a wire log is requested — the recorder's two taps: Inner below the faults (what was delivered) and Outer above them
-	// (ground events and command exchanges as the endpoints spoke them).
-	// The runner binds itself as the executor endpoint before the strategy
-	// is built, so TaOPT's coordinator can emit commands from its first
-	// event.
-	var base bus.Transport = bus.NewInline()
-	if cfg.WireLog != nil {
-		r.rec = wire.NewRecorder(cfg.WireLog, r.sched.Now, r.book, wire.Header{
-			App:             cfg.App.Name,
-			Tool:            cfg.Tool,
-			Setting:         cfg.Setting.String(),
-			Seed:            cfg.Seed,
+	switch {
+	case cfg.Replayable:
+		r.bin = bin.NewReplayWriter(cfg.BinTrace, cfg.recordHeader(), bin.ReplayConfig{
 			Instances:       cfg.Instances,
 			MaxDevices:      maxDevices,
 			DurationNS:      int64(cfg.Duration),
 			MachineBudgetNS: int64(cfg.MachineBudget),
 			SampleEveryNS:   int64(cfg.SampleEvery),
 			CoreOverride:    cfg.CoreConfig != nil,
-			Telemetry:       cfg.Telemetry,
-			FaultsEnabled:   cfg.Faults != nil && cfg.Faults.Enabled(),
-			ScenarioHash:    cfg.ScenarioHash,
 		})
+		r.rec = wire.NewRecorder(r.bin, r.sched.Now, r.book)
+	case cfg.BinTrace != nil:
+		r.bin = bin.NewWriter(cfg.BinTrace, cfg.recordHeader())
+	}
+	if r.bin != nil && r.tel != nil {
+		// Stream decisions out as the coordinator emits them instead of
+		// buffering them to run end.
+		r.tel.DecisionLog().Tee(r.bin.Decision)
+	}
+	r.farm = device.NewFarm(cfg.App, r.rng.Fork(1000003), maxDevices, autoLogin)
+	// The transport stack, innermost first: the Inline base transport, the
+	// fault decorator on chaos runs (a nil plan leaves it undecorated), and
+	// — on a replayable run — the recorder's two taps: Inner below the
+	// faults (what was delivered) and Outer above them (ground events and
+	// command exchanges as the endpoints spoke them).
+	// The runner binds itself as the executor endpoint before the strategy
+	// is built, so TaOPT's coordinator can emit commands from its first
+	// event.
+	var base bus.Transport = bus.NewInline()
+	if r.rec != nil {
 		base = r.rec.Inner(base)
 	}
 	r.port = bus.WithFaults(base, faults.PlanFor(cfg.Faults, r.rng.Fork(7000003)), r.sched)
@@ -427,8 +421,9 @@ func (r *runner) Allocate() (int, error) {
 }
 
 // localReject records an allocation the lifecycle guards refused on the
-// client side, without consulting the transport. The wire log still carries
-// the exchange, so replay resolves the same request with the same error.
+// client side, without consulting the transport. A replayable trace still
+// carries the exchange, so replay resolves the same request with the same
+// error.
 func (r *runner) localReject(err error) error {
 	if r.rec != nil {
 		r.rec.Local(bus.Command{Kind: bus.Allocate}, bus.Reply{Err: err})
@@ -493,12 +488,11 @@ func (r *runner) execAllocate() bus.Reply {
 	r.actors[id] = a
 	r.order = append(r.order, id)
 	if r.rec != nil {
-		// The launch event was emitted before any listener subscribed, so it
-		// never crosses the transport; the lease frame carries it.
 		r.rec.Lease(id, driver.Trace().Events()[0])
 	}
 	if r.bin != nil {
-		// Same gap for the binary stream: record the launch event directly.
+		// The launch event was emitted before any listener subscribed, so it
+		// never reaches recordEvent or the transport: record it directly.
 		r.bin.Event(driver.Trace().Events()[0])
 	}
 	r.scheduleStep(a, 0)
@@ -660,9 +654,6 @@ func (r *runner) sample() {
 		p.AJS = metrics.AJS(sets)
 	}
 	r.timeline = append(r.timeline, p)
-	if r.rec != nil {
-		r.rec.Sample(sampleRecord(p))
-	}
 	if r.bin != nil {
 		r.bin.Sample(sampleRecord(p))
 	}
@@ -784,30 +775,15 @@ func (r *runner) result() *RunResult {
 		}
 		res.Telemetry = r.tel
 	}
-	if r.rec == nil && r.bin == nil {
-		return res
-	}
-	tail := res.tail()
-	if r.rec != nil {
-		// Close the wire log: per-lease summaries and the run totals, the
-		// frames replay rebuilds the export's non-protocol sections from.
-		for _, sum := range tail.Instances {
-			r.rec.Instance(sum)
-		}
-		r.rec.End(wire.RunEnd{
-			WallNS:          int64(res.WallUsed),
-			MachineNS:       int64(res.MachineUsed),
-			Coverage:        res.Union.Count(),
-			UniqueCrashes:   res.UniqueCrashes,
-			FailedInstances: res.FailedInstances,
-			OrphansPending:  res.OrphansPending,
-			Stats:           res.Transport,
-		})
-	}
 	if r.bin != nil {
+		if r.rec != nil {
+			// The transport accounting replay reconciles against, recorded
+			// whether or not the run injected faults.
+			r.bin.Accounting(r.sched.Now(), res.transportRecord())
+		}
 		// The events, samples and decisions streamed live; close the
 		// record with the run's tail.
-		tail.Records(r.bin)
+		res.tail().Records(r.bin)
 	}
 	return res
 }

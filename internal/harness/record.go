@@ -64,12 +64,8 @@ func sampleRecord(p metrics.Point) bin.Sample {
 // tail collects the run's bounded end-of-run sections.
 func (r *RunResult) tail() *Tail {
 	t := &Tail{
-		Subspaces:       r.Subspaces,
-		Book:            r.Book,
-		Faults:          r.Config.Faults != nil && r.Config.Faults.Enabled(),
-		Stats:           r.Transport,
-		FailedInstances: r.FailedInstances,
-		OrphansPending:  r.OrphansPending,
+		Subspaces: r.Subspaces,
+		Book:      r.Book,
 		End: bin.End{
 			WallNS:        int64(r.WallUsed),
 			MachineNS:     int64(r.MachineUsed),
@@ -94,14 +90,43 @@ func (r *RunResult) tail() *Tail {
 		}
 		t.Instances = append(t.Instances, sum)
 	}
+	if r.Config.Faults != nil && r.Config.Faults.Enabled() {
+		tr := r.transportRecord()
+		t.Transport = &tr
+	}
 	if r.Telemetry != nil {
 		t.Metrics = r.Telemetry.Registry().Snapshot()
 	}
 	return t
 }
 
+// transportRecord is the run's transport accounting as a record.
+func (r *RunResult) transportRecord() bin.Transport {
+	st := r.Transport
+	return bin.Transport{
+		Events:          st.Published,
+		Delivered:       st.Delivered,
+		Commands:        st.Commands,
+		CommandFailures: st.CommandFailures,
+		Dropped:         st.Dropped,
+		Delayed:         st.Delayed,
+		Deaths:          st.Deaths,
+		Hangs:           st.Hangs,
+		AllocFailures:   st.AllocFailures,
+		LostCommands:    st.LostCommands,
+		FailedInstances: r.FailedInstances,
+		OrphansPending:  r.OrphansPending,
+		HasMix:          true,
+		Mix: [6]int{
+			st.KindCount(bus.Allocate), st.KindCount(bus.Deallocate),
+			st.KindCount(bus.BlockWidget), st.KindCount(bus.BlockMember),
+			st.KindCount(bus.Kill), st.KindCount(bus.Hang),
+		},
+	}
+}
+
 // Tail is the bounded end-of-run half of a run record: what closes a live
-// binary trace, and what a wire-log replay re-derives.
+// binary trace, and what a replay re-derives.
 type Tail struct {
 	// Instances are the lease summaries in allocation order.
 	Instances []bin.InstanceSummary
@@ -110,12 +135,8 @@ type Tail struct {
 	Subspaces []*core.Subspace
 	// Book lists the distinct screens in first-seen order (nil: none).
 	Book *trace.Book
-	// Faults marks a chaos run, whose transport accounting is recorded
-	// from Stats, FailedInstances and OrphansPending.
-	Faults          bool
-	Stats           bus.Stats
-	FailedInstances int
-	OrphansPending  int
+	// Transport is a chaos run's transport accounting (nil: fault-free).
+	Transport *bin.Transport
 	// Metrics is the telemetry registry snapshot (nil without telemetry).
 	Metrics []obs.Metric
 	End     bin.End
@@ -144,28 +165,8 @@ func (t *Tail) Records(s bin.Sink) {
 			s.Screen(bin.Screen{Sig: uint64(sig), Activity: sc.Activity, Nodes: sc.Root.Size()})
 		}
 	}
-	if t.Faults {
-		st := t.Stats
-		s.Transport(bin.Transport{
-			Events:          st.Published,
-			Delivered:       st.Delivered,
-			Commands:        st.Commands,
-			CommandFailures: st.CommandFailures,
-			Dropped:         st.Dropped,
-			Delayed:         st.Delayed,
-			Deaths:          st.Deaths,
-			Hangs:           st.Hangs,
-			AllocFailures:   st.AllocFailures,
-			LostCommands:    st.LostCommands,
-			FailedInstances: t.FailedInstances,
-			OrphansPending:  t.OrphansPending,
-			HasMix:          true,
-			Mix: [6]int{
-				st.KindCount(bus.Allocate), st.KindCount(bus.Deallocate),
-				st.KindCount(bus.BlockWidget), st.KindCount(bus.BlockMember),
-				st.KindCount(bus.Kill), st.KindCount(bus.Hang),
-			},
-		})
+	if t.Transport != nil {
+		s.Transport(*t.Transport)
 	}
 	for _, m := range t.Metrics {
 		s.Metric(m)

@@ -126,9 +126,9 @@ func newTaOPT(r *runner, mode core.Mode) *taopt {
 }
 
 // coordSeams is the coordinator's view of a recorded run: every exchange it
-// starts — allocations, releases, block commands — is marked
-// coordinator-sent in the wire log, so replay can require the replayed
-// coordinator to send exactly those.
+// starts — allocations, releases, block commands — is recorded as
+// coordinator-sent, so replay can require the replayed coordinator to send
+// exactly those.
 type coordSeams struct{ *runner }
 
 func (c coordSeams) Allocate() (int, error) {

@@ -10,10 +10,10 @@ import (
 // Sentinelerr forbids identity comparison (`==`/`!=`, or a `switch err`
 // case) against the module's sentinel error values (bus.ErrFarmBusy,
 // bus.ErrTimeout, bus.ErrNotBound, bin.ErrCorrupt, ...). A sentinel that
-// crosses the wire codec comes back as a *different* value wrapping the
-// sentinel — the reply codec re-frames errors as (class, message) and
+// crosses a recorded reply comes back as a *different* value wrapping the
+// sentinel — the recorder stores errors as (class, message) and replay
 // rebuilds them with errors.Is-compatible wrapping — so identity holds only
-// on a live run and silently stops matching on a replayed wire log.
+// on a live run and silently stops matching on a replayed trace.
 // errors.Is is the only comparison that behaves identically live and in
 // replay.
 func Sentinelerr(cfg *Config) *Analyzer {

@@ -1,8 +1,8 @@
 // Package wire is buslayer testdata; the harness checks it under the
-// import path taopt/internal/bus/wire. The wire framing may use its parent
-// seam and the base types it serialises. Reaching into core inverts the
+// import path taopt/internal/bus/wire. The protocol recorder may use its
+// parent seam and the base types it records. Reaching into core inverts the
 // layering, device shortcuts the seam, and faults belongs to the
-// bus.WithFaults decorator — the codec must stay fault-agnostic.
+// bus.WithFaults decorator — the recorder must stay fault-agnostic.
 package wire
 
 import (

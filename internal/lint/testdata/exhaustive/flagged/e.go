@@ -3,7 +3,7 @@
 // module-defined. Each switch below is out of sync with its const block.
 package flagged
 
-import "taopt/internal/bus/wire"
+import "taopt/internal/trace/bin"
 
 // Kind is a local int enum in the shape of the module's kind families.
 type Kind int
@@ -59,14 +59,15 @@ func stringEnum(m Mode) bool {
 	return false
 }
 
-// The acceptance case from the issue: a dispatcher over the wire frame
-// kinds that silently omits one frame — exactly the drift that desyncs a
-// codec from its enum.
-func frameDispatch(k wire.FrameKind) bool {
-	switch k { // want "switch over wire.FrameKind misses FrameRunEnd .1 of 12 members."
-	case wire.FrameHeader, wire.FrameScreen, wire.FrameEvent, wire.FrameDelivered,
-		wire.FrameCommand, wire.FrameReply, wire.FrameFate, wire.FrameLease,
-		wire.FrameTick, wire.FrameSample, wire.FrameInstance:
+// A dispatcher over the binary trace's record kinds that silently omits
+// one kind — exactly the drift that desyncs a codec from its enum.
+func recordDispatch(k bin.Kind) bool {
+	switch k { // want "switch over bin.Kind misses KindAccounting .1 of 21 members."
+	case bin.KindHeader, bin.KindStrDef, bin.KindSigDef, bin.KindEvent, bin.KindSample,
+		bin.KindDecision, bin.KindInstance, bin.KindSubspace, bin.KindScreen,
+		bin.KindTransport, bin.KindMetric, bin.KindEnd, bin.KindReplay, bin.KindTree,
+		bin.KindDelivered, bin.KindCommand, bin.KindFate, bin.KindReply, bin.KindLease,
+		bin.KindTick:
 		return true
 	}
 	return false

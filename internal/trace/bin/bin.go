@@ -41,6 +41,16 @@
 // the JSON export schema version the stream mirrors (ExportVersion), so a
 // decoded stream rebuilds a Run of the era that wrote it. DESIGN.md §12
 // documents the contract.
+//
+// # Protocol records
+//
+// A replayable stream (NewReplayWriter) also carries the coordination
+// protocol strict replay re-drives: screen trees, delivered events, command
+// and reply exchanges, fates, leases, ticks and the run-end transport
+// accounting. Its replay record follows the header directly, and a reader
+// rejects protocol records in a stream that did not announce them there.
+// Protocol kinds are additive: a stream without them is byte-identical to
+// one written before they existed, so they need no version bump.
 package bin
 
 import (
@@ -50,7 +60,9 @@ import (
 	"math"
 
 	"taopt/internal/obs"
+	"taopt/internal/sim"
 	"taopt/internal/trace"
+	"taopt/internal/ui"
 )
 
 const (
@@ -103,7 +115,39 @@ const (
 	KindMetric
 	// KindEnd closes the stream with the run totals.
 	KindEnd
+
+	// Protocol kinds (replayable streams only; see Protocol).
+
+	// KindReplay announces a replayable stream with the config replay
+	// needs; it is the first record after the header.
+	KindReplay
+	// KindTree defines one abstract screen's full node tree on first
+	// reference.
+	KindTree
+	// KindDelivered is one trace event as delivered to the coordinator,
+	// after drops and delays.
+	KindDelivered
+	// KindCommand is one command sent to the executor, by the coordinator
+	// or by the runner (Command.Coord).
+	KindCommand
+	// KindFate is a Kill/Hang injected by the fault plan below the
+	// coordinator.
+	KindFate
+	// KindReply is the executor's answer to the preceding KindCommand.
+	KindReply
+	// KindLease records one instance boot; its launch event follows as a
+	// KindEvent.
+	KindLease
+	// KindTick records one strategy tick.
+	KindTick
+	// KindAccounting is the run-end transport accounting replay reconciles
+	// against (the KindTransport layout, written on every replayable run).
+	KindAccounting
 )
+
+// Protocol reports whether k is a protocol kind, which only replayable
+// streams carry and analytics readers skip.
+func (k Kind) Protocol() bool { return k >= KindReplay }
 
 func (k Kind) String() string {
 	switch k {
@@ -131,6 +175,24 @@ func (k Kind) String() string {
 		return "metric"
 	case KindEnd:
 		return "end"
+	case KindReplay:
+		return "replay"
+	case KindTree:
+		return "tree"
+	case KindDelivered:
+		return "delivered"
+	case KindCommand:
+		return "command"
+	case KindFate:
+		return "fate"
+	case KindReply:
+		return "reply"
+	case KindLease:
+		return "lease"
+	case KindTick:
+		return "tick"
+	case KindAccounting:
+		return "accounting"
 	default:
 		return fmt.Sprintf("kind(%d)", byte(k))
 	}
@@ -227,21 +289,64 @@ type End struct {
 	UniqueCrashes int
 }
 
+// ReplayConfig is what a replayable stream records beyond the header: the
+// run shape replay rebuilds the coordinator's environment from.
+type ReplayConfig struct {
+	// Instances is the configured d_max; MaxDevices is the farm's actual
+	// concurrency cap (they differ for single-long runs).
+	Instances       int
+	MaxDevices      int
+	DurationNS      int64
+	MachineBudgetNS int64
+	SampleEveryNS   int64
+	// CoreOverride marks a run whose coordinator used a caller-supplied
+	// core.Config, which is not recorded; such a stream cannot replay.
+	CoreOverride bool
+}
+
+// Command is one recorded bus command. Kind is the bus.CommandKind ordinal
+// (bin does not import bus).
+type Command struct {
+	Kind     byte
+	Instance int
+	Screen   uint64
+	Widget   string
+	// Coord marks a command the coordinator sent (KindCommand only).
+	Coord bool
+}
+
+// Reply is one recorded bus reply. ErrClass 0 means no error; any other
+// class names the error's sentinel family and Err carries its message.
+type Reply struct {
+	Instance int
+	ErrClass byte
+	Err      string
+}
+
 // Record is one decoded stream entry; Kind selects the meaningful payload
 // field.
 type Record struct {
 	Kind Kind
 
 	Header    Header          // KindHeader
-	Event     trace.Event     // KindEvent (Instance set)
+	Event     trace.Event     // KindEvent, KindDelivered (Instance set)
 	Sample    Sample          // KindSample
 	Decision  obs.Decision    // KindDecision
 	Summary   InstanceSummary // KindInstance
 	Subspace  Subspace        // KindSubspace
-	Screen    Screen          // KindScreen
-	Transport Transport       // KindTransport
+	Screen    Screen          // KindScreen; KindTree sets Sig only
+	Transport Transport       // KindTransport, KindAccounting
 	Metric    obs.Metric      // KindMetric
 	End       End             // KindEnd
+
+	// Protocol payloads sit behind pointers, so the records analytics
+	// decode stay as small to copy as before the protocol kinds existed.
+	At      sim.Duration  // every protocol kind but KindReplay
+	Replay  *ReplayConfig // KindReplay
+	Tree    *ui.Screen    // KindTree
+	Command *Command      // KindCommand, KindFate
+	Reply   *Reply        // KindReply
+	Lease   int           // KindLease: the instance ID
 }
 
 // Sink receives one run's records in stream order. *Writer encodes them;
@@ -276,6 +381,11 @@ type Writer struct {
 	lastEventAt map[int]int64
 	lastWall    int64
 	lastDecAt   int64
+
+	// replayable admits protocol records, whose times are deltas against
+	// the previous protocol record's.
+	replayable  bool
+	lastProtoAt int64
 }
 
 // NewWriter opens a binary trace stream on w: it writes the magic, the
@@ -301,6 +411,22 @@ func NewWriter(w io.Writer, h Header) *Writer {
 		h.ExportVersion = ExportVersion
 	}
 	bw.header(h)
+	return bw
+}
+
+// NewReplayWriter opens a replayable stream: NewWriter, then the replay
+// record announcing the protocol records to come.
+func NewReplayWriter(w io.Writer, h Header, c ReplayConfig) *Writer {
+	bw := NewWriter(w, h)
+	if bw.err != nil {
+		return bw
+	}
+	bw.replayable = true
+	bw.u8(byte(KindReplay))
+	for _, v := range []int64{int64(c.Instances), int64(c.MaxDevices), c.DurationNS, c.MachineBudgetNS, c.SampleEveryNS} {
+		bw.varint(v)
+	}
+	bw.boolb(c.CoreOverride)
 	return bw
 }
 
@@ -419,15 +545,26 @@ func (w *Writer) Event(ev trace.Event) {
 	if w.err != nil {
 		return
 	}
+	w.event(KindEvent, 0, &ev, w.lastEventAt[ev.Instance])
+	w.lastEventAt[ev.Instance] = int64(ev.At)
+}
+
+// event writes one event record; its time is a delta against base. A
+// delivered event is a protocol record, stamped with its delivery time at.
+//
+//lint:hotpath
+func (w *Writer) event(k Kind, at sim.Duration, ev *trace.Event, base int64) {
 	widget := w.strRef(string(ev.Action.Widget))
 	from := w.sigRef(uint64(ev.From))
 	to := w.sigRef(uint64(ev.To))
 	activity := w.strRef(ev.Activity)
-	w.u8(byte(KindEvent))
+	if k == KindDelivered {
+		w.stamp(k, at)
+	} else {
+		w.u8(byte(k))
+	}
 	w.uvarint(uint64(ev.Instance))
-	at := int64(ev.At)
-	w.varint(at - w.lastEventAt[ev.Instance])
-	w.lastEventAt[ev.Instance] = at
+	w.varint(int64(ev.At) - base)
 	packed := byte(ev.Action.Kind) & 0x3f
 	if ev.Crashed {
 		packed |= 0x40
@@ -626,6 +763,11 @@ func (w *Writer) Transport(t Transport) {
 		return
 	}
 	w.u8(byte(KindTransport))
+	w.transportBody(t)
+	w.maybeFlush()
+}
+
+func (w *Writer) transportBody(t Transport) {
 	for _, v := range []int{
 		t.Events, t.Delivered, t.Commands, t.CommandFailures, t.Dropped,
 		t.Delayed, t.Deaths, t.Hangs, t.AllocFailures, t.LostCommands,
@@ -639,7 +781,6 @@ func (w *Writer) Transport(t Transport) {
 			w.varint(int64(v))
 		}
 	}
-	w.maybeFlush()
 }
 
 // Metric appends one metrics-registry snapshot entry.
@@ -686,4 +827,153 @@ func (w *Writer) End(e End) {
 	w.varint(int64(e.Coverage))
 	w.varint(int64(e.UniqueCrashes))
 	w.flush()
+}
+
+// --- protocol records -----------------------------------------------------
+
+// protocol reports whether a protocol record may be written: the stream
+// must have been opened replayable.
+func (w *Writer) protocol() bool {
+	if w.err == nil && !w.replayable {
+		w.err = fmt.Errorf("bin: protocol record in a stream not opened with NewReplayWriter")
+	}
+	return w.err == nil
+}
+
+// stamp opens a protocol record: kind byte, then its time as a delta
+// against the previous protocol record.
+func (w *Writer) stamp(k Kind, at sim.Duration) {
+	w.u8(byte(k))
+	w.varint(int64(at) - w.lastProtoAt)
+	w.lastProtoAt = int64(at)
+}
+
+// Tree appends one abstract screen's definition: signature, activity and
+// the node tree in pre-order.
+func (w *Writer) Tree(at sim.Duration, sig uint64, s *ui.Screen) {
+	if !w.protocol() {
+		return
+	}
+	refs := []uint64{w.sigRef(sig), w.strRef(s.Activity)}
+	refs = w.nodeRefs(refs, s.Root)
+	w.stamp(KindTree, at)
+	w.uvarint(refs[0])
+	w.uvarint(refs[1])
+	w.node(s.Root, refs[2:])
+	w.maybeFlush()
+}
+
+// nodeRefs interns the strings of n's subtree in pre-order.
+func (w *Writer) nodeRefs(refs []uint64, n *ui.Node) []uint64 {
+	if n == nil {
+		return refs
+	}
+	refs = append(refs, w.strRef(n.Class), w.strRef(n.ResourceID), w.strRef(n.Text))
+	for _, ch := range n.Children {
+		refs = w.nodeRefs(refs, ch)
+	}
+	return refs
+}
+
+// node writes n's subtree: a flags byte (present, enabled, clickable), the
+// three string refs, the child count and the children. It returns the refs
+// left over.
+func (w *Writer) node(n *ui.Node, refs []uint64) []uint64 {
+	if n == nil {
+		w.u8(0)
+		return refs
+	}
+	flags := byte(1)
+	if n.Enabled {
+		flags |= 2
+	}
+	if n.Clickable {
+		flags |= 4
+	}
+	w.u8(flags)
+	for _, ref := range refs[:3] {
+		w.uvarint(ref)
+	}
+	refs = refs[3:]
+	w.uvarint(uint64(len(n.Children)))
+	for _, ch := range n.Children {
+		refs = w.node(ch, refs)
+	}
+	return refs
+}
+
+// Delivered appends one event as delivered to the coordinator at at; the
+// event's own time is a delta against the delivery.
+func (w *Writer) Delivered(at sim.Duration, ev trace.Event) {
+	if !w.protocol() {
+		return
+	}
+	w.event(KindDelivered, at, &ev, int64(at))
+}
+
+// Command appends one command sent to the executor.
+func (w *Writer) Command(at sim.Duration, c Command) { w.command(KindCommand, at, c) }
+
+// Fate appends one fault-plan command injected below the coordinator.
+func (w *Writer) Fate(at sim.Duration, c Command) { w.command(KindFate, at, c) }
+
+func (w *Writer) command(k Kind, at sim.Duration, c Command) {
+	if !w.protocol() {
+		return
+	}
+	screen, widget := w.sigRef(c.Screen), w.strRef(c.Widget)
+	w.stamp(k, at)
+	w.u8(c.Kind)
+	w.varint(int64(c.Instance))
+	w.uvarint(screen)
+	w.uvarint(widget)
+	w.boolb(c.Coord)
+	w.maybeFlush()
+}
+
+// Reply appends the executor's answer to the preceding command.
+func (w *Writer) Reply(at sim.Duration, r Reply) {
+	if !w.protocol() {
+		return
+	}
+	var msg uint64
+	if r.ErrClass != 0 {
+		msg = w.strRef(r.Err)
+	}
+	w.stamp(KindReply, at)
+	w.varint(int64(r.Instance))
+	w.u8(r.ErrClass)
+	if r.ErrClass != 0 {
+		w.uvarint(msg)
+	}
+	w.maybeFlush()
+}
+
+// Lease appends one instance boot.
+func (w *Writer) Lease(at sim.Duration, id int) {
+	if !w.protocol() {
+		return
+	}
+	w.stamp(KindLease, at)
+	w.varint(int64(id))
+	w.maybeFlush()
+}
+
+// Tick appends one strategy tick.
+func (w *Writer) Tick(at sim.Duration) {
+	if !w.protocol() {
+		return
+	}
+	w.stamp(KindTick, at)
+	w.maybeFlush()
+}
+
+// Accounting appends the run-end transport accounting.
+func (w *Writer) Accounting(at sim.Duration, t Transport) {
+	if !w.protocol() {
+		return
+	}
+	w.stamp(KindAccounting, at)
+	w.transportBody(t)
+	w.maybeFlush()
 }

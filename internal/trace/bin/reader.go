@@ -37,7 +37,19 @@ type Reader struct {
 	lastEventAt map[int]int64
 	lastWall    int64
 	lastDecAt   int64
+
+	// n counts the records surfaced so far (the header is record 0);
+	// replayable is set by a replay record at n == 1 and admits protocol
+	// records.
+	n           int
+	replayable  bool
+	lastProtoAt int64
 }
+
+// maxNodeDepth bounds the nesting of a decoded screen tree, so a corrupt
+// stream of deeply nested nodes fails with an error instead of overflowing
+// the decoder's stack. Real screens are a handful of levels deep.
+const maxNodeDepth = 256
 
 // NewReader opens a binary trace stream: it validates the magic and codec
 // version and decodes the mandatory header record.
@@ -88,46 +100,70 @@ func (r *Reader) Next() (Record, error) {
 			}
 		}
 		kind := Kind(r.u8())
+		rec := Record{Kind: kind}
 		switch kind {
 		case KindStrDef:
 			r.strs = append(r.strs, r.rawstr())
+			continue
 		case KindSigDef:
 			r.sigs = append(r.sigs, r.u64le())
+			continue
 		case KindHeader:
-			return r.finish(Record{Kind: kind, Header: r.header()})
+			rec.Header = r.header()
 		case KindEvent:
-			return r.finish(Record{Kind: kind, Event: r.event()})
+			rec.Event = r.event(kind, 0)
 		case KindSample:
-			return r.finish(Record{Kind: kind, Sample: r.sample()})
+			rec.Sample = r.sample()
 		case KindDecision:
-			return r.finish(Record{Kind: kind, Decision: r.decision()})
+			rec.Decision = r.decision()
 		case KindInstance:
-			return r.finish(Record{Kind: kind, Summary: r.instance()})
+			rec.Summary = r.instance()
 		case KindSubspace:
-			return r.finish(Record{Kind: kind, Subspace: r.subspace()})
+			rec.Subspace = r.subspace()
 		case KindScreen:
-			return r.finish(Record{Kind: kind, Screen: r.screen()})
+			rec.Screen = r.screen()
 		case KindTransport:
-			return r.finish(Record{Kind: kind, Transport: r.transport()})
+			rec.Transport = r.transport()
 		case KindMetric:
-			return r.finish(Record{Kind: kind, Metric: r.metric()})
+			rec.Metric = r.metric()
 		case KindEnd:
-			return r.finish(Record{Kind: kind, End: r.end()})
+			rec.End = r.end()
+		case KindReplay:
+			if r.n != 1 {
+				r.corruptf("replay record is not the first record after the header")
+			}
+			r.replayable = true
+			rec.Replay = r.replayConfig()
+		case KindTree:
+			rec.At = r.at()
+			rec.Screen.Sig = r.sig()
+			rec.Tree = r.tree()
+		case KindDelivered:
+			rec.At = r.at()
+			rec.Event = r.event(kind, int64(rec.At))
+		case KindCommand, KindFate:
+			rec.At = r.at()
+			rec.Command = r.command()
+		case KindReply:
+			rec.At = r.at()
+			rec.Reply = r.reply()
+		case KindLease:
+			rec.At = r.at()
+			rec.Lease = int(r.varint())
+		case KindTick:
+			rec.At = r.at()
+		case KindAccounting:
+			rec.At = r.at()
+			rec.Transport = r.transport()
 		default:
 			r.corruptf("unknown record kind %d", byte(kind))
 		}
 		if r.err != nil {
 			return Record{}, r.err
 		}
+		r.n++
+		return rec, nil
 	}
-}
-
-// finish gates a decoded record on the latched error.
-func (r *Reader) finish(rec Record) (Record, error) {
-	if r.err != nil {
-		return Record{}, r.err
-	}
-	return rec, nil
 }
 
 // loadChunk reads the next chunk's length prefix and payload. io.EOF at the
@@ -293,11 +329,18 @@ func (r *Reader) header() Header {
 	return h
 }
 
+// event decodes an event body. A ground event's time is a delta against
+// its instance's previous event, a delivered one's against the delivery
+// time at.
+//
 //lint:hotpath
-func (r *Reader) event() trace.Event {
+func (r *Reader) event(k Kind, at int64) trace.Event {
 	inst := int(r.uvarint())
-	at := r.lastEventAt[inst] + r.varint()
-	if r.err == nil {
+	if k == KindEvent {
+		at = r.lastEventAt[inst]
+	}
+	at += r.varint()
+	if k == KindEvent && r.err == nil {
 		r.lastEventAt[inst] = at
 	}
 	packed := r.u8()
@@ -464,4 +507,74 @@ func (r *Reader) end() End {
 		Coverage:      int(r.varint()),
 		UniqueCrashes: int(r.varint()),
 	}
+}
+
+// --- protocol records -----------------------------------------------------
+
+// at opens a protocol record: it rejects one in a stream that was not
+// announced replayable, then decodes the record's delta time.
+func (r *Reader) at() sim.Duration {
+	if !r.replayable {
+		r.corruptf("protocol record in a stream without a replay record")
+		return 0
+	}
+	at := r.lastProtoAt + r.varint()
+	if r.err == nil {
+		r.lastProtoAt = at
+	}
+	return sim.Duration(at)
+}
+
+func (r *Reader) replayConfig() *ReplayConfig {
+	return &ReplayConfig{
+		Instances:       int(r.varint()),
+		MaxDevices:      int(r.varint()),
+		DurationNS:      r.varint(),
+		MachineBudgetNS: r.varint(),
+		SampleEveryNS:   r.varint(),
+		CoreOverride:    r.boolb(),
+	}
+}
+
+func (r *Reader) tree() *ui.Screen {
+	return &ui.Screen{Activity: r.str(), Root: r.node(1)}
+}
+
+// node decodes the subtree at nesting depth (the root is depth 1).
+func (r *Reader) node(depth int) *ui.Node {
+	flags := r.u8()
+	if flags&1 == 0 || r.err != nil {
+		return nil
+	}
+	if depth > maxNodeDepth {
+		r.corruptf("screen tree nests deeper than %d levels", maxNodeDepth)
+		return nil
+	}
+	n := &ui.Node{
+		Class: r.str(), ResourceID: r.str(), Text: r.str(),
+		Enabled: flags&2 != 0, Clickable: flags&4 != 0,
+	}
+	k := r.count()
+	for i := 0; i < k && r.err == nil; i++ {
+		n.Children = append(n.Children, r.node(depth+1))
+	}
+	return n
+}
+
+func (r *Reader) command() *Command {
+	return &Command{
+		Kind:     r.u8(),
+		Instance: int(r.varint()),
+		Screen:   r.sig(),
+		Widget:   r.str(),
+		Coord:    r.boolb(),
+	}
+}
+
+func (r *Reader) reply() *Reply {
+	rep := &Reply{Instance: int(r.varint()), ErrClass: r.u8()}
+	if rep.ErrClass != 0 {
+		rep.Err = r.str()
+	}
+	return rep
 }
