@@ -215,7 +215,7 @@ func main() {
 			bySub[sc.Subspace] = append(bySub[sc.Subspace], int(sc.ID))
 		}
 		for _, sc := range aut.Screens {
-			sig := aut.Render(sc.ID, 0).Abstract()
+			sig := aut.Signature(sc.ID)
 			truth[sig] = sc.Subspace
 			if sc.Subspace != 0 {
 				blk := bySub[sc.Subspace]

@@ -199,6 +199,22 @@ func (a *App) Activities() []string {
 	return out
 }
 
+// The fixed chrome of every rendered screen: a content frame holding a
+// toolbar with its title, then a container of the widgets and decoration
+// rows.
+const (
+	classFrame   = "android.widget.FrameLayout"
+	classToolbar = "androidx.appcompat.widget.Toolbar"
+	classText    = "android.widget.TextView"
+	classLinear  = "android.widget.LinearLayout"
+	idContent    = "android:id/content"
+	idToolbar    = "toolbar"
+	idTitle      = "toolbar_title"
+	idContainer  = "container"
+	idRow        = "row_"
+	idRowText    = "row_text_"
+)
+
 // Render produces the concrete UI hierarchy of screen id for its visit'th
 // visit. Rendering is deterministic given (id, visit): volatile widget text
 // incorporates the visit counter, everything else is fixed. The clickable
@@ -206,12 +222,12 @@ func (a *App) Activities() []string {
 // of the hierarchy is Widgets[i].
 func (a *App) Render(id ScreenID, visit int) *ui.Screen {
 	s := a.Screens[id]
-	root := &ui.Node{Class: "android.widget.FrameLayout", ResourceID: "android:id/content", Enabled: true}
-	toolbar := &ui.Node{Class: "androidx.appcompat.widget.Toolbar", ResourceID: "toolbar", Enabled: true}
+	root := &ui.Node{Class: classFrame, ResourceID: idContent, Enabled: true}
+	toolbar := &ui.Node{Class: classToolbar, ResourceID: idToolbar, Enabled: true}
 	toolbar.Children = []*ui.Node{{
-		Class: "android.widget.TextView", ResourceID: "toolbar_title", Text: s.Title, Enabled: true,
+		Class: classText, ResourceID: idTitle, Text: s.Title, Enabled: true,
 	}}
-	container := &ui.Node{Class: "android.widget.LinearLayout", ResourceID: "container", Enabled: true}
+	container := &ui.Node{Class: classLinear, ResourceID: idContainer, Enabled: true}
 	container.Children = make([]*ui.Node, 0, len(s.Widgets)+s.Decorations)
 	seen := strconv.Itoa(visit)
 	for _, w := range s.Widgets {
@@ -234,14 +250,43 @@ func (a *App) Render(id ScreenID, visit int) *ui.Screen {
 			text += " (seen " + seen + ")"
 		}
 		container.Children = append(container.Children, &ui.Node{
-			Class: "android.widget.LinearLayout", ResourceID: "row_" + n, Enabled: true,
+			Class: classLinear, ResourceID: idRow + n, Enabled: true,
 			Children: []*ui.Node{{
-				Class: "android.widget.TextView", ResourceID: "row_text_" + n, Text: text, Enabled: true,
+				Class: classText, ResourceID: idRowText + n, Text: text, Enabled: true,
 			}},
 		})
 	}
 	root.Children = []*ui.Node{toolbar, container}
 	return &ui.Screen{Activity: s.Activity, Root: root}
+}
+
+// Signature returns the abstract signature of screen id, equal to
+// Render(id, visit).Abstract() for every visit (a render differs between
+// visits only in its text), without building the hierarchy.
+//
+//lint:hotpath
+func (a *App) Signature(id ScreenID) ui.Signature {
+	s := a.Screens[id]
+	h := ui.NewHasher(s.Activity)
+	h.Open(classFrame, idContent)
+	h.Open(classToolbar, idToolbar)
+	h.Open(classText, idTitle)
+	h.Close()
+	h.Close()
+	h.Open(classLinear, idContainer)
+	for _, w := range s.Widgets {
+		h.Open(w.Class, w.ResourceID)
+		h.Close()
+	}
+	for d := 0; d < s.Decorations; d++ {
+		h.OpenNumbered(classLinear, idRow, d)
+		h.OpenNumbered(classText, idRowText, d)
+		h.Close()
+		h.Close()
+	}
+	h.Close()
+	h.Close()
+	return h.Sum()
 }
 
 // WidgetPaths returns the ui.WidgetPath of each widget as Render lays it

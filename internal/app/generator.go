@@ -151,13 +151,71 @@ var widgetClasses = []string{
 	"android.widget.ImageView",
 }
 
-// builder carries generation state.
+// builder carries generation state. An app is allocated in bulk, not per
+// widget: its screens share one []ScreenState, widgets and method lists are
+// capacity-clipped runs of shared slabs, and its strings are substrings of
+// shared text buffers.
 type builder struct {
 	spec    Spec
 	rng     *sim.RNG
 	app     *App
 	pkg     string
 	nextRes int
+
+	widgets []Widget
+	methods []MethodID
+	text    text
+}
+
+// Slab sizes: each slab holds this many elements (more if one request needs
+// it), so a generated app costs a handful of allocations per kind.
+const (
+	widgetChunk = 256
+	methodChunk = 4096
+	textChunk   = 8 << 10
+)
+
+// carve returns the next n elements of *slab as a capacity-clipped
+// subslice, so appending to it can never write into a neighbour. A full
+// slab is replaced by a fresh one of at least chunk elements.
+func carve[T any](slab *[]T, n, chunk int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(n, chunk))
+	}
+	lo := len(*slab)
+	*slab = (*slab)[:lo+n]
+	return (*slab)[lo : lo+n : lo+n]
+}
+
+// text hands out strings that share large backing buffers. A
+// strings.Builder never rewrites bytes it has written, so substrings of its
+// String stay valid as it grows.
+type text struct{ sb strings.Builder }
+
+// join returns the concatenation of parts.
+func (t *text) join(parts ...string) string { return t.build(parts, nil) }
+
+// num returns the concatenation of parts followed by n in decimal.
+func (t *text) num(n int, parts ...string) string {
+	var digits [20]byte
+	return t.build(parts, strconv.AppendInt(digits[:0], int64(n), 10))
+}
+
+func (t *text) build(parts []string, tail []byte) string {
+	n := len(tail)
+	for _, p := range parts {
+		n += len(p)
+	}
+	if t.sb.Cap()-t.sb.Len() < n {
+		t.sb = strings.Builder{}
+		t.sb.Grow(max(n, textChunk))
+	}
+	lo := t.sb.Len()
+	for _, p := range parts {
+		t.sb.WriteString(p)
+	}
+	t.sb.Write(tail)
+	return t.sb.String()[lo:]
 }
 
 // Generate builds the app described by spec. The result is deterministic in
@@ -167,8 +225,8 @@ func Generate(spec Spec) *App {
 	b := &builder{
 		spec: spec,
 		rng:  sim.NewRNG(spec.Seed),
-		pkg:  "com." + sanitize(spec.Name),
 	}
+	b.pkg = b.text.join("com.", sanitize(spec.Name))
 	b.app = &App{
 		Name:      spec.Name,
 		Version:   spec.Version,
@@ -200,37 +258,52 @@ func (b *builder) build() {
 
 	// Plan functionality sizes and activities.
 	sizes := make([]int, spec.Subspaces)
+	total := 1
 	for i := range sizes {
 		sizes[i] = spec.ScreensMin + rng.Intn(spec.ScreensMax-spec.ScreensMin+1)
+		total += sizes[i]
 	}
-	sharedActivity := b.pkg + ".SharedSettingsActivity"
-	hubActivity := b.pkg + ".MainTabsActivity"
+	sharedActivity := b.text.join(b.pkg, ".SharedSettingsActivity")
+	hubActivity := b.text.join(b.pkg, ".MainTabsActivity")
 
-	// Allocate screens: hub first, then one block per functionality.
-	type planned struct {
-		subspace int
-		activity string
-		title    string
-	}
-	var plan []planned
-	plan = append(plan, planned{0, hubActivity, "MainTabs"})
+	// Allocate screens: hub first, then one block per functionality, then
+	// the optional login screen.
+	hubTitles := []string{"MainTabs"}
 	if rng.Bool(0.6) {
-		plan = append(plan, planned{0, hubActivity, "GlobalSearch"})
+		hubTitles = append(hubTitles, "GlobalSearch")
+		total++
+	}
+	if spec.LoginRequired {
+		total++
+	}
+	states := make([]ScreenState, total)
+	a.Screens = make([]*ScreenState, total)
+	for i := range states {
+		states[i].ID = ScreenID(i)
+		a.Screens[i] = &states[i]
+	}
+	// blocks[k] lists the screens of subspace k (0 = hub) as a run of ids.
+	ids := make([]int, total)
+	for i := range ids {
+		ids[i] = i
 	}
 	entry := make([]int, spec.Subspaces+1) // entry[k] = screen index of subspace k's entry (entry[0] unused)
 	blocks := make([][]int, spec.Subspaces+1)
-	for i := range plan {
-		blocks[0] = append(blocks[0], i)
+	blocks[0] = ids[:len(hubTitles)]
+	for i, title := range hubTitles {
+		states[i].Activity, states[i].Title = hubActivity, title
 	}
+	next := len(hubTitles)
+	acts := make([]string, 0, spec.ActivitiesMax)
 	for k := 1; k <= spec.Subspaces; k++ {
 		name := subspaceNames[(k-1)%len(subspaceNames)]
 		if k-1 >= len(subspaceNames) {
-			name = fmt.Sprintf("%s%d", name, (k-1)/len(subspaceNames)+1)
+			name = b.text.num((k-1)/len(subspaceNames)+1, name)
 		}
 		nAct := spec.ActivitiesMin + rng.Intn(spec.ActivitiesMax-spec.ActivitiesMin+1)
-		acts := make([]string, nAct)
-		for j := range acts {
-			acts[j] = fmt.Sprintf("%s.%s%sActivity", b.pkg, name, activitySuffix(j))
+		acts = acts[:0]
+		for j := 0; j < nAct; j++ {
+			acts = append(acts, b.text.join(b.pkg, ".", name, activitySuffix(j), "Activity"))
 		}
 		// Shared activities defeat activity partitioning: occasionally one
 		// of this functionality's activities is the global shared one, or
@@ -242,7 +315,8 @@ func (b *builder) build() {
 				acts[nAct-1] = hubActivity
 			}
 		}
-		entry[k] = len(plan)
+		entry[k] = next
+		blocks[k] = ids[next : next+sizes[k-1]]
 		for s := 0; s < sizes[k-1]; s++ {
 			// Entry screens live on the functionality's first activity;
 			// deeper screens spread across the rest.
@@ -250,28 +324,21 @@ func (b *builder) build() {
 			if s > 0 {
 				act = acts[rng.Intn(len(acts))]
 			}
-			title := fmt.Sprintf("%s %s", name, screenTitle(s))
-			blocks[k] = append(blocks[k], len(plan))
-			plan = append(plan, planned{k, act, title})
+			st := &states[next]
+			st.Subspace, st.Activity, st.Title = k, act, b.screenTitle(name, s)
+			next++
 		}
 	}
 
-	// Optional login screen at the end.
 	loginIdx := -1
 	if spec.LoginRequired {
-		loginIdx = len(plan)
-		plan = append(plan, planned{0, b.pkg + ".LoginActivity", "Login"})
+		loginIdx = next
+		states[loginIdx].Activity = b.text.join(b.pkg, ".LoginActivity")
+		states[loginIdx].Title = "Login"
 	}
 
-	a.Screens = make([]*ScreenState, len(plan))
-	for i, p := range plan {
-		a.Screens[i] = &ScreenState{
-			ID:          ScreenID(i),
-			Activity:    p.activity,
-			Subspace:    p.subspace,
-			Title:       p.title,
-			Decorations: rng.Intn(spec.DecorationsMax + 1),
-		}
+	for i := range states {
+		states[i].Decorations = rng.Intn(spec.DecorationsMax + 1)
 	}
 	a.Main = 0
 	if loginIdx >= 0 {
@@ -334,22 +401,30 @@ func activitySuffix(j int) string {
 	return suffixes[j%len(suffixes)]
 }
 
-func screenTitle(s int) string {
-	titles := []string{"Home", "List", "Detail", "Options", "Compose", "Results", "Filter", "Preview", "More", "Archive"}
-	if s < len(titles) {
-		return titles[s]
+var screenTitles = []string{"Home", "List", "Detail", "Options", "Compose", "Results", "Filter", "Preview", "More", "Archive"}
+
+// screenTitle names the s'th screen of the functionality called name.
+func (b *builder) screenTitle(name string, s int) string {
+	if s < len(screenTitles) {
+		return b.text.join(name, " ", screenTitles[s])
 	}
-	return fmt.Sprintf("Page %d", s)
+	return b.text.num(s, name, " Page ")
 }
 
 // newMethods adds n fresh methods to the universe and returns their IDs.
 func (b *builder) newMethods(n int) []MethodID {
-	ids := make([]MethodID, n)
+	ids := carve(&b.methods, n, methodChunk)
 	for i := range ids {
 		ids[i] = MethodID(b.app.NumMethods + i)
 	}
 	b.app.NumMethods += n
 	return ids
+}
+
+// reserve gives screen room for exactly n widgets, which newWidget then
+// appends in place.
+func (b *builder) reserve(screen *ScreenState, n int) {
+	screen.Widgets = carve(&b.widgets, n, widgetChunk)[:0]
 }
 
 func (b *builder) newWidget(screen *ScreenState, label string, target ScreenID) {
@@ -358,7 +433,7 @@ func (b *builder) newWidget(screen *ScreenState, label string, target ScreenID) 
 	b.nextRes++
 	screen.Widgets = append(screen.Widgets, Widget{
 		Class:      widgetClasses[rng.Intn(len(widgetClasses))],
-		ResourceID: "w_" + strconv.Itoa(b.nextRes),
+		ResourceID: b.text.num(b.nextRes, "w_"),
 		Label:      label,
 		Target:     target,
 		Methods:    b.newMethods(n),
@@ -371,16 +446,19 @@ func (b *builder) newWidget(screen *ScreenState, label string, target ScreenID) 
 func (b *builder) wireHub(blocks [][]int, entry []int) {
 	a, rng := b.app, b.rng
 	main := a.Screens[0]
+	const banners = 2
+	b.reserve(main, len(entry)-1+banners)
 	for k := 1; k < len(entry); k++ {
-		b.newWidget(main, "Tab "+a.Screens[entry[k]].Title, ScreenID(entry[k]))
+		b.newWidget(main, b.text.join("Tab ", a.Screens[entry[k]].Title), ScreenID(entry[k]))
 	}
 	// A couple of non-navigating widgets (refresh, promo banner).
-	for i := 0; i < 2; i++ {
-		b.newWidget(main, fmt.Sprintf("Banner %d", i), TargetNone)
+	for i := 0; i < banners; i++ {
+		b.newWidget(main, b.text.num(i, "Banner "), TargetNone)
 	}
 	// Other hub screens link back to main and to a random functionality.
 	for _, idx := range blocks[0][1:] {
 		s := a.Screens[idx]
+		b.reserve(s, 3)
 		b.newWidget(s, "Home", 0)
 		k := 1 + rng.Intn(len(entry)-1)
 		b.newWidget(s, "Open", ScreenID(entry[k]))
@@ -414,7 +492,7 @@ func (b *builder) wireSubspace(k int, blocks [][]int, entry []int) {
 		s := a.Screens[idx]
 		l := layerOf(pos)
 		nw := spec.WidgetsMin + rng.Intn(spec.WidgetsMax-spec.WidgetsMin+1)
-		s.Widgets = make([]Widget, 0, nw)
+		b.reserve(s, nw)
 		for w := 0; w < nw; w++ {
 			switch {
 			case pos == 0 && w == 0:
@@ -434,11 +512,11 @@ func (b *builder) wireSubspace(k int, blocks [][]int, entry []int) {
 			case w <= 1 && l+1 < layers:
 				// Forward edge into the next layer: the flow's spine.
 				t := pickInLayer(l + 1)
-				b.newWidget(s, "Open "+a.Screens[t].Title, ScreenID(t))
+				b.newWidget(s, b.text.join("Open ", a.Screens[t].Title), ScreenID(t))
 			case w == 2 && l > 0 && rng.Bool(0.6):
 				// Back toward shallower layers, like list ↔ detail loops.
 				t := pickInLayer(rng.Intn(l))
-				b.newWidget(s, "Back to "+a.Screens[t].Title, ScreenID(t))
+				b.newWidget(s, b.text.join("Back to ", a.Screens[t].Title), ScreenID(t))
 			case rng.Bool(0.22):
 				// Non-navigating interaction (toggle, like, play).
 				b.newWidget(s, "Toggle", TargetNone)
@@ -447,7 +525,7 @@ func (b *builder) wireSubspace(k int, blocks [][]int, entry []int) {
 			default:
 				// Sideways within the layer (tabs, sibling items).
 				t := pickInLayer(l)
-				b.newWidget(s, "Open "+a.Screens[t].Title, ScreenID(t))
+				b.newWidget(s, b.text.join("Open ", a.Screens[t].Title), ScreenID(t))
 			}
 		}
 	}
@@ -457,6 +535,7 @@ func (b *builder) wireSubspace(k int, blocks [][]int, entry []int) {
 // cannot pass it: the form widgets never navigate to Main.
 func (b *builder) wireLogin(id ScreenID) {
 	s := b.app.Screens[id]
+	b.reserve(s, 4)
 	b.newWidget(s, "Username", TargetNone)
 	b.newWidget(s, "Password", TargetNone)
 	b.newWidget(s, "Sign In", TargetNone) // fails: no credentials

@@ -65,3 +65,23 @@ func TestCatalogStructureGolden(t *testing.T) {
 		t.Fatalf("generated app structure drifted from %s:\ngot:\n%swant:\n%s", structureGolden, got, want)
 	}
 }
+
+// TestGenerateSlicesClipped checks that the generator's slab-carved lists
+// are capacity-clipped: a list with spare capacity shares its backing array
+// with the next list carved, so an append to it would overwrite a neighbour.
+func TestGenerateSlicesClipped(t *testing.T) {
+	for _, name := range Names() {
+		a := MustLoad(name)
+		for _, s := range a.Screens {
+			if cap(s.Widgets) != len(s.Widgets) || cap(s.VisitMethods) != len(s.VisitMethods) {
+				t.Fatalf("%s screen %d: widgets cap %d len %d, visit methods cap %d len %d",
+					name, s.ID, cap(s.Widgets), len(s.Widgets), cap(s.VisitMethods), len(s.VisitMethods))
+			}
+			for i, w := range s.Widgets {
+				if cap(w.Methods) != len(w.Methods) {
+					t.Fatalf("%s screen %d widget %d: methods cap %d len %d", name, s.ID, i, cap(w.Methods), len(w.Methods))
+				}
+			}
+		}
+	}
+}

@@ -139,7 +139,8 @@ type Env interface {
 	Now() sim.Duration
 	// MaxInstances is the concurrency cap d_max.
 	MaxInstances() int
-	// ActiveInstances lists the IDs of running instances.
+	// ActiveInstances lists the IDs of running instances in ascending
+	// order, in a fresh slice the caller may keep or modify.
 	ActiveInstances() []int
 	// Allocate boots a new testing instance, returning its ID. An error
 	// wrapping bus.ErrFarmBusy means no device is available right now
@@ -999,7 +1000,7 @@ func (c *Coordinator) replaceLost() {
 // replaceLost.
 func (c *Coordinator) reapStagnant(now sim.Duration) {
 	active := c.env.ActiveInstances()
-	sort.Ints(active)
+	reaped := false
 	for _, id := range active {
 		last, ok := c.lastNew[id]
 		if !ok {
@@ -1015,12 +1016,14 @@ func (c *Coordinator) reapStagnant(now sim.Duration) {
 		})
 		c.retire(id, true)
 		c.replaceLost()
+		reaped = true
 	}
 	// Liveness guard (resource-constrained mode): the paper defers new
 	// allocations until a new subspace is identified, but with zero active
 	// instances nothing can ever be identified again. A practical deployment
 	// relaunches one instance; we do the same (documented in DESIGN.md).
-	if len(c.env.ActiveInstances()) == 0 {
+	// Only a reap changes the farm, so only then is the list asked for again.
+	if len(active) == 0 || reaped && len(c.env.ActiveInstances()) == 0 {
 		c.allocate()
 	}
 }

@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"taopt/internal/app"
@@ -225,6 +226,94 @@ func TestFarmSharesScreenCache(t *testing.T) {
 	sig := a1.Emu.Signature()
 	if got := a2.Emu.screens[main]; got.paths == nil || got.sig != sig {
 		t.Fatal("an entry one emulator filled must be visible to the other")
+	}
+	// Filling an entry costs the widget paths, one string per widget and
+	// their slice. A render would allocate a node per element on top.
+	in := &a1.Emu.screens[main]
+	fill := func() {
+		*in = screenInfo{}
+		a1.Emu.Signature()
+	}
+	widgets := len(testApp().Screen(main).Widgets)
+	if n := testing.AllocsPerRun(20, fill); n > float64(widgets+1) {
+		t.Fatalf("filling a cache entry: %v allocations, want at most %d (no render)", n, widgets+1)
+	}
+	if in.sig != sig {
+		t.Fatal("a refilled entry must keep its signature")
+	}
+}
+
+// TestFarmActiveOrder drives a farm through random allocate, release and
+// fail interleavings. After every step Active and ActiveIDs must equal a
+// map-plus-sort model of the live leases, and releasing a retired or never
+// allocated ID must fail with ErrDoubleRelease or ErrUnknownInstance.
+func TestFarmActiveOrder(t *testing.T) {
+	const devices = 4
+	rng := sim.NewRNG(7)
+	f := NewFarm(testApp(), sim.NewRNG(1), devices, false)
+	live := map[int]bool{}
+	allocated := 0
+	var want []int
+	for step := 0; step < 3000; step++ {
+		now := sim.Duration(step)
+		switch op := rng.Intn(3); op {
+		case 0:
+			al, err := f.Allocate(now)
+			if len(live) == devices {
+				if !errors.Is(err, ErrFarmBusy) {
+					t.Fatalf("step %d: allocate on a full farm: err = %v, want ErrFarmBusy", step, err)
+				}
+				break
+			}
+			if err != nil || al.Emu.ID != allocated {
+				t.Fatalf("step %d: allocate = %v, %v; want instance %d", step, al, err, allocated)
+			}
+			live[allocated] = true
+			allocated++
+		default:
+			id := rng.Intn(allocated+2) - 1 // -1 and allocated were never handed out
+			if len(want) > 0 && rng.Bool(0.6) {
+				id = want[rng.Intn(len(want))]
+			}
+			retire := f.Release
+			if op == 2 {
+				retire = f.Fail
+			}
+			_, err := retire(id, now)
+			switch {
+			case live[id]:
+				if err != nil {
+					t.Fatalf("step %d: retiring live instance %d: %v", step, id, err)
+				}
+				delete(live, id)
+			case id >= 0 && id < allocated:
+				if !errors.Is(err, ErrDoubleRelease) {
+					t.Fatalf("step %d: retiring retired instance %d: err = %v, want ErrDoubleRelease", step, id, err)
+				}
+			default:
+				if !errors.Is(err, ErrUnknownInstance) {
+					t.Fatalf("step %d: retiring unknown instance %d: err = %v, want ErrUnknownInstance", step, id, err)
+				}
+			}
+		}
+		want = want[:0]
+		for id := range live {
+			want = append(want, id)
+		}
+		slices.Sort(want)
+		if got := f.ActiveIDs(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: ActiveIDs = %v, want %v", step, got, want)
+		}
+		var got []int
+		for _, al := range f.Active() {
+			got = append(got, al.Emu.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: Active IDs = %v, want %v", step, got, want)
+		}
+	}
+	if allocated < 3*devices {
+		t.Fatalf("only %d allocations: the interleaving never cycled the farm", allocated)
 	}
 }
 

@@ -70,9 +70,10 @@ const maxBackStack = 32
 // screenCache holds what every render of an app screen has in common,
 // indexed by screen ID: a render differs between visits only in its text, so
 // its abstract signature and widget paths are fixed per screen. An entry is
-// filled on the screen's first use. A Farm shares one cache among the
-// emulators it allocates. It is never kept on the App: runs on several
-// goroutines may share one App, so nothing is filled lazily on it.
+// filled on the screen's first use from App.Signature and WidgetPaths,
+// without rendering. A Farm shares one cache among the emulators it
+// allocates. It is never kept on the App: runs on several goroutines may
+// share one App, so nothing is filled lazily on it.
 type screenCache []screenInfo
 
 type screenInfo struct {
@@ -162,12 +163,12 @@ func (e *Emulator) Render() *ui.Screen {
 	return e.App.Render(e.cur, e.visits[e.cur])
 }
 
-// current returns the current screen's cache entry, filling it from a render
-// on the screen's first use.
+// current returns the current screen's cache entry, filling it on the
+// screen's first use.
 func (e *Emulator) current() *screenInfo {
 	in := &e.screens[e.cur]
 	if in.paths == nil {
-		in.sig = e.Render().Abstract()
+		in.sig = e.App.Signature(e.cur)
 		in.paths = e.App.Screen(e.cur).WidgetPaths()
 	}
 	return in

@@ -1,9 +1,10 @@
 package device
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"taopt/internal/app"
 	"taopt/internal/sim"
@@ -33,9 +34,12 @@ type Farm struct {
 	autoLogin  bool
 	screens    screenCache
 
-	nextID    int
-	active    map[int]*Allocation
-	retired   []*Allocation
+	// all holds every allocation ever made, indexed by instance ID: IDs are
+	// handed out consecutively from 0.
+	all []*Allocation
+	// active holds the live allocations in ascending ID order: IDs only
+	// grow, so Allocate appends and retire deletes in place.
+	active    []*Allocation
 	meterUsed sim.Duration
 	failed    int
 }
@@ -75,7 +79,6 @@ func NewFarm(a *app.App, rng *sim.RNG, maxDevices int, autoLogin bool) *Farm {
 		maxDevices: maxDevices,
 		autoLogin:  autoLogin,
 		screens:    newScreenCache(a),
-		active:     make(map[int]*Allocation),
 	}
 }
 
@@ -95,14 +98,14 @@ func (f *Farm) Allocate(now sim.Duration) (*Allocation, error) {
 	if len(f.active) >= f.maxDevices {
 		return nil, fmt.Errorf("%w (%d devices)", ErrFarmBusy, f.maxDevices)
 	}
-	id := f.nextID
-	f.nextID++
+	id := len(f.all)
 	emu := newEmulator(id, f.app, f.rng.Fork(int64(id)), f.screens)
 	if f.autoLogin {
 		emu.AutoLogin()
 	}
 	al := &Allocation{Emu: emu, Since: now}
-	f.active[id] = al
+	f.all = append(f.all, al)
+	f.active = append(f.active, al)
 	return al, nil
 }
 
@@ -124,54 +127,47 @@ func (f *Farm) Fail(id int, now sim.Duration) (*Allocation, error) {
 }
 
 func (f *Farm) retire(id int, now sim.Duration, failed bool) (*Allocation, error) {
-	al, ok := f.active[id]
-	if !ok {
-		if id >= 0 && id < f.nextID {
-			return nil, fmt.Errorf("%w: instance %d", ErrDoubleRelease, id)
-		}
+	if id < 0 || id >= len(f.all) {
 		return nil, fmt.Errorf("%w: instance %d", ErrUnknownInstance, id)
 	}
-	delete(f.active, id)
+	al := f.all[id]
+	if al.done {
+		return nil, fmt.Errorf("%w: instance %d", ErrDoubleRelease, id)
+	}
+	i, _ := slices.BinarySearchFunc(f.active, id, func(al *Allocation, id int) int { return cmp.Compare(al.Emu.ID, id) })
+	f.active = slices.Delete(f.active, i, i+1)
 	al.Until = now
 	al.done = true
 	al.Failed = failed
 	if failed {
 		f.failed++
 	}
-	f.retired = append(f.retired, al)
 	f.meterUsed += al.Until - al.Since
 	return al, nil
 }
 
 // ReleaseAll de-allocates every active instance.
 func (f *Farm) ReleaseAll(now sim.Duration) {
-	ids := make([]int, 0, len(f.active))
-	for id := range f.active {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range f.ActiveIDs() {
 		f.Release(id, now)
 	}
 }
 
 // Active returns the active allocations sorted by instance ID.
-func (f *Farm) Active() []*Allocation {
-	out := make([]*Allocation, 0, len(f.active))
-	for _, al := range f.active {
-		out = append(out, al)
+func (f *Farm) Active() []*Allocation { return slices.Clone(f.active) }
+
+// ActiveIDs returns the IDs of the active instances in ascending order, in
+// a fresh slice.
+func (f *Farm) ActiveIDs() []int {
+	out := make([]int, len(f.active))
+	for i, al := range f.active {
+		out[i] = al.Emu.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Emu.ID < out[j].Emu.ID })
 	return out
 }
 
-// All returns every allocation ever made, retired first, sorted by ID.
-func (f *Farm) All() []*Allocation {
-	out := append([]*Allocation(nil), f.retired...)
-	out = append(out, f.Active()...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Emu.ID < out[j].Emu.ID })
-	return out
-}
+// All returns every allocation ever made, sorted by ID.
+func (f *Farm) All() []*Allocation { return slices.Clone(f.all) }
 
 // MachineTime returns total machine time consumed by all allocations by now.
 func (f *Farm) MachineTime(now sim.Duration) sim.Duration {

@@ -111,8 +111,9 @@ type replayer struct {
 	faults bool
 
 	// active mirrors the farm's active-allocation set. Instance IDs are
-	// allocated monotonically and device.Farm.Active sorts by ID, so a
-	// sorted ID slice reproduces ActiveInstances exactly.
+	// allocated monotonically and device.Farm.ActiveIDs lists them in
+	// ascending order, so a sorted ID slice reproduces ActiveInstances
+	// exactly.
 	active []int
 
 	book      *trace.Book

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
+	"taopt/internal/app"
 	"taopt/internal/apps"
 	"taopt/internal/core"
 	"taopt/internal/coverage"
@@ -195,7 +197,11 @@ func (c *Campaign) Cell(appName, tool string, setting Setting) (*CellSummary, er
 		c.stats.CacheHits++
 		return s, nil
 	}
-	s, err := c.computeCell(key)
+	aut, err := c.loadApp(key.App)
+	if err != nil {
+		return nil, err
+	}
+	s, err := c.computeCell(key, aut)
 	if err != nil {
 		return nil, err
 	}
@@ -212,14 +218,12 @@ func (c *Campaign) FleetStats() FleetStats {
 	return st
 }
 
-// computeCell executes one cell without touching the cache or the progress
-// writer, so fleet workers can run it concurrently: a cell is one
-// self-contained simulation whose seed derives from its key alone.
-func (c *Campaign) computeCell(key CellKey) (*CellSummary, error) {
-	aut, hash, err := c.loadApp(key.App)
-	if err != nil {
-		return nil, err
-	}
+// computeCell executes one cell on aut without touching the cache or the
+// progress writer, so fleet workers can run it concurrently: a cell is one
+// self-contained simulation whose seed derives from its key alone, and it
+// only reads the app.
+func (c *Campaign) computeCell(key CellKey, aut *app.App) (*CellSummary, error) {
+	hash := c.appHash(key.App)
 	cfg := RunConfig{
 		App:          aut,
 		Tool:         key.Tool,
@@ -234,6 +238,7 @@ func (c *Campaign) computeCell(key CellKey) (*CellSummary, error) {
 	}
 	var binFile *os.File
 	if c.cfg.BinTraceDir != "" {
+		var err error
 		binFile, err = os.Create(filepath.Join(c.cfg.BinTraceDir, CellTraceName(key, cfg.Seed)))
 		if err != nil {
 			return nil, fmt.Errorf("harness: creating binary trace: %w", err)
@@ -276,7 +281,9 @@ func (c *Campaign) logProgress(s *CellSummary) {
 // logging happen on the calling goroutine in deterministic key order
 // (sorted apps, then tools and settings as given), so a parallel campaign's
 // cache, summaries and progress stream are byte-identical to a serial one;
-// the first cell error is returned after the whole batch settles.
+// the first cell error is returned after the whole batch settles. Each app
+// of the batch is generated once, by the first worker that needs it, and
+// shared read-only by all of its cells.
 func (c *Campaign) Prefetch(tools []string, settings ...Setting) error {
 	if tools == nil {
 		tools = c.cfg.Tools
@@ -296,8 +303,18 @@ func (c *Campaign) Prefetch(tools []string, settings ...Setting) error {
 	if workers < 1 {
 		workers = 1
 	}
+	loads := make(map[string]func() (*app.App, error))
+	for _, key := range keys {
+		if loads[key.App] == nil {
+			loads[key.App] = sync.OnceValues(func() (*app.App, error) { return c.loadApp(key.App) })
+		}
+	}
 	results, pool := fleet.MapTracked(workers, len(keys), func(i int) (*CellSummary, error) {
-		return c.computeCell(keys[i])
+		aut, err := loads[keys[i].App]()
+		if err != nil {
+			return nil, err
+		}
+		return c.computeCell(keys[i], aut)
 	})
 	if pool.Workers > 0 {
 		c.stats.Workers = pool.Workers

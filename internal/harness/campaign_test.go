@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"taopt/internal/app"
@@ -125,6 +126,37 @@ func TestFleetCampaignParallelMatchesSerial(t *testing.T) {
 					a.Key, a, b)
 			}
 		}
+	}
+}
+
+// TestFleetSharedAppRace runs every cell of one app on two workers that
+// share the app Prefetch generated once. Under -race it checks that a run
+// only reads its app; either way each summary must equal the one a serial
+// campaign computes from an app generated for that cell alone.
+func TestFleetSharedAppRace(t *testing.T) {
+	settings := []Setting{BaselineParallel, TaOPTDuration}
+	build := func(workers int) *Campaign {
+		cfg := tinyConfig()
+		cfg.Tools = []string{"monkey", "ape", "wctester"}
+		cfg.Workers = workers
+		return NewCampaign(cfg)
+	}
+	par := build(2)
+	if err := par.Prefetch(nil, settings...); err != nil {
+		t.Fatal(err)
+	}
+	serial := build(1)
+	for _, tool := range serial.Tools() {
+		for _, setting := range settings {
+			want := mustCellT(t, serial, "Filters For Selfie", tool, setting)
+			got := mustCellT(t, par, "Filters For Selfie", tool, setting)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cell %s: shared-app summary differs from the serial one:\n%+v\nvs\n%+v", want.Key, got, want)
+			}
+		}
+	}
+	if st := par.FleetStats(); st.CellsComputed != 6 || st.CacheHits != 6 {
+		t.Fatalf("parallel campaign: CellsComputed = %d, CacheHits = %d, want 6 and 6", st.CellsComputed, st.CacheHits)
 	}
 }
 

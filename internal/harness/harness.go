@@ -393,14 +393,7 @@ func (r *runner) Now() sim.Duration { return r.sched.Now() }
 func (r *runner) MaxInstances() int { return r.farm.MaxDevices() }
 
 // ActiveInstances implements core.Env.
-func (r *runner) ActiveInstances() []int {
-	als := r.farm.Active()
-	out := make([]int, len(als))
-	for i, al := range als {
-		out[i] = al.Emu.ID
-	}
-	return out
-}
+func (r *runner) ActiveInstances() []int { return r.farm.ActiveIDs() }
 
 // Allocate implements core.Env: the request travels as a bus command to the
 // executor below (possibly through the fault decorator's outage model). A
@@ -661,7 +654,7 @@ func (r *runner) sample() {
 		reg := r.tel.Registry()
 		reg.Append("run.coverage", now, float64(p.Covered))
 		reg.Append("run.crashes", now, float64(p.Crashes))
-		active := len(r.farm.Active())
+		active := r.farm.ActiveCount()
 		reg.Append("fleet.active", now, float64(active))
 		reg.Append("fleet.utilization", now, float64(active)/float64(r.farm.MaxDevices()))
 		var widgets, members int

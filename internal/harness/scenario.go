@@ -16,19 +16,21 @@ type ScenarioApp struct {
 	Hash string
 }
 
-// loadApp resolves one campaign app name: an inline scenario app if the
-// campaign carries one under that name (generated fresh per cell, like
-// catalog loads), the catalog otherwise. It returns the generated app and
-// the scenario hash stamped into the cell's export.
-func (c *Campaign) loadApp(name string) (*app.App, string, error) {
+// loadApp generates one campaign app: an inline scenario app if the
+// campaign carries one under that name, the catalog app otherwise.
+func (c *Campaign) loadApp(name string) (*app.App, error) {
 	if sa, ok := c.cfg.ScenarioApps[name]; ok {
-		return app.Generate(sa.Spec), sa.Hash, nil
+		return app.Generate(sa.Spec), nil
 	}
-	aut, err := apps.Load(name)
-	if err != nil {
-		return nil, "", err
+	return apps.Load(name)
+}
+
+// appHash is the scenario hash stamped into the exports of name's cells.
+func (c *Campaign) appHash(name string) string {
+	if sa, ok := c.cfg.ScenarioApps[name]; ok {
+		return sa.Hash
 	}
-	return aut, apps.Hash(name), nil
+	return apps.Hash(name)
 }
 
 // FromScenario lowers a compiled campaign scenario onto a CampaignConfig.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"taopt/internal/app"
 	"taopt/internal/apps"
 	"taopt/internal/device"
 	"taopt/internal/sim"
@@ -160,17 +161,21 @@ func TestWidgetPathsMatchRenderedTree(t *testing.T) {
 	}
 }
 
-// TestSignatureIndependentOfVisit checks the premise of the emulator's
-// per-screen signature: a screen's render hashes the same on every visit,
-// for every catalog screen.
+// TestSignatureIndependentOfVisit is the oracle of the emulator's
+// per-screen signature: App.Signature hashes a screen without rendering it,
+// and must equal the render's abstraction on every visit, for every catalog
+// screen and the motivating example.
 func TestSignatureIndependentOfVisit(t *testing.T) {
+	auts := []*app.App{app.MotivatingExample()}
 	for _, name := range apps.Names() {
-		a := apps.MustLoad(name)
+		auts = append(auts, apps.MustLoad(name))
+	}
+	for _, a := range auts {
 		for _, s := range a.Screens {
-			want := a.Render(s.ID, 0).Abstract()
-			for _, visit := range []int{1, 2, 37} {
+			want := a.Signature(s.ID)
+			for _, visit := range []int{0, 1, 2, 37} {
 				if got := a.Render(s.ID, visit).Abstract(); got != want {
-					t.Fatalf("%s screen %d: visit %d hashes to %v, visit 0 to %v", name, s.ID, visit, got, want)
+					t.Fatalf("%s screen %d: visit %d renders to %v, Signature is %v", a.Name, s.ID, visit, got, want)
 				}
 			}
 		}

@@ -9,7 +9,10 @@
 // similarity (following [66]).
 package ui
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Node is one element of a UI hierarchy.
 type Node struct {
@@ -73,22 +76,54 @@ func (sig Signature) String() string { return fmt.Sprintf("ui:%012x", uint64(sig
 //
 //lint:hotpath
 func (s *Screen) Abstract() Signature {
-	h := fnvString(fnvOffset64, s.Activity)
-	return Signature(writeAbstract(fnvByte(h, 0), s.Root))
+	h := NewHasher(s.Activity)
+	writeAbstract(&h, s.Root)
+	return h.Sum()
 }
 
 //lint:hotpath
-func writeAbstract(h uint64, n *Node) uint64 {
+func writeAbstract(h *Hasher, n *Node) {
 	if n == nil {
-		return h
+		return
 	}
-	h = fnvString(fnvByte(h, '('), n.Class)
-	h = fnvString(fnvByte(h, '#'), n.ResourceID)
+	h.Open(n.Class, n.ResourceID)
 	for _, ch := range n.Children {
-		h = writeAbstract(h, ch)
+		writeAbstract(h, ch)
 	}
-	return fnvByte(h, ')')
+	h.Close()
 }
+
+// Hasher computes a Signature element by element, so a caller that knows a
+// hierarchy's shape can hash it without building nodes. The byte layout is
+// FNV-1a/64 over the activity, a zero byte, then per element in pre-order
+// '(' class '#' resource ID, its children, and ')'.
+type Hasher struct{ h uint64 }
+
+// NewHasher starts the signature of a screen of the given activity.
+func NewHasher(activity string) Hasher {
+	return Hasher{fnvByte(fnvString(fnvOffset64, activity), 0)}
+}
+
+// Open starts an element; its children follow, then Close.
+func (h *Hasher) Open(class, resourceID string) {
+	h.h = fnvString(fnvByte(fnvString(fnvByte(h.h, '('), class), '#'), resourceID)
+}
+
+// OpenNumbered starts an element whose resource ID is prefix followed by n
+// in decimal, without formatting the ID.
+func (h *Hasher) OpenNumbered(class, prefix string, n int) {
+	h.Open(class, prefix)
+	var digits [20]byte
+	for _, c := range strconv.AppendInt(digits[:0], int64(n), 10) {
+		h.h = fnvByte(h.h, c)
+	}
+}
+
+// Close ends the innermost open element.
+func (h *Hasher) Close() { h.h = fnvByte(h.h, ')') }
+
+// Sum returns the signature hashed so far.
+func (h Hasher) Sum() Signature { return Signature(h.h) }
 
 // FNV-1a/64, hashed inline over string bytes: the same function as
 // hash/fnv's New64a without a []byte conversion per write.

@@ -25,7 +25,8 @@
 //	})
 //	fmt.Println(res.Union.Count(), "methods covered")
 //
-// See examples/ for runnable programs and DESIGN.md for the system map.
+// See example_test.go for runnable walk-throughs and DESIGN.md for the
+// system map.
 package taopt
 
 import (
