@@ -58,6 +58,8 @@ type Emulator struct {
 	loggedIn  bool
 	restarts  int
 	screens   screenCache
+	// actions is the buffer Actions fills and returns.
+	actions []Action
 
 	// Coverage and Crashes are this instance's MiniTrace/Logcat analogues.
 	Coverage *coverage.Set
@@ -182,20 +184,22 @@ func (e *Emulator) Signature() ui.Signature { return e.current().sig }
 
 // Actions enumerates the executable actions on the current screen: a tap on
 // every widget whose path is not in blocked (the Toller driver's entrypoint
-// blocks for this screen; nil blocks none), then Back, which is always
-// available.
+// blocks for this screen; nil blocks none), in widget order, then Back,
+// which is always available and always last. The slice is the emulator's
+// own buffer: it stays valid until the next call to Actions, which
+// overwrites it.
 //
 //lint:hotpath
 func (e *Emulator) Actions(blocked map[ui.WidgetPath]bool) []Action {
-	paths := e.current().paths
-	out := make([]Action, 0, len(paths)+1)
-	for i, p := range paths {
+	out := e.actions[:0]
+	for i, p := range e.current().paths {
 		if blocked[p] {
 			continue
 		}
 		out = append(out, Action{Kind: trace.ActionTap, Widget: i, Path: p})
 	}
 	out = append(out, Action{Kind: trace.ActionBack, Widget: -1})
+	e.actions = out
 	return out
 }
 

@@ -250,7 +250,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 }
 
 // actor drives one testing instance: tool chooses, driver performs, repeat.
+// It is its own step event, so scheduling a step allocates nothing.
 type actor struct {
+	r       *runner
 	id      int
 	al      *device.Allocation
 	driver  *toller.Driver
@@ -288,6 +290,9 @@ type runner struct {
 
 	occurrences map[ui.Signature]int
 	timeline    metrics.Timeline
+	// cov keeps the sampled union and pairwise similarities between
+	// samples.
+	cov coverageSampler
 	// tel is the run's telemetry (nil when RunConfig.Telemetry is off; every
 	// producer below guards on it, so a disabled run takes no telemetry
 	// branches beyond one nil check).
@@ -471,6 +476,7 @@ func (r *runner) execAllocate() bus.Reply {
 	id := al.Emu.ID
 	driver := toller.NewDriver(al.Emu, r.book, now)
 	a := &actor{
+		r:      r,
 		id:     id,
 		al:     al,
 		driver: driver,
@@ -573,9 +579,10 @@ func (r *runner) recordEvent(ev trace.Event) {
 	r.occurrences[ev.To]++
 }
 
-func (r *runner) scheduleStep(a *actor, after sim.Duration) {
-	r.sched.After(after, sim.EventFunc(func(*sim.Scheduler) { r.step(a) }))
-}
+func (r *runner) scheduleStep(a *actor, after sim.Duration) { r.sched.After(after, a) }
+
+// Fire implements sim.Event: the actor's next step.
+func (a *actor) Fire(*sim.Scheduler) { a.r.step(a) }
 
 func (r *runner) step(a *actor) {
 	if a.stopped || a.hung || r.ended {
@@ -640,12 +647,9 @@ func (r *runner) sample() {
 	p := metrics.Point{
 		Wall:    now,
 		Machine: r.farm.MachineTime(now),
-		Covered: coverage.UnionOf(sets).Count(),
 		Crashes: crash.UniqueUnion(logs),
 	}
-	if len(sets) > 1 {
-		p.AJS = metrics.AJS(sets)
-	}
+	p.Covered, p.AJS = r.cov.sample(sets)
 	r.timeline = append(r.timeline, p)
 	if r.bin != nil {
 		r.bin.Sample(sampleRecord(p))

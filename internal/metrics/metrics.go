@@ -15,13 +15,15 @@ import (
 )
 
 // Jaccard returns |A∩B| / |A∪B| for two covered-method sets; the similarity
-// of two empty sets is defined as 1 (identical behaviour).
+// of two empty sets is defined as 1 (identical behaviour). It scans the
+// sets once: |A∪B| = |A| + |B| - |A∩B|.
 func Jaccard(a, b *coverage.Set) float64 {
-	union := a.UnionCount(b)
+	inter := a.IntersectCount(b)
+	union := a.Count() + b.Count() - inter
 	if union == 0 {
 		return 1
 	}
-	return float64(a.IntersectCount(b)) / float64(union)
+	return float64(inter) / float64(union)
 }
 
 // AJS computes the Average Jaccard Similarity across all unordered pairs of

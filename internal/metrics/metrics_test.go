@@ -46,6 +46,55 @@ func TestJaccardProperties(t *testing.T) {
 	}
 }
 
+// TestJaccardMatchesTwoPass checks the one-pass Jaccard against the
+// two-pass |A∩B| / |A∪B| over random pairs of sets, empty, disjoint, equal
+// and dense ones among them, up to a Zedge-sized universe: the counts are
+// exact integers, so the quotients must be equal, not merely close.
+func TestJaccardMatchesTwoPass(t *testing.T) {
+	twoPass := func(a, b *coverage.Set) float64 {
+		union := a.UnionCount(b)
+		if union == 0 {
+			return 1
+		}
+		return float64(a.IntersectCount(b)) / float64(union)
+	}
+	rng := sim.NewRNG(11)
+	for _, n := range []int{1, 63, 64, 65, 1000, 90000} {
+		random := func(density float64) *coverage.Set {
+			s := coverage.NewSet(n)
+			for id := 0; id < n; id++ {
+				if rng.Bool(density) {
+					s.Add(id)
+				}
+			}
+			return s
+		}
+		even, odd := coverage.NewSet(n), coverage.NewSet(n)
+		for id := 0; id < n; id++ {
+			if id%2 == 0 {
+				even.Add(id)
+			} else {
+				odd.Add(id)
+			}
+		}
+		full := random(1)
+		pairs := [][2]*coverage.Set{
+			{coverage.NewSet(n), coverage.NewSet(n)},
+			{coverage.NewSet(n), full},
+			{even, odd},
+			{full, full.Clone()},
+		}
+		for i := 0; i < 20; i++ {
+			pairs = append(pairs, [2]*coverage.Set{random(rng.Float64()), random(rng.Float64())})
+		}
+		for i, p := range pairs {
+			if got, want := Jaccard(p[0], p[1]), twoPass(p[0], p[1]); got != want {
+				t.Fatalf("universe %d pair %d: Jaccard %v, two-pass %v", n, i, got, want)
+			}
+		}
+	}
+}
+
 func TestAJS(t *testing.T) {
 	sets := []*coverage.Set{
 		set(100, 1, 2),

@@ -73,8 +73,12 @@ func (r *RNG) DurationBetween(lo, hi Duration) Duration {
 }
 
 // Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+func (r *RNG) Perm(n int) []int { return r.PermInto(make([]int, n)) }
+
+// PermInto fills p with a random permutation of [0, len(p)) and returns it.
+// It makes exactly Perm's draws, and p's previous contents do not matter,
+// so a caller can reuse one buffer across calls.
+func (r *RNG) PermInto(p []int) []int {
 	for i := range p {
 		j := r.Intn(i + 1)
 		p[i] = p[j]

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Event is a unit of simulated work. Fire is invoked when the scheduler's
 // clock reaches the event's due time. Fire may schedule further events.
 type Event interface {
@@ -20,23 +18,62 @@ type scheduled struct {
 	ev  Event
 }
 
+// eventHeap is a binary min-heap of scheduled events ordered by (at, seq).
+// It sifts the values directly instead of going through container/heap,
+// whose Push and Pop box every element into an interface. (at, seq) is a
+// strict total order, so any correct heap pops the same sequence.
 type eventHeap []scheduled
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(scheduled)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// push adds it to the heap.
+//
+//lint:hotpath
+func (h *eventHeap) push(it scheduled) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event. The vacated tail slot is
+// cleared so the backing array does not keep the fired Event alive.
+//
+//lint:hotpath
+func (h *eventHeap) pop() scheduled {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = scheduled{}
+	q = q[:n]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < n && q.less(l, least) {
+			least = l
+		}
+		if r := l + 1; r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // Scheduler is a deterministic discrete-event loop. Events scheduled for the
@@ -60,12 +97,14 @@ func (s *Scheduler) Now() Duration { return s.clock.Now() }
 // At schedules ev to fire at absolute virtual time t. Scheduling in the past
 // fires the event at the current time (ordering after already-queued events
 // for that instant).
+//
+//lint:hotpath
 func (s *Scheduler) At(t Duration, ev Event) {
 	if t < s.clock.Now() {
 		t = s.clock.Now()
 	}
 	s.seq++
-	heap.Push(&s.heap, scheduled{at: t, seq: s.seq, ev: ev})
+	s.heap.push(scheduled{at: t, seq: s.seq, ev: ev})
 }
 
 // After schedules ev to fire d after the current virtual time.
@@ -89,20 +128,22 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 // called. It returns the virtual time at which the loop stopped.
 //
 // A zero deadline means "no deadline".
+//
+//lint:hotpath
 func (s *Scheduler) Run(deadline Duration) Duration {
 	s.halt = false
 	for len(s.heap) > 0 && !s.halt {
-		next := s.heap[0]
-		if deadline != 0 && next.at > deadline {
+		if deadline != 0 && s.heap[0].at > deadline {
 			s.clock.advance(deadline)
 			break
 		}
-		heap.Pop(&s.heap)
+		next := s.heap.pop()
 		s.clock.advance(next.at)
 		s.processed++
 		next.ev.Fire(s)
 	}
 	if s.halt {
+		clear(s.heap)
 		s.heap = s.heap[:0]
 	}
 	return s.clock.Now()

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"container/heap"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -321,5 +323,179 @@ func TestSchedulerProcessedCounts(t *testing.T) {
 	s.Run(0)
 	if got := s.Processed(); got != 5 {
 		t.Fatalf("Processed after second Run = %d, want 5", got)
+	}
+}
+
+// refEvent is one event of the reference scheduler below.
+type refEvent struct {
+	at  Duration
+	seq uint64
+	id  int
+}
+
+// refHeap is a container/heap over refEvents: the reference the typed event
+// heap is checked against.
+type refHeap []refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// script decides what each event does when it fires, from its id alone, so
+// two schedulers that fire the same sequence make the same calls. Fired
+// events may schedule children (some in the past, clamped to now; many at
+// one instant), and the event numbered halt calls Halt.
+type script struct {
+	seed  int64
+	next  int // id of the next scheduled event
+	limit int // no children once next reaches it
+	halt  int
+	fired []int
+}
+
+// fire records id and reports the children it schedules and whether it
+// halts the run.
+func (sc *script) fire(id int, schedule func(d Duration, id int)) (halt bool) {
+	sc.fired = append(sc.fired, id)
+	rng := NewRNG(sc.seed*1000003 + int64(id))
+	for k := rng.Intn(3); k > 0 && sc.next < sc.limit; k-- {
+		sc.next++
+		schedule(Duration(rng.Intn(5)-1), sc.next)
+	}
+	return id == sc.halt
+}
+
+// scriptEvent is a script event on the Scheduler under test.
+type scriptEvent struct {
+	sc *script
+	id int
+}
+
+func (e *scriptEvent) Fire(s *Scheduler) {
+	if e.sc.fire(e.id, func(d Duration, id int) { s.After(d, &scriptEvent{e.sc, id}) }) {
+		s.Halt()
+	}
+}
+
+// TestSchedulerMatchesContainerHeap is the order oracle of the typed event
+// heap: over random due times with many ties, events that schedule events
+// (into the past, too) and a Halt mid-run, the scheduler fires exactly the
+// sequence a container/heap reference fires, stops at the same time and
+// leaves the same number of events pending.
+func TestSchedulerMatchesContainerHeap(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := NewRNG(seed)
+		initial := 1 + rng.Intn(60)
+		halt := -1
+		if rng.Bool(0.5) {
+			halt = rng.Intn(400)
+		}
+		deadline := Duration(0)
+		if rng.Bool(0.3) {
+			deadline = Duration(5 + rng.Intn(40))
+		}
+		due := make([]Duration, initial)
+		for i := range due {
+			due[i] = Duration(rng.Intn(12))
+		}
+
+		got := &script{seed: seed, next: initial - 1, limit: 400, halt: halt}
+		s := NewScheduler()
+		for i, at := range due {
+			s.At(at, &scriptEvent{got, i})
+		}
+		end := s.Run(deadline)
+
+		want := &script{seed: seed, next: initial - 1, limit: 400, halt: halt}
+		var (
+			h      refHeap
+			now    Duration
+			seq    uint64
+			halted bool
+		)
+		at := func(t Duration, id int) {
+			if t < now {
+				t = now
+			}
+			seq++
+			heap.Push(&h, refEvent{at: t, seq: seq, id: id})
+		}
+		for i, t := range due {
+			at(t, i)
+		}
+		for h.Len() > 0 && !halted {
+			if deadline != 0 && h[0].at > deadline {
+				now = deadline
+				break
+			}
+			ev := heap.Pop(&h).(refEvent)
+			now = ev.at
+			halted = want.fire(ev.id, func(d Duration, id int) { at(now+d, id) })
+		}
+		pending := h.Len()
+		if halted {
+			pending = 0
+		}
+
+		if !slices.Equal(got.fired, want.fired) {
+			t.Fatalf("seed %d: fired %v\nreference fired %v", seed, got.fired, want.fired)
+		}
+		if end != now || s.Pending() != pending {
+			t.Fatalf("seed %d: stopped at %v with %d pending, reference at %v with %d", seed, end, s.Pending(), now, pending)
+		}
+	}
+}
+
+type nopEvent struct{ n int }
+
+func (e *nopEvent) Fire(*Scheduler) { e.n++ }
+
+// TestSchedulerCycleDoesNotAllocate pins the typed heap's point: scheduling
+// a pointer event and firing it boxes nothing.
+func TestSchedulerCycleDoesNotAllocate(t *testing.T) {
+	s := NewScheduler()
+	ev := &nopEvent{}
+	cycle := func() {
+		s.After(1, ev)
+		s.Run(0)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("After+fire: %v allocations per cycle, want 0", n)
+	}
+	if ev.n != 1002 {
+		t.Fatalf("fired %d times, want 1002", ev.n)
+	}
+}
+
+// TestRNGPermIntoMatchesPerm checks that PermInto makes Perm's draws and
+// ignores what the buffer held before.
+func TestRNGPermIntoMatchesPerm(t *testing.T) {
+	a, b := NewRNG(9), NewRNG(9)
+	buf := make([]int, 0, 32)
+	for n := 0; n < 32; n++ {
+		want := a.Perm(n)
+		buf = buf[:n]
+		for i := range buf {
+			buf[i] = -7 * i
+		}
+		if got := b.PermInto(buf); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: PermInto %v, Perm %v", n, got, want)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("PermInto and Perm left the streams at different points")
 	}
 }

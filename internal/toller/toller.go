@@ -21,8 +21,13 @@ import (
 )
 
 // View is what a testing tool observes: the current screen's activity and
-// abstract signature, and the actions it may take there. Blocked entrypoints
-// are left out of Actions.
+// abstract signature, and the actions it may take there.
+//
+// Actions holds a tap on every widget that is not a blocked entrypoint, in
+// widget order, then Back, always last. It is the emulator's reused buffer
+// (device.Emulator.Actions): it stays valid until the driver's next View,
+// so a tool that wants an action beyond that keeps the Action value, never
+// the slice.
 type View struct {
 	Activity string
 	Sig      ui.Signature

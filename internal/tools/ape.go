@@ -36,6 +36,10 @@ type Ape struct {
 	lastState  ui.Signature
 	lastAction ui.WidgetPath
 	hasLast    bool
+	// perm and cands are reused per-step buffers: the tie-break
+	// permutation and the model-guided candidates.
+	perm  []int
+	cands []device.Action
 }
 
 // apeEpsilon is the residual randomness in action selection. Real Ape is
@@ -75,7 +79,10 @@ func (a *Ape) Choose(v toller.View) device.Action {
 	// with a handicap so Ape prefers forward actions on fresh screens.
 	best := ts[0]
 	bestTrials := 1 << 30
-	order := a.rng.Perm(len(ts)) // random tie-breaking, seed-dependent
+	if cap(a.perm) < len(ts) {
+		a.perm = make([]int, len(ts))
+	}
+	order := a.rng.PermInto(a.perm[:len(ts)]) // random tie-breaking, seed-dependent
 	for _, i := range order {
 		act := ts[i]
 		n := st[act.Path]
@@ -89,7 +96,7 @@ func (a *Ape) Choose(v toller.View) device.Action {
 
 	// Saturated state: follow the model toward a state that still has
 	// untried actions, if any outgoing action is known to reach one.
-	var candidates []device.Action
+	candidates := a.cands[:0]
 	for _, act := range ts {
 		dst, ok := a.leadsTo[v.Sig][act.Path]
 		if ok && a.hasUntried(dst) {
@@ -99,6 +106,7 @@ func (a *Ape) Choose(v toller.View) device.Action {
 	if back := backAction(v); a.hasUntriedBehindBack(v) {
 		candidates = append(candidates, back)
 	}
+	a.cands = candidates
 	if len(candidates) > 0 {
 		return a.record(v, candidates[a.rng.Intn(len(candidates))])
 	}

@@ -63,25 +63,13 @@ func MustNew(name string, seed int64) Tool {
 	return t
 }
 
-// taps returns the tap actions of a view (excluding Back). The slice aliases
-// v.Actions' backing array ordering and is safe to index.
-func taps(v toller.View) []device.Action {
-	out := make([]device.Action, 0, len(v.Actions))
-	for _, a := range v.Actions {
-		if a.Widget >= 0 {
-			out = append(out, a)
-		}
-	}
-	return out
-}
+// taps returns the tap actions of a view: every action but the last, which
+// toller.View's layout guarantees is Back. The result aliases v.Actions, so
+// it is valid only as long as the view is.
+//
+//lint:hotpath
+func taps(v toller.View) []device.Action { return v.Actions[:len(v.Actions)-1] }
 
-// backAction returns the view's Back action.
-func backAction(v toller.View) device.Action {
-	for _, a := range v.Actions {
-		if a.Widget < 0 {
-			return a
-		}
-	}
-	// Views always include Back; reaching here is a driver bug.
-	panic("tools: view without Back action")
-}
+// backAction returns the view's Back action, which toller.View's layout
+// puts last.
+func backAction(v toller.View) device.Action { return v.Actions[len(v.Actions)-1] }

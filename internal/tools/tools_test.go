@@ -201,3 +201,57 @@ func TestElementKeyStripsPosition(t *testing.T) {
 		t.Fatal("elementKey must pass through malformed paths")
 	}
 }
+
+// TestChooseDoesNotAllocate pins every tool's Choose at zero allocations on
+// a view it has seen before: once a session has filled its model (Ape's
+// trials, WCTester's activity changers) and its per-step buffers have
+// grown, a step reuses them.
+func TestChooseDoesNotAllocate(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			d, _ := viewFor(t, 5)
+			tool := MustNew(name, 8)
+			for i := 0; i < 300; i++ {
+				d.Perform(tool.Choose(d.View()), 0)
+			}
+			v := d.View()
+			if len(v.Actions) < 3 {
+				t.Fatalf("view has %d actions; want a screen with several taps", len(v.Actions))
+			}
+			for i := 0; i < 500; i++ {
+				tool.Choose(v)
+			}
+			if n := testing.AllocsPerRun(500, func() { tool.Choose(v) }); n != 0 {
+				t.Fatalf("Choose on a seen view: %v allocations per call, want 0", n)
+			}
+		})
+	}
+}
+
+// TestTapsAreTheViewsTapsInOrder checks taps against the View layout: every
+// action but Back, in the view's order, read in place.
+func TestTapsAreTheViewsTapsInOrder(t *testing.T) {
+	d, v := viewFor(t, 2)
+	for step := 0; step < 50; step++ {
+		ts := taps(v)
+		var want []device.Action
+		for _, a := range v.Actions {
+			if a.Kind == trace.ActionTap {
+				want = append(want, a)
+			}
+		}
+		if len(ts) != len(want) {
+			t.Fatalf("step %d: taps has %d actions, the view %d taps", step, len(ts), len(want))
+		}
+		for i := range ts {
+			if ts[i] != want[i] || &ts[i] != &v.Actions[i] {
+				t.Fatalf("step %d: taps[%d] = %+v, want the view's action %+v in place", step, i, ts[i], want[i])
+			}
+		}
+		if back := backAction(v); back.Kind != trace.ActionBack {
+			t.Fatalf("step %d: backAction = %+v", step, back)
+		}
+		d.Perform(v.Actions[step%len(v.Actions)], 0)
+		v = d.View()
+	}
+}

@@ -29,6 +29,9 @@ type WCTester struct {
 	lastKey      string
 	hasLast      bool
 	steps        int
+	// cands is the reused buffer for the novel and activity-changer
+	// candidates of one step.
+	cands []device.Action
 }
 
 const (
@@ -77,12 +80,13 @@ func (w *WCTester) Choose(v toller.View) device.Action {
 
 	// 1. Novel elements.
 	if w.rng.Bool(wctExploreNewP) {
-		var novel []device.Action
+		novel := w.cands[:0]
 		for _, a := range ts {
 			if !w.triedGlobal[elementKey(a.Path)] {
 				novel = append(novel, a)
 			}
 		}
+		w.cands = novel
 		if len(novel) > 0 {
 			return w.record(v, novel[w.rng.Intn(len(novel))])
 		}
@@ -90,12 +94,13 @@ func (w *WCTester) Choose(v toller.View) device.Action {
 
 	// 2. Known activity-transition triggers.
 	if w.rng.Bool(wctActivityBiasP) {
-		var changers []device.Action
+		changers := w.cands[:0]
 		for _, a := range ts {
 			if w.activityChanger[elementKey(a.Path)] {
 				changers = append(changers, a)
 			}
 		}
+		w.cands = changers
 		if len(changers) > 0 {
 			return w.record(v, changers[w.rng.Intn(len(changers))])
 		}
