@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-json lint-allows vet bench-go fuzz scenario-hashes corpus-golden service-e2e check
+.PHONY: build test race lint lint-json lint-allows vet bench-go fuzz scenario-hashes corpus-golden service-e2e loc check
 
 build:
 	$(GO) build ./...
@@ -68,5 +68,11 @@ service-e2e:
 # a document under testdata/scenarios/.
 scenario-hashes:
 	for f in testdata/scenarios/*.json; do $(GO) run ./cmd/appgen -hash "$$f"; done > testdata/scenarios/HASHES
+
+# loc prints the non-test and test Go line counts ROADMAP tracks (the
+# frozen perfbench module and testdata fixtures are excluded from both).
+loc:
+	@printf 'non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path '*/testdata/*' | xargs cat | wc -l
+	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './perfbench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 check: build vet lint test

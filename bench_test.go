@@ -381,25 +381,6 @@ func BenchmarkFleetExperimentGrid(b *testing.B) {
 
 // --- Micro-benchmarks on the hot algorithms -------------------------------
 
-// BenchmarkFindSpace measures Algorithm 1's incremental sweep on a
-// realistic-size window (450 visits, ~40 distinct screens).
-func BenchmarkFindSpace(b *testing.B) {
-	visits := make([]core.ScreenVisit, 450)
-	for i := range visits {
-		tok := i % 20
-		if i > 225 {
-			tok = 20 + i%20
-		}
-		visits[i] = core.ScreenVisit{Sig: ui.Signature(tok + 1), At: sim.Duration(i) * Second}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := core.FindSpace(visits, 60*Second, core.MatchExact{}); !ok {
-			b.Fatal("no result")
-		}
-	}
-}
-
 // BenchmarkTreeSimilarity measures the abstract-hierarchy comparator used by
 // CountIn as the analyzer runs it: over shapes computed once per signature.
 func BenchmarkTreeSimilarity(b *testing.B) {
@@ -447,33 +428,26 @@ func BenchmarkOfflinePartition(b *testing.B) {
 
 // BenchmarkObserveLongTrace measures the analyzer's per-event cost on a long
 // single-instance trace with the window spanning the whole stream — the
-// regression guard for the incremental SpaceTracker rewrite. One op is one
-// Observe call, amortising the periodic analyses; "legacy" is the
-// FindSpace-rescan reference path, "tracked" the incremental one. The repo
-// benchmark's traced run reports the tracked path over the same scenario as
-// core.observe_ns (perfbench/probe.go).
+// regression guard for the incremental SpaceTracker. One op is one Observe
+// call, amortising the periodic analyses. The repo benchmark's traced run
+// reports the same scenario as core.observe_ns (perfbench/probe.go).
 func BenchmarkObserveLongTrace(b *testing.B) {
 	const visits = 10000
 	events, book, err := harness.ObserveStream("Marvel Comics", visits)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"legacy", true}, {"tracked", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i += visits {
-				a := harness.NewObserveAnalyzer(book, visits, mode.legacy)
-				for _, ev := range events {
-					a.Observe(ev)
-				}
+	b.Run("tracked", func(b *testing.B) {
+		for i := 0; i < b.N; i += visits {
+			a := harness.NewObserveAnalyzer(book, visits, false)
+			for _, ev := range events {
+				a.Observe(ev)
 			}
-			if b.N < visits {
-				// b.N ops were requested but a full stream always runs; scale
-				// the reported per-op figure accordingly.
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64((b.N+visits-1)/visits*visits), "ns/event")
-			}
-		})
-	}
+		}
+		if b.N < visits {
+			// b.N ops were requested but a full stream always runs; scale
+			// the reported per-op figure accordingly.
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64((b.N+visits-1)/visits*visits), "ns/event")
+		}
+	})
 }

@@ -22,7 +22,7 @@ type Subspace struct {
 	FoundAt sim.Duration
 }
 
-// Candidate is a subspace reported by FindSpace on one instance's trace,
+// Candidate is a subspace reported by Algorithm 1 on one instance's trace,
 // before the coordinator's acceptance rules run.
 type Candidate struct {
 	Instance int
@@ -41,8 +41,8 @@ type AnalyzerConfig struct {
 	// LMin is Algorithm 1's exploration threshold (l_min^long or l_min^short
 	// depending on the coordinator mode).
 	LMin sim.Duration
-	// AnalyzeEvery bounds cost: FindSpace runs every this many transitions
-	// per instance.
+	// AnalyzeEvery bounds cost: Algorithm 1 runs every this many
+	// transitions per instance.
 	AnalyzeEvery int
 	// WindowCap bounds the analysed trace suffix length.
 	WindowCap int
@@ -54,13 +54,7 @@ type AnalyzerConfig struct {
 	// a genuinely settled window — no overlap with the prefix, suffix as
 	// pure as its last-l_min sample — scores well below 0.5.
 	ScoreMax float64
-	// Legacy, when true, analyses by rescanning the visit window with the
-	// reference FindSpace on every run instead of using the incremental
-	// per-instance SpaceTracker. The two paths are byte-identical (the
-	// differential suite holds them equal); legacy exists as the oracle and
-	// for benchmarking the rewrite.
-	Legacy bool
-	// Obs, when non-nil, receives one decision-log event per FindSpace run
+	// Obs, when non-nil, receives one decision-log event per Algorithm 1 run
 	// that produced a scored split (telemetry; nil costs nothing).
 	Obs *obs.Log
 	// Clock, when non-nil, stamps those decision-log events (the coordinator
@@ -86,23 +80,20 @@ func DefaultAnalyzerConfig(lMin sim.Duration) AnalyzerConfig {
 // drivers) and emits subspace candidates. It is the "on-the-fly trace
 // analyzer" box of Figure 1(b).
 type Analyzer struct {
-	cfg  AnalyzerConfig
-	book *trace.Book
+	cfg AnalyzerConfig
 
 	perInstance map[int]*instanceTrace
-	// intern is shared by every instance's SpaceTracker and by Match:
-	// signatures are interned once and similarity verdicts memoised once,
-	// fleet-trace-wide, for the tracked and legacy paths alike.
+	// intern is shared by every instance's SpaceTracker: signatures are
+	// interned once and similarity verdicts memoised once, fleet-trace-wide.
 	intern *internTable
 }
 
 // instanceTrace is the whole of an instance's analysis state. Keeping every
 // per-instance piece in the one map entry means ResetInstance cannot forget
-// one of them: deleting the entry drops the visit window, the tracker and
-// the report cadence together.
+// one of them: deleting the entry drops the tracker and the report cadence
+// together.
 type instanceTrace struct {
-	visits      []ScreenVisit // legacy (FindSpace-rescan) mode only
-	tracker     *SpaceTracker // incremental mode only
+	tracker     *SpaceTracker
 	sinceReport int
 }
 
@@ -123,17 +114,9 @@ func NewAnalyzer(cfg AnalyzerConfig, book *trace.Book) *Analyzer {
 	ts := &treeSimilarity{book: book, threshold: cfg.SimilarityThreshold}
 	return &Analyzer{
 		cfg:         cfg,
-		book:        book,
 		perInstance: make(map[int]*instanceTrace),
 		intern:      newInternTable(ts.judge),
 	}
-}
-
-// Match implements Matcher with the cached tree similarity of canonical
-// exemplar hierarchies (CountIn's comparator), memoised in the intern
-// table.
-func (a *Analyzer) Match(x, y ui.Signature) bool {
-	return a.intern.matches(a.intern.intern(x), a.intern.intern(y))
 }
 
 // treeSimilarity judges a pair of interned signatures by the tree similarity
@@ -163,8 +146,9 @@ func (m *treeSimilarity) shape(t *internTable, id int32) *ui.Shape {
 }
 
 // Observe folds one transition event into the instance's trace and, every
-// AnalyzeEvery events, runs FindSpace. It returns a candidate and true when
-// the analysis identifies a loosely coupled subspace.
+// AnalyzeEvery events, runs Algorithm 1 over the instance's window. It
+// returns a candidate and true when the analysis identifies a loosely
+// coupled subspace.
 //
 // Enforced (TaOPT-injected) transitions are excluded: the analyzer must see
 // the tool's behaviour, not the coordinator's.
@@ -174,35 +158,18 @@ func (a *Analyzer) Observe(ev trace.Event) (Candidate, bool) {
 	}
 	it, ok := a.perInstance[ev.Instance]
 	if !ok {
-		it = &instanceTrace{}
-		if !a.cfg.Legacy {
-			it.tracker = newSpaceTrackerShared(a.intern, a.cfg.LMin)
-		}
+		it = &instanceTrace{tracker: newSpaceTrackerShared(a.intern, a.cfg.LMin)}
 		a.perInstance[ev.Instance] = it
 	}
-	if a.cfg.Legacy {
-		it.visits = append(it.visits, ScreenVisit{Sig: ev.To, At: ev.At})
-		if len(it.visits) > a.cfg.WindowCap {
-			// Keep the suffix; FindSpace only needs the recent window.
-			drop := len(it.visits) - a.cfg.WindowCap
-			it.visits = append(it.visits[:0:0], it.visits[drop:]...)
-		}
-	} else {
-		it.tracker.Push(ScreenVisit{Sig: ev.To, At: ev.At})
-		it.tracker.DropTo(a.cfg.WindowCap)
-	}
+	it.tracker.Push(ScreenVisit{Sig: ev.To, At: ev.At})
+	it.tracker.DropTo(a.cfg.WindowCap)
 	it.sinceReport++
 	if it.sinceReport < a.cfg.AnalyzeEvery {
 		return Candidate{}, false
 	}
 	it.sinceReport = 0
 
-	var res FindSpaceResult
-	if a.cfg.Legacy {
-		res, ok = FindSpace(it.visits, a.cfg.LMin, a)
-	} else {
-		res, ok = it.tracker.Analyze()
-	}
+	res, ok := it.tracker.Analyze()
 	if !ok {
 		return Candidate{}, false
 	}
@@ -245,19 +212,3 @@ func (a *Analyzer) Observe(ev trace.Event) (Candidate, bool) {
 func (a *Analyzer) ResetInstance(id int) {
 	delete(a.perInstance, id)
 }
-
-// TraceLen returns the analysed window length for an instance (testing aid).
-func (a *Analyzer) TraceLen(id int) int {
-	it, ok := a.perInstance[id]
-	if !ok {
-		return 0
-	}
-	if it.tracker != nil {
-		return it.tracker.Len()
-	}
-	return len(it.visits)
-}
-
-// instanceStates returns how many instances currently hold analysis state
-// (testing aid: the reset-instance tests assert retirement leaks nothing).
-func (a *Analyzer) instanceStates() int { return len(a.perInstance) }

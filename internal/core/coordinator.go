@@ -317,10 +317,6 @@ func (c *Coordinator) Subspaces() []*Subspace { return c.accepted }
 // under DropOrphans, permanently denied) a replacement owner.
 func (c *Coordinator) OrphanCount() int { return len(c.orphans) }
 
-// Allocations and Deallocations expose lifecycle counts for reports.
-func (c *Coordinator) Allocations() int   { return c.allocations }
-func (c *Coordinator) Deallocations() int { return c.deallocations }
-
 // DecisionStats returns counts of the coordinator's decisions so far.
 func (c *Coordinator) DecisionStats() Stats {
 	st := c.stats

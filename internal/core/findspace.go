@@ -22,21 +22,8 @@ type ScreenVisit struct {
 	At  sim.Duration
 }
 
-// Matcher decides whether two abstract screens count as "the same" for
-// CountIn's purposes. The analyzer implements it with a cached tree
-// similarity over canonical exemplar hierarchies; tests can plug exact
-// equality.
-type Matcher interface {
-	Match(a, b ui.Signature) bool
-}
-
-// MatchExact is the trivial matcher: signature equality.
-type MatchExact struct{}
-
-// Match implements Matcher.
-func (MatchExact) Match(a, b ui.Signature) bool { return a == b }
-
-// FindSpaceResult is the output of one FindSpace invocation.
+// FindSpaceResult is the output of one run of Algorithm 1 ("FindSpace") over
+// an instance's visit window.
 type FindSpaceResult struct {
 	// POut is the index of the identified subspace's entrypoint in the
 	// input trace.
@@ -52,161 +39,6 @@ type FindSpaceResult struct {
 	// so threshold calibration can see *why* a window scored as it did.
 	OverlapScore float64
 	PurityScore  float64
-}
-
-// FindSpace is Algorithm 1: given a UI transition trace S with timestamps T
-// (as visits) and the exploration threshold lMin, it returns the entrypoint
-// index p_out of a loosely coupled UI subspace, or ok=false if none
-// qualifies.
-//
-// For each candidate split p, the score combines
-//
-//	overlap_score = (Σ_{s∈Set(S[0:p])} CountIn(s, S[p:N])) / (N−p)
-//	purity_score  = Sigmoid(|Set(S[p:N])| / sample_size − 1)
-//	score         = overlap_score + 2·purity_score − 1
-//
-// where sample_size = |Set(S[p_max+1:N])| and p_max is the latest index at
-// least lMin before the end of the trace. CountIn counts appearances under
-// the matcher's tree similarity. The implementation is an incremental sweep:
-// O(N·D) matcher queries for D distinct screens instead of the naive O(N²·D).
-func FindSpace(visits []ScreenVisit, lMin sim.Duration, m Matcher) (FindSpaceResult, bool) {
-	n := len(visits)
-	if n < 3 {
-		return FindSpaceResult{}, false
-	}
-	end := visits[n-1].At
-
-	// p_max ← max{p : T[p] ≤ T[N−1] − lMin}.
-	pMax := -1
-	for p := n - 1; p >= 0; p-- {
-		if visits[p].At <= end-lMin {
-			pMax = p
-			break
-		}
-	}
-	if pMax < 1 {
-		return FindSpaceResult{}, false
-	}
-
-	// Dense ids for distinct signatures.
-	denseOf := make(map[ui.Signature]int)
-	var sigs []ui.Signature
-	seq := make([]int, n)
-	for i, v := range visits {
-		d, ok := denseOf[v.Sig]
-		if !ok {
-			d = len(sigs)
-			denseOf[v.Sig] = d
-			sigs = append(sigs, v.Sig)
-		}
-		seq[i] = d
-	}
-	D := len(sigs)
-
-	// Cached pairwise matches, computed on demand.
-	matchCache := make([]int8, D*D) // 0 unknown, 1 yes, -1 no
-	match := func(a, b int) bool {
-		if a == b {
-			return true
-		}
-		c := matchCache[a*D+b]
-		if c == 0 {
-			if m.Match(sigs[a], sigs[b]) {
-				c = 1
-			} else {
-				c = -1
-			}
-			matchCache[a*D+b], matchCache[b*D+a] = c, c
-		}
-		return c == 1
-	}
-
-	// sample_size ← |Set(S[p_max+1:N])|.
-	sampleSeen := make([]bool, D)
-	sampleSize := 0
-	for i := pMax + 1; i < n; i++ {
-		if !sampleSeen[seq[i]] {
-			sampleSeen[seq[i]] = true
-			sampleSize++
-		}
-	}
-	if sampleSize == 0 {
-		return FindSpaceResult{}, false
-	}
-
-	// State for the split p=1: prefix = {S[0]}, suffix = S[1:N].
-	suffCnt := make([]int, D)
-	distinctSuff := 0
-	for i := 1; i < n; i++ {
-		if suffCnt[seq[i]] == 0 {
-			distinctSuff++
-		}
-		suffCnt[seq[i]]++
-	}
-	inPD := make([]bool, D)      // prefix distinct membership
-	matchSumPD := make([]int, D) // matchSumPD[d] = |{s∈PD : match(s,d)}|
-	var overlap float64          // Σ_{s∈PD} Σ_d suffCnt[d]·match(s,d)
-	addToPD := func(x int) {
-		if inPD[x] {
-			return
-		}
-		inPD[x] = true
-		for d := 0; d < D; d++ {
-			if match(x, d) {
-				matchSumPD[d]++
-				if suffCnt[d] > 0 {
-					overlap += float64(suffCnt[d])
-				}
-			}
-		}
-	}
-	addToPD(seq[0])
-
-	scoreMin := 1.0
-	pOut := -1
-	var overlapMin, purityMin float64
-	for p := 1; p <= pMax; p++ {
-		overlapScore := overlap / float64(n-p)
-		purityScore := sigmoid(float64(distinctSuff)/float64(sampleSize) - 1)
-		score := overlapScore + 2*purityScore - 1
-		if score < scoreMin {
-			scoreMin, pOut = score, p
-			overlapMin, purityMin = overlapScore, purityScore
-		}
-
-		// Advance the split: index p leaves the suffix and joins the prefix.
-		if p == pMax {
-			break
-		}
-		x := seq[p]
-		suffCnt[x]--
-		if suffCnt[x] == 0 {
-			distinctSuff--
-		}
-		overlap -= float64(matchSumPD[x])
-		addToPD(x)
-	}
-	if pOut < 0 {
-		return FindSpaceResult{}, false
-	}
-
-	// Materialise the subspace: distinct screens of S[pOut:N].
-	memberSeen := make([]bool, D)
-	var members []ui.Signature
-	for i := pOut; i < n; i++ {
-		if !memberSeen[seq[i]] {
-			memberSeen[seq[i]] = true
-			members = append(members, sigs[seq[i]])
-		}
-	}
-	return FindSpaceResult{
-		POut:         pOut,
-		Entry:        visits[pOut].Sig,
-		Members:      members,
-		Score:        scoreMin,
-		OverlapScore: overlapMin,
-		PurityScore:  purityMin,
-	}, true
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -250,3 +250,22 @@ func abs(x float64) float64 {
 	}
 	return x
 }
+
+// BenchmarkFindSpace measures the reference rescan's incremental sweep on a
+// realistic-size window (450 visits, ~40 distinct screens).
+func BenchmarkFindSpace(b *testing.B) {
+	visits := make([]ScreenVisit, 450)
+	for i := range visits {
+		tok := i % 20
+		if i > 225 {
+			tok = 20 + i%20
+		}
+		visits[i] = ScreenVisit{Sig: ui.Signature(tok + 1), At: sim.Duration(i) * second}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := FindSpace(visits, 60*second, MatchExact{}); !ok {
+			b.Fatal("no result")
+		}
+	}
+}

@@ -13,13 +13,11 @@ import (
 //
 // The table requires the judge to be deterministic and symmetric (a, b
 // judged as b, a): verdicts are cached forever and mirrored across the
-// diagonal, exactly as FindSpace's per-call cache does. Every judge in this
-// repository (the Analyzer's tree similarity, MatchExact, the test
-// matchers) satisfies both.
+// diagonal. Every judge in this repository (the Analyzer's tree similarity
+// and the test matchers) satisfies both.
 //
-// One table is shared by all of an Analyzer's per-instance SpaceTrackers and
-// its Match, so a pair compared on one instance's trace is never re-compared
-// on another's, nor by the legacy FindSpace path.
+// One table is shared by all of an Analyzer's per-instance SpaceTrackers, so
+// a pair compared on one instance's trace is never re-compared on another's.
 type internTable struct {
 	judge judge
 	ids   map[ui.Signature]int32
@@ -36,11 +34,6 @@ type internTable struct {
 // judge decides whether interned ids a and b match. The table calls it at
 // most once per unordered pair.
 type judge func(t *internTable, a, b int32) bool
-
-// byMatcher judges interned ids with m over their signatures.
-func byMatcher(m Matcher) judge {
-	return func(t *internTable, a, b int32) bool { return m.Match(t.sigs[a], t.sigs[b]) }
-}
 
 // newInternTable returns an empty table judging pairs with j.
 func newInternTable(j judge) *internTable {
@@ -87,8 +80,7 @@ func (t *internTable) grow() {
 
 // matches reports whether the interned screens a and b count as "the same"
 // under the table's judge, consulting it only on the first query for the
-// pair. Identical ids match without consulting anything, mirroring
-// FindSpace's per-call cache.
+// pair. Identical ids match without consulting anything.
 func (t *internTable) matches(a, b int32) bool {
 	if a == b {
 		return true

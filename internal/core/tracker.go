@@ -5,29 +5,27 @@ import (
 	"taopt/internal/ui"
 )
 
-// SpaceTracker is the incremental form of Algorithm 1 for the Observe hot
-// path. Where FindSpace re-derives everything from the visit slice on every
-// invocation — dense ids, pairwise match verdicts, suffix counts — the
-// tracker is a stateful per-instance structure that maintains the rolling
-// statistics across events: the interned visit sequence, per-screen window
-// counts and the distinct-screen total are updated in O(1) amortised per
-// pushed visit, and the signature-interning table (shared between all of an
-// Analyzer's trackers) memoises Matcher verdicts so the analysis sweep runs
-// on integers with zero allocations and zero Matcher calls in the steady
-// state.
+// SpaceTracker is Algorithm 1 ("FindSpace") in incremental form, one per
+// instance on the Observe hot path. Rather than re-deriving everything from
+// the visit window on every run — dense ids, pairwise match verdicts, suffix
+// counts — the tracker maintains the rolling statistics across events: the
+// interned visit sequence, per-screen window counts and the distinct-screen
+// total are updated in O(1) amortised per pushed visit, and the
+// signature-interning table (shared between all of an Analyzer's trackers)
+// memoises match verdicts so the analysis sweep runs on integers with zero
+// allocations and zero judge calls in the steady state.
 //
-// Analyze is byte-for-byte equivalent to FindSpace over the tracker's
-// current window: identical split index, score components and member order,
-// with float arithmetic arranged expression-for-expression like the
-// reference implementation (all intermediate overlap sums are integers below
-// 2^53, so the int64 accumulator converts exactly to FindSpace's float64
-// one). FindSpace stays in the tree as the reference oracle; the
-// differential and fuzz suites hold the two paths equal.
+// Analyze is byte-for-byte equivalent to a from-scratch rescan of the
+// tracker's current window: identical split index, score components and
+// member order. All intermediate overlap sums are integers below 2^53, so
+// the int64 accumulator converts exactly to the float64 sum a rescan keeps.
+// The package tests hold the tracker equal to that rescan, the reference
+// implementation of the paper's pseudocode, in differential and fuzz suites.
 type SpaceTracker struct {
 	it   *internTable
 	lMin sim.Duration
 
-	// Window state, maintained incrementally by Push/DropTo/Reset.
+	// Window state, maintained incrementally by Push and DropTo.
 	seq      []int32
 	times    []sim.Duration
 	cnt      []int32 // cnt[id] = occurrences of id in the current window
@@ -45,21 +43,12 @@ type SpaceTracker struct {
 	pur      []float64
 }
 
-// NewSpaceTracker returns a tracker with its own interning table judging
-// pairs with m. m must be deterministic and symmetric (see internTable).
-func NewSpaceTracker(lMin sim.Duration, m Matcher) *SpaceTracker {
-	return newSpaceTrackerShared(newInternTable(byMatcher(m)), lMin)
-}
-
 // newSpaceTrackerShared returns a tracker sharing an existing interning
 // table; the Analyzer uses one table across all instances so a signature
 // pair judged on one instance's trace is never re-judged on another's.
 func newSpaceTrackerShared(it *internTable, lMin sim.Duration) *SpaceTracker {
 	return &SpaceTracker{it: it, lMin: lMin}
 }
-
-// Len returns the current window length.
-func (t *SpaceTracker) Len() int { return len(t.seq) }
 
 // Push appends one visit to the window: interning, the window counts and the
 // distinct total are all O(1) amortised.
@@ -68,7 +57,7 @@ func (t *SpaceTracker) Len() int { return len(t.seq) }
 func (t *SpaceTracker) Push(v ScreenVisit) {
 	id := t.it.intern(v.Sig)
 	if int(id) >= len(t.cnt) {
-		t.growCounts()
+		t.cnt = growTo(t.cnt, t.it.len())
 	}
 	t.seq = append(t.seq, id)
 	t.times = append(t.times, v.At)
@@ -79,10 +68,9 @@ func (t *SpaceTracker) Push(v ScreenVisit) {
 }
 
 // DropTo trims the window to at most max visits by dropping the oldest, the
-// same suffix-keeping semantics as the Analyzer's WindowCap. Unlike the
-// legacy path it never copies the surviving window: the slices alias forward
-// and compaction happens for free on the next append that outgrows the
-// backing array.
+// suffix-keeping semantics of the Analyzer's WindowCap. It never copies the
+// surviving window: the slices alias forward and compaction happens for free
+// on the next append that outgrows the backing array.
 func (t *SpaceTracker) DropTo(max int) {
 	if max <= 0 || len(t.seq) <= max {
 		return
@@ -99,48 +87,44 @@ func (t *SpaceTracker) DropTo(max int) {
 	t.times = t.times[drop:]
 }
 
-// Reset empties the window (the instance's next identification starts
-// fresh) while keeping the interning table and its memoised verdicts.
-func (t *SpaceTracker) Reset() {
-	for _, x := range t.seq {
-		t.cnt[x] = 0
-	}
-	t.distinct = 0
-	t.seq = t.seq[:0]
-	t.times = t.times[:0]
-}
-
-// growCounts extends the per-id arrays to the interning table's size.
-func (t *SpaceTracker) growCounts() {
-	n := t.it.len()
-	if cap(t.cnt) >= n {
-		t.cnt = t.cnt[:n]
-		return
-	}
-	next := make([]int32, n, 2*n)
-	copy(next, t.cnt)
-	t.cnt = next
-}
-
 // ensureScratch sizes the per-id scratch arrays to the interning table.
 func (t *SpaceTracker) ensureScratch() {
 	n := t.it.len()
-	if len(t.suffCnt) >= n {
-		return
-	}
-	grow := 2 * n
-	t.suffCnt = append(make([]int32, 0, grow), make([]int32, n)...)
-	t.matchSum = append(make([]int32, 0, grow), make([]int32, n)...)
-	t.inPD = append(make([]bool, 0, grow), make([]bool, n)...)
-	t.seen = append(make([]uint64, 0, grow), make([]uint64, n)...)
+	t.suffCnt = growTo(t.suffCnt, n)
+	t.matchSum = growTo(t.matchSum, n)
+	t.inPD = growTo(t.inPD, n)
+	t.seen = growTo(t.seen, n)
 }
 
-// Analyze runs Algorithm 1 over the current window and returns exactly what
-// FindSpace(window, lMin, m) would: same candidate boundary, same score
-// bits, same member order. See FindSpace for the algorithm; this version
-// differs only in what it reuses — pre-interned ids instead of a per-call
-// dense-id map, the shared match matrix instead of a per-call cache, the
-// maintained window counts instead of an O(N) recount, and a memoised
+// growTo returns s lengthened to n, reslicing within its capacity when it can
+// and otherwise reallocating with room to double. The per-id arrays only ever
+// grow, so every entry past the old length is still zero: a zero count, an
+// unset flag, or an epoch stamp no live epoch equals.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n <= cap(s) {
+		return s[:n]
+	}
+	next := make([]T, n, 2*n)
+	copy(next, s)
+	return next
+}
+
+// Analyze runs Algorithm 1 over the current window S (with timestamps T)
+// and returns the entrypoint index p_out of a loosely coupled UI subspace,
+// or ok=false if none qualifies. For each candidate split p it scores
+//
+//	overlap_score = (Σ_{s∈Set(S[0:p])} CountIn(s, S[p:N])) / (N−p)
+//	purity_score  = Sigmoid(|Set(S[p:N])| / sample_size − 1)
+//	score         = overlap_score + 2·purity_score − 1
+//
+// where sample_size = |Set(S[p_max+1:N])| and p_max is the latest index at
+// least lMin before the end of the window; CountIn counts appearances under
+// the interning table's judge. The sweep moves the split left to right in
+// O(N·D) for D distinct screens, and reuses everything it can: pre-interned
+// ids, the shared match matrix, the maintained window counts, and a memoised
 // sigmoid table (the purity term takes at most one value per distinct-count,
 // computed from the identical expression) instead of one exp call per split.
 //
@@ -205,7 +189,7 @@ func (t *SpaceTracker) Analyze() (FindSpaceResult, bool) {
 
 	// The purity term depends on the split only through distinctSuff, which
 	// only ever decreases from its p=1 value: tabulate sigmoid once per
-	// possible count, with the same expression FindSpace evaluates per split.
+	// possible count, with the same expression a rescan evaluates per split.
 	if cap(t.pur) < distinctSuff+1 {
 		t.pur = make([]float64, distinctSuff+1, 2*(distinctSuff+1))
 	}
@@ -221,12 +205,12 @@ func (t *SpaceTracker) Analyze() (FindSpaceResult, bool) {
 		matchSum[d] = 0
 		inPD[d] = false
 	}
-	var overlap int64 // exact: every FindSpace float increment is an integer
+	var overlap int64 // exact: every overlap increment is an integer
 	it := t.it
 	// addToPD admits x to the prefix's distinct set and returns the overlap
 	// gained: one unit per suffix occurrence of every window screen matching
 	// x. Verdicts are read straight off x's memoised match-matrix row (the
-	// diagonal is pre-filled, so d == x needs no special case); the Matcher
+	// diagonal is pre-filled, so d == x needs no special case); the judge
 	// itself runs only on a pair's first-ever comparison. Returning the delta
 	// instead of capturing overlap keeps the sweep's accumulator in a
 	// register.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"taopt/internal/obs"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
 	"taopt/internal/ui"
@@ -201,26 +203,27 @@ func TestInternTableMemoisesAcrossGrowth(t *testing.T) {
 }
 
 // TestAnalyzerLegacyAndTrackedCandidatesIdentical streams one synthetic
-// event sequence through a legacy-mode and a tracker-mode Analyzer and
-// requires the emitted candidate sequences to be deep-equal. (The
-// catalog-wide version over real apps/tools/seeds lives in
-// internal/harness.)
+// event sequence through the rescan reference and the production Analyzer
+// and requires the emitted candidate sequences and analyzed-decision logs to
+// be deep-equal. (The catalog-wide version over real apps, tools and seeds
+// is TestTrackerLegacyCandidateEquivalenceCatalog.)
 func TestAnalyzerLegacyAndTrackedCandidatesIdentical(t *testing.T) {
 	book := trace.NewBook()
 	var sigs []ui.Signature
 	for i := 0; i < 12; i++ {
 		sigs = append(sigs, observe(book, structScreen("A", 3+i)))
 	}
-	mk := func(legacy bool) *Analyzer {
+	cfg := func() AnalyzerConfig {
 		cfg := DefaultAnalyzerConfig(LMinShort)
 		cfg.AnalyzeEvery = 7
 		cfg.WindowCap = 60
-		cfg.Legacy = legacy
-		return NewAnalyzer(cfg, book)
+		cfg.Obs = &obs.Log{}
+		return cfg
 	}
-	aLegacy, aTracked := mk(true), mk(false)
+	refCfg, prodCfg := cfg(), cfg()
+	ref, prod := newRescanAnalyzer(refCfg, book), NewAnalyzer(prodCfg, book)
 
-	var gotLegacy, gotTracked []Candidate
+	var gotRef, gotProd []Candidate
 	at := sim.Duration(0)
 	for i := 0; i < 500; i++ {
 		at += sim.Duration(1e9)
@@ -233,86 +236,112 @@ func TestAnalyzerLegacyAndTrackedCandidatesIdentical(t *testing.T) {
 			To:       sigs[((i/210)*4+i%7)%len(sigs)],
 			Enforced: i%41 == 0,
 		}
-		if c, ok := aLegacy.Observe(ev); ok {
-			gotLegacy = append(gotLegacy, c)
+		if c, ok := ref.Observe(ev); ok {
+			gotRef = append(gotRef, c)
 		}
-		if c, ok := aTracked.Observe(ev); ok {
-			gotTracked = append(gotTracked, c)
+		if c, ok := prod.Observe(ev); ok {
+			gotProd = append(gotProd, c)
 		}
 		if i == 333 { // reset mid-stream, as the coordinator does on acceptance
-			aLegacy.ResetInstance(0)
-			aTracked.ResetInstance(0)
+			ref.ResetInstance(0)
+			prod.ResetInstance(0)
 		}
 	}
-	if len(gotLegacy) == 0 {
+	if len(gotRef) == 0 {
 		t.Fatal("synthetic stream produced no candidates; test is vacuous")
 	}
-	if !reflect.DeepEqual(gotLegacy, gotTracked) {
-		t.Fatalf("candidate sequences diverged:\nlegacy  %+v\ntracked %+v", gotLegacy, gotTracked)
+	if !reflect.DeepEqual(gotRef, gotProd) {
+		t.Fatalf("candidate sequences diverged:\nrescan  %+v\ntracked %+v", gotRef, gotProd)
+	}
+	if !reflect.DeepEqual(refCfg.Obs.Decisions(), prodCfg.Obs.Decisions()) {
+		t.Fatalf("analyzed decisions diverged:\nrescan  %+v\ntracked %+v",
+			refCfg.Obs.Decisions(), prodCfg.Obs.Decisions())
 	}
 }
 
-// TestAnalyzerTraceLenBothModes gives TraceLen direct coverage on the legacy
-// window and the tracker window, including the cap and the enforced-skip.
+// TestAnalyzerTraceLenBothModes gives TraceLen direct coverage on the
+// tracker window, including the cap and the enforced-skip.
 func TestAnalyzerTraceLenBothModes(t *testing.T) {
 	book := trace.NewBook()
 	sig := observe(book, structScreen("A", 4))
-	for _, legacy := range []bool{true, false} {
-		cfg := DefaultAnalyzerConfig(LMinShort)
-		cfg.WindowCap = 30
-		cfg.Legacy = legacy
-		a := NewAnalyzer(cfg, book)
-		if got := a.TraceLen(7); got != 0 {
-			t.Fatalf("legacy=%v: TraceLen of unknown instance = %d", legacy, got)
-		}
-		for i := 0; i < 20; i++ {
-			a.Observe(trace.Event{Instance: 7, At: sim.Duration(i) * second, To: sig})
-			a.Observe(trace.Event{Instance: 7, At: sim.Duration(i) * second, To: sig, Enforced: true})
-		}
-		if got := a.TraceLen(7); got != 20 {
-			t.Fatalf("legacy=%v: TraceLen = %d, want 20", legacy, got)
-		}
-		for i := 20; i < 100; i++ {
-			a.Observe(trace.Event{Instance: 7, At: sim.Duration(i) * second, To: sig})
-		}
-		if got := a.TraceLen(7); got != 30 {
-			t.Fatalf("legacy=%v: TraceLen = %d, want cap 30", legacy, got)
-		}
+	cfg := DefaultAnalyzerConfig(LMinShort)
+	cfg.WindowCap = 30
+	a := NewAnalyzer(cfg, book)
+	if got := a.TraceLen(7); got != 0 {
+		t.Fatalf("TraceLen of unknown instance = %d", got)
+	}
+	for i := 0; i < 20; i++ {
+		a.Observe(trace.Event{Instance: 7, At: sim.Duration(i) * second, To: sig})
+		a.Observe(trace.Event{Instance: 7, At: sim.Duration(i) * second, To: sig, Enforced: true})
+	}
+	if got := a.TraceLen(7); got != 20 {
+		t.Fatalf("TraceLen = %d, want 20", got)
+	}
+	for i := 20; i < 100; i++ {
+		a.Observe(trace.Event{Instance: 7, At: sim.Duration(i) * second, To: sig})
+	}
+	if got := a.TraceLen(7); got != 30 {
+		t.Fatalf("TraceLen = %d, want cap 30", got)
 	}
 }
 
 // TestAnalyzerResetInstanceReleasesState pins the no-leak property: after a
 // churn of instances is observed and reset, the analyzer holds state for
-// exactly the live ones — retired ids must not pin their windows, trackers
-// or cadence counters.
+// exactly the live ones — retired ids must not pin their trackers or
+// cadence counters.
 func TestAnalyzerResetInstanceReleasesState(t *testing.T) {
 	book := trace.NewBook()
 	sig := observe(book, structScreen("A", 4))
-	for _, legacy := range []bool{true, false} {
-		cfg := DefaultAnalyzerConfig(LMinShort)
-		cfg.Legacy = legacy
-		a := NewAnalyzer(cfg, book)
-		for id := 0; id < 50; id++ {
-			for i := 0; i < 10; i++ {
-				a.Observe(trace.Event{Instance: id, At: sim.Duration(i) * second, To: sig})
-			}
-			if id != 42 {
-				a.ResetInstance(id)
-			}
+	a := NewAnalyzer(DefaultAnalyzerConfig(LMinShort), book)
+	for id := 0; id < 50; id++ {
+		for i := 0; i < 10; i++ {
+			a.Observe(trace.Event{Instance: id, At: sim.Duration(i) * second, To: sig})
 		}
-		if got := a.instanceStates(); got != 1 {
-			t.Fatalf("legacy=%v: %d instance states retained, want 1", legacy, got)
+		if id != 42 {
+			a.ResetInstance(id)
 		}
-		if got := a.TraceLen(42); got != 10 {
-			t.Fatalf("legacy=%v: survivor TraceLen = %d", legacy, got)
+	}
+	if got := a.instanceStates(); got != 1 {
+		t.Fatalf("%d instance states retained, want 1", got)
+	}
+	if got := a.TraceLen(42); got != 10 {
+		t.Fatalf("survivor TraceLen = %d", got)
+	}
+	if got := a.TraceLen(0); got != 0 {
+		t.Fatalf("reset instance still has a window of %d", got)
+	}
+	a.ResetInstance(42)
+	a.ResetInstance(42) // double reset is fine
+	if got := a.instanceStates(); got != 0 {
+		t.Fatalf("%d states after full reset", got)
+	}
+}
+
+// TestSpaceTrackerScratchGrowsGeometrically feeds a tracker one new
+// signature per push, analysing after each, and counts how often the per-id
+// scratch moves. Growth within capacity must reslice, so reallocations stay
+// logarithmic in the number of interned signatures.
+func TestSpaceTrackerScratchGrowsGeometrically(t *testing.T) {
+	const n = 1000
+	tr := NewSpaceTracker(second, MatchExact{})
+	var last *int32
+	moves := 0
+	for i := 0; i < n; i++ {
+		tr.Push(ScreenVisit{Sig: ui.Signature(i + 1), At: sim.Duration(i) * second})
+		tr.DropTo(40) // bound the sweep; the intern table keeps growing
+		tr.Analyze()
+		if len(tr.suffCnt) == 0 {
+			continue
 		}
-		if got := a.TraceLen(0); got != 0 {
-			t.Fatalf("legacy=%v: reset instance still has a window of %d", legacy, got)
+		if p := &tr.suffCnt[0]; p != last {
+			moves++
+			last = p
 		}
-		a.ResetInstance(42)
-		a.ResetInstance(42) // double reset is fine
-		if got := a.instanceStates(); got != 0 {
-			t.Fatalf("legacy=%v: %d states after full reset", legacy, got)
-		}
+	}
+	if len(tr.suffCnt) != n {
+		t.Fatalf("scratch sized %d, want %d", len(tr.suffCnt), n)
+	}
+	if limit := bits.Len(uint(n-1)) + 2; moves > limit {
+		t.Fatalf("scratch reallocated %d times for %d signatures, want at most %d", moves, n, limit)
 	}
 }

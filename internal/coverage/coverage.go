@@ -39,25 +39,6 @@ func (s *Set) Add(id int) bool {
 	return true
 }
 
-// AddAll inserts every id and returns how many were new.
-func (s *Set) AddAll(ids []int) int {
-	added := 0
-	for _, id := range ids {
-		if s.Add(id) {
-			added++
-		}
-	}
-	return added
-}
-
-// Has reports membership.
-func (s *Set) Has(id int) bool {
-	if id < 0 || id >= s.n {
-		return false
-	}
-	return s.bits[id/64]&(1<<(id%64)) != 0
-}
-
 // Count returns the number of covered methods.
 func (s *Set) Count() int { return s.count }
 
@@ -89,16 +70,6 @@ func (s *Set) IntersectCount(o *Set) int {
 	return c
 }
 
-// UnionCount returns |s ∪ o| without materialising the union.
-func (s *Set) UnionCount(o *Set) int {
-	s.mustMatch(o)
-	c := 0
-	for i := range s.bits {
-		c += popcount(s.bits[i] | o.bits[i])
-	}
-	return c
-}
-
 // DifferenceCount returns |s \ o|.
 func (s *Set) DifferenceCount(o *Set) int {
 	s.mustMatch(o)
@@ -109,31 +80,10 @@ func (s *Set) DifferenceCount(o *Set) int {
 	return c
 }
 
-// Elements returns the covered ids in ascending order. Intended for tests and
-// small sets; the hot paths use the counting operations above.
-func (s *Set) Elements() []int {
-	out := make([]int, 0, s.count)
-	for w, word := range s.bits {
-		for word != 0 {
-			b := word & (-word)
-			out = append(out, w*64+trailingZeros(b))
-			word ^= b
-		}
-	}
-	return out
-}
-
 func (s *Set) mustMatch(o *Set) {
 	if s.n != o.n {
 		panic("coverage: sets over different universes")
 	}
-}
-
-// Union returns a fresh set |a ∪ b|.
-func Union(a, b *Set) *Set {
-	u := a.Clone()
-	u.UnionWith(b)
-	return u
 }
 
 // UnionOf returns the union of all sets; it panics on an empty slice because
@@ -150,5 +100,3 @@ func UnionOf(sets []*Set) *Set {
 }
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }
-
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }

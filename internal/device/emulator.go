@@ -134,12 +134,6 @@ func (e *Emulator) AutoLogin() {
 	e.launch()
 }
 
-// LoggedIn reports whether the auto-login script has run.
-func (e *Emulator) LoggedIn() bool { return e.loggedIn }
-
-// Restarts returns how many times the app crashed and restarted.
-func (e *Emulator) Restarts() int { return e.restarts }
-
 // Current returns the current screen ID. Evaluation code may use it; the
 // TaOPT core never sees it (it only sees rendered hierarchies via Toller).
 func (e *Emulator) Current() app.ScreenID { return e.cur }

@@ -58,14 +58,6 @@ type Allocation struct {
 // Done reports whether this lease has ended (released or failed).
 func (al *Allocation) Done() bool { return al.done }
 
-// MachineTime returns the machine time this allocation has consumed by now.
-func (al *Allocation) MachineTime(now sim.Duration) sim.Duration {
-	if al.done {
-		return al.Until - al.Since
-	}
-	return now - al.Since
-}
-
 // NewFarm returns a farm for a with at most maxDevices concurrent instances.
 // If autoLogin is set, each freshly allocated instance runs the app's
 // auto-login script before testing starts (as in the paper's setup).
@@ -152,9 +144,6 @@ func (f *Farm) ReleaseAll(now sim.Duration) {
 		f.Release(id, now)
 	}
 }
-
-// Active returns the active allocations sorted by instance ID.
-func (f *Farm) Active() []*Allocation { return slices.Clone(f.active) }
 
 // ActiveIDs returns the IDs of the active instances in ascending order, in
 // a fresh slice.

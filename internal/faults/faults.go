@@ -146,11 +146,6 @@ type Stats struct {
 	CmdLosses     int
 }
 
-// Total returns the total number of injected faults.
-func (s Stats) Total() int {
-	return s.Deaths + s.Hangs + s.AllocFailures + s.TraceDrops + s.TraceDelays + s.CmdLosses
-}
-
 // Plan is one run's deterministic fault schedule. All methods are safe on a
 // nil Plan (injecting nothing), so callers need no fault-enabled branches.
 type Plan struct {
@@ -192,14 +187,6 @@ func PlanFor(cfg *Config, rng *sim.RNG) *Plan {
 		return nil
 	}
 	return NewPlan(*cfg, rng)
-}
-
-// Config returns the plan's configuration (zero for a nil plan).
-func (p *Plan) Config() Config {
-	if p == nil {
-		return Config{}
-	}
-	return p.cfg
 }
 
 // InstanceFate decides, at allocation time, whether and how the instance

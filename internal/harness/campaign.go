@@ -102,8 +102,8 @@ type CampaignConfig struct {
 	// own deterministic fault plan from its cell seed.
 	Faults *faults.Config
 	// CoreConfig optionally overrides TaOPT's coordinator configuration for
-	// every run of the campaign (ablations and the legacy-analyzer
-	// differential); nil uses the mode's defaults.
+	// every run of the campaign (the ablations); nil uses the mode's
+	// defaults.
 	CoreConfig *core.Config
 	// Workers bounds the goroutine pool Prefetch computes missing cells on.
 	// 0 or 1 runs serially; results are identical either way — each cell's

@@ -1,139 +1,10 @@
 package harness
 
 import (
-	"reflect"
 	"testing"
 
-	"taopt/internal/app"
-	"taopt/internal/apps"
-	"taopt/internal/core"
-	"taopt/internal/device"
 	"taopt/internal/sim"
-	"taopt/internal/toller"
-	"taopt/internal/tools"
-	"taopt/internal/trace"
 )
-
-// walkTrace drives one tool-controlled instance for steps transitions on a
-// fresh device, without the scheduler: the cheapest way to manufacture a
-// realistic per-app trace for offline analysis.
-func walkTrace(t *testing.T, aut *app.App, toolName string, seed int64, steps int) (*trace.Log, *trace.Book) {
-	t.Helper()
-	book := trace.NewBook()
-	rng := sim.NewRNG(seed)
-	farm := device.NewFarm(aut, rng.Fork(1), 1, true)
-	al, err := farm.Allocate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driver := toller.NewDriver(al.Emu, book, 0)
-	tool := tools.MustNew(toolName, rng.Fork(2).Int63())
-	now := sim.Duration(0)
-	for i := 0; i < steps; i++ {
-		act := tool.Choose(driver.View())
-		res := driver.Perform(act, now)
-		now += res.Latency
-	}
-	return driver.Trace(), book
-}
-
-// candidateSeq replays a captured trace through an Analyzer and collects the
-// emitted candidates, resetting the instance after each one as the
-// coordinator does on acceptance.
-func candidateSeq(log *trace.Log, book *trace.Book, legacy bool) []core.Candidate {
-	cfg := core.DefaultAnalyzerConfig(30 * sim.Duration(1e9))
-	cfg.AnalyzeEvery = 5
-	cfg.WindowCap = 80
-	cfg.ScoreMax = 0.9
-	cfg.Legacy = legacy
-	a := core.NewAnalyzer(cfg, book)
-	var out []core.Candidate
-	log.Replay(func(ev trace.Event) {
-		if c, ok := a.Observe(ev); ok {
-			out = append(out, c)
-			a.ResetInstance(ev.Instance)
-		}
-	})
-	return out
-}
-
-// TestTrackerLegacyCandidateEquivalenceCatalog is the equivalence oracle the
-// incremental rewrite is gated on: for every app in the catalog × every tool
-// × 20 seeds, the SpaceTracker path must produce byte-identical Candidate
-// sequences to the legacy FindSpace path — same candidates, same order, same
-// float bits in every score.
-func TestTrackerLegacyCandidateEquivalenceCatalog(t *testing.T) {
-	const seeds = 20
-	toolNames := []string{"monkey", "ape", "wctester"}
-	totalCandidates := 0
-	for _, appName := range apps.Names() {
-		aut, err := apps.Load(appName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, toolName := range toolNames {
-			for seed := int64(0); seed < seeds; seed++ {
-				log, book := walkTrace(t, aut, toolName, seed, 140)
-				legacy := candidateSeq(log, book, true)
-				tracked := candidateSeq(log, book, false)
-				if !reflect.DeepEqual(legacy, tracked) {
-					t.Fatalf("%s/%s seed %d: candidate sequences diverged\nlegacy  %+v\ntracked %+v",
-						appName, toolName, seed, legacy, tracked)
-				}
-				totalCandidates += len(legacy)
-			}
-		}
-	}
-	// The oracle is only convincing if the traces actually produce
-	// candidates; an always-empty comparison would pass vacuously.
-	if totalCandidates < 100 {
-		t.Fatalf("only %d candidates across the whole catalog; oracle is too weak", totalCandidates)
-	}
-}
-
-// legacyCoreConfig returns a coordinator override that differs from the
-// defaults only in using the legacy analyzer path.
-func legacyCoreConfig() *core.Config {
-	return &core.Config{Analyzer: core.AnalyzerConfig{Legacy: true}}
-}
-
-// TestCampaignLegacyAnalyzerIdenticalCells runs full TaOPT campaigns —
-// coordinator, enforcement, telemetry cadence and all — on both analyzer
-// paths and requires identical cell summaries: the end-to-end form of the
-// equivalence argument.
-func TestCampaignLegacyAnalyzerIdenticalCells(t *testing.T) {
-	settings := []Setting{TaOPTDuration, TaOPTResource}
-	build := func(coreCfg *core.Config) *Campaign {
-		cfg := tinyConfig()
-		cfg.Apps = []string{"Filters For Selfie", "Marvel Comics"}
-		cfg.CoreConfig = coreCfg
-		return NewCampaign(cfg)
-	}
-	tracked := build(nil)
-	legacy := build(legacyCoreConfig())
-	for _, c := range []*Campaign{tracked, legacy} {
-		if err := c.Prefetch(nil, settings...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, appName := range tracked.Apps() {
-		for _, setting := range settings {
-			a := mustCellT(t, tracked, appName, "monkey", setting)
-			b := mustCellT(t, legacy, appName, "monkey", setting)
-			if a.Union != b.Union || a.UniqueCrashes != b.UniqueCrashes ||
-				a.DistinctUIs != b.DistinctUIs || a.UIOccAverage != b.UIOccAverage ||
-				a.WallUsed != b.WallUsed || a.MachineUsed != b.MachineUsed ||
-				a.Subspaces != b.Subspaces || a.Events != b.Events ||
-				!reflect.DeepEqual(a.Timeline, b.Timeline) {
-				t.Fatalf("cell %s differs between tracker and legacy analyzer:\n%+v\nvs\n%+v",
-					a.Key, a, b)
-			}
-			if a.Events == 0 {
-				t.Fatalf("cell %s recorded no scheduler events", a.Key)
-			}
-		}
-	}
-}
 
 // TestCampaignSeedPermutationInvariance is the metamorphic check on the
 // multi-seed aggregation: executing the same seed set in a different order
@@ -181,33 +52,25 @@ func TestCampaignSeedPermutationInvariance(t *testing.T) {
 }
 
 // TestFleetWorkerInvarianceBothAnalyzerPaths extends the worker-count
-// invariance (see TestFleetStatsCellsComputedWorkerInvariance) to the
-// tracker path: on either analyzer path, any pool width must compute the
-// same number of cells with identical content — and the two paths must
-// agree with each other.
+// invariance (see TestFleetStatsCellsComputedWorkerInvariance) to full TaOPT
+// campaigns: a serial pool and a four-wide one must compute the same number
+// of cells with identical content. (The analyzer has one production path;
+// its rescan reference is held equal to it inside internal/core.)
 func TestFleetWorkerInvarianceBothAnalyzerPaths(t *testing.T) {
 	settings := []Setting{TaOPTDuration}
 	apps := []string{"Filters For Selfie", "Marvel Comics"}
-	type variant struct {
-		legacy  bool
-		workers int
-	}
-	variants := []variant{{false, 1}, {false, 4}, {true, 1}, {true, 4}}
 	var ref *Campaign
-	for _, v := range variants {
+	for _, workers := range []int{1, 4} {
 		cfg := tinyConfig()
 		cfg.Apps = apps
-		cfg.Workers = v.workers
-		if v.legacy {
-			cfg.CoreConfig = legacyCoreConfig()
-		}
+		cfg.Workers = workers
 		c := NewCampaign(cfg)
 		if err := c.Prefetch(nil, settings...); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.FleetStats(); st.CellsComputed != len(apps) {
-			t.Fatalf("legacy=%v workers=%d: CellsComputed = %d, want %d",
-				v.legacy, v.workers, st.CellsComputed, len(apps))
+			t.Fatalf("workers=%d: CellsComputed = %d, want %d",
+				workers, st.CellsComputed, len(apps))
 		}
 		if ref == nil {
 			ref = c
@@ -219,8 +82,8 @@ func TestFleetWorkerInvarianceBothAnalyzerPaths(t *testing.T) {
 			if a.Union != b.Union || a.Subspaces != b.Subspaces ||
 				a.Events != b.Events || a.WallUsed != b.WallUsed ||
 				a.UIOccAverage != b.UIOccAverage {
-				t.Fatalf("legacy=%v workers=%d: cell %s diverges from reference:\n%+v\nvs\n%+v",
-					v.legacy, v.workers, a.Key, b, a)
+				t.Fatalf("workers=%d: cell %s diverges from reference:\n%+v\nvs\n%+v",
+					workers, a.Key, b, a)
 			}
 		}
 	}

@@ -29,15 +29,6 @@ type PoolStats struct {
 	JobsPerWorker []int
 }
 
-// Jobs returns the total job count across workers.
-func (p PoolStats) Jobs() int {
-	n := 0
-	for _, j := range p.JobsPerWorker {
-		n += j
-	}
-	return n
-}
-
 // Map runs fn(i) for every i in [0, n) on at most workers goroutines and
 // returns the results indexed by input position. workers <= 0 means
 // GOMAXPROCS; the pool never exceeds n. A panicking job is recovered into

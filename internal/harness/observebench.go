@@ -50,11 +50,18 @@ func ObserveStream(appName string, n int) ([]trace.Event, *trace.Book, error) {
 // Observe benchmark: a window spanning the whole trace (so analysis cost at
 // the end of the stream is the full-trace cost), the default analysis
 // cadence, and no score gate (candidate materialisation is part of the
-// measured path). legacy selects the FindSpace-rescan reference path.
+// measured path).
+//
+// The analyzer has one production path, the incremental SpaceTracker, so
+// legacy must be false. It stays in the signature for the repo benchmark's
+// callers; true panics, because the FindSpace-rescan reference it used to
+// select now lives only in internal/core's tests.
 func NewObserveAnalyzer(book *trace.Book, visits int, legacy bool) *core.Analyzer {
+	if legacy {
+		panic("harness: the FindSpace-rescan analyzer is a test reference in internal/core, not a production path")
+	}
 	cfg := core.DefaultAnalyzerConfig(60 * sim.Duration(1e9))
 	cfg.WindowCap = visits + 1
 	cfg.ScoreMax = 2
-	cfg.Legacy = legacy
 	return core.NewAnalyzer(cfg, book)
 }

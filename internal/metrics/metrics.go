@@ -59,14 +59,6 @@ type Point struct {
 // Timeline is a monotone sequence of samples.
 type Timeline []Point
 
-// FinalCoverage returns the last sample's coverage (0 for an empty timeline).
-func (t Timeline) FinalCoverage() int {
-	if len(t) == 0 {
-		return 0
-	}
-	return t[len(t)-1].Covered
-}
-
 // WallToReach returns the earliest wall-clock time at which coverage reached
 // target, and whether it ever did.
 func (t Timeline) WallToReach(target int) (sim.Duration, bool) {

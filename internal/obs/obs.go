@@ -28,7 +28,7 @@ import (
 // Decision kinds: the event taxonomy of the coordinator's and analyzer's
 // consequential branches (DESIGN.md §9 documents each).
 const (
-	// KindAnalyzed: the analyzer ran FindSpace over an instance's window and
+	// KindAnalyzed: the analyzer ran Algorithm 1 over an instance's window and
 	// it produced a scored split (reason "pass" when it clears ScoreMax,
 	// "score-above-max" otherwise).
 	KindAnalyzed = "analyzed"

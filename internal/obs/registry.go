@@ -39,28 +39,12 @@ func (r *Registry) Inc(name string, n int64) {
 	r.counters[name] += n
 }
 
-// Counter returns the named counter's value (0 if absent).
-func (r *Registry) Counter(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.counters[name]
-}
-
 // SetGauge records the named gauge's current value.
 func (r *Registry) SetGauge(name string, v float64) {
 	if r == nil {
 		return
 	}
 	r.gauges[name] = v
-}
-
-// Gauge returns the named gauge's value (0 if absent).
-func (r *Registry) Gauge(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	return r.gauges[name]
 }
 
 // Observe folds v into the named histogram, creating it with bounds on
@@ -128,14 +112,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.Counts[i]++
-}
-
-// Mean returns the running mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
 }
 
 // SeriesPoint is one sample of a virtual-time series.

@@ -36,7 +36,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -265,13 +264,4 @@ func CompileCampaign(data []byte) (*Campaign, error) {
 		return nil, fmt.Errorf("scenario: document %q is a %s scenario, want %s", c.Name, c.Kind, KindCampaign)
 	}
 	return c.Campaign, nil
-}
-
-// CompileFile is Compile over a reader (convenience for the CLIs).
-func CompileFile(r io.Reader) (*Compiled, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: reading document: %w", err)
-	}
-	return Compile(data)
 }

@@ -37,9 +37,6 @@ func NewFileRepo(dir string) (*FileRepo, error) {
 	return &FileRepo{dir: dir}, nil
 }
 
-// Dir returns the store's data directory.
-func (f *FileRepo) Dir() string { return f.dir }
-
 // validKey guards every path component derived from caller input: run IDs
 // and config hashes are ASCII words, never path syntax.
 func validKey(k string) bool {

@@ -37,43 +37,3 @@ func (c *Clock) advance(t Duration) {
 	}
 	c.now = t
 }
-
-// Meter accumulates machine time: the total virtual time during which testing
-// instances were allocated. The coordinator charges the meter when it
-// allocates and releases instances.
-type Meter struct {
-	used   Duration
-	budget Duration // 0 means unlimited
-}
-
-// NewMeter returns a meter with the given machine-time budget.
-// A zero budget means the meter never exhausts.
-func NewMeter(budget Duration) *Meter { return &Meter{budget: budget} }
-
-// Charge adds d of machine time. It reports whether the budget (if any)
-// has been exhausted after the charge.
-func (m *Meter) Charge(d Duration) (exhausted bool) {
-	if d < 0 {
-		panic("sim: negative machine-time charge")
-	}
-	m.used += d
-	return m.Exhausted()
-}
-
-// Used returns the machine time consumed so far.
-func (m *Meter) Used() Duration { return m.used }
-
-// Budget returns the configured budget (0 = unlimited).
-func (m *Meter) Budget() Duration { return m.budget }
-
-// Remaining returns the machine time left, or a negative value if
-// overcommitted. For an unlimited meter it returns the maximum duration.
-func (m *Meter) Remaining() Duration {
-	if m.budget == 0 {
-		return 1<<63 - 1
-	}
-	return m.budget - m.used
-}
-
-// Exhausted reports whether a finite budget has been fully consumed.
-func (m *Meter) Exhausted() bool { return m.budget != 0 && m.used >= m.budget }

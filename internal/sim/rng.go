@@ -72,12 +72,9 @@ func (r *RNG) DurationBetween(lo, hi Duration) Duration {
 	return lo + Duration(r.Int63()%int64(hi-lo+1))
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.PermInto(make([]int, n)) }
-
 // PermInto fills p with a random permutation of [0, len(p)) and returns it.
-// It makes exactly Perm's draws, and p's previous contents do not matter,
-// so a caller can reuse one buffer across calls.
+// p's previous contents do not matter, so a caller can reuse one buffer
+// across calls.
 func (r *RNG) PermInto(p []int) []int {
 	for i := range p {
 		j := r.Intn(i + 1)
@@ -85,41 +82,4 @@ func (r *RNG) PermInto(p []int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes s in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// WeightedIndex picks an index with probability proportional to weights[i].
-// All-zero or negative totals fall back to uniform choice. It panics on an
-// empty slice.
-func (r *RNG) WeightedIndex(weights []float64) int {
-	if len(weights) == 0 {
-		panic("sim: WeightedIndex with no weights")
-	}
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return r.Intn(len(weights))
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -114,9 +114,6 @@ func (s *Scheduler) After(d Duration, ev Event) { s.At(s.clock.Now()+d, ev) }
 // Pending events are discarded by Run.
 func (s *Scheduler) Halt() { s.halt = true }
 
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.heap) }
-
 // Processed returns the number of events fired since the scheduler was
 // created. It is the denominator of the benchmark harness's
 // virtual-events-per-second figure: a deterministic measure of how much

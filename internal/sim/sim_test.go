@@ -22,40 +22,6 @@ func TestClockAdvances(t *testing.T) {
 	c.advance(4)
 }
 
-func TestMeter(t *testing.T) {
-	m := NewMeter(100)
-	if m.Exhausted() {
-		t.Fatal("fresh meter exhausted")
-	}
-	if m.Charge(60) {
-		t.Fatal("60/100 should not exhaust")
-	}
-	if got := m.Remaining(); got != 40 {
-		t.Fatalf("Remaining = %v, want 40", got)
-	}
-	if !m.Charge(50) {
-		t.Fatal("110/100 should exhaust")
-	}
-	if m.Used() != 110 {
-		t.Fatalf("Used = %v, want 110", m.Used())
-	}
-
-	unlimited := NewMeter(0)
-	unlimited.Charge(1 << 40)
-	if unlimited.Exhausted() {
-		t.Fatal("unlimited meter exhausted")
-	}
-}
-
-func TestMeterNegativeChargePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative charge")
-		}
-	}()
-	NewMeter(10).Charge(-1)
-}
-
 func TestSchedulerFiresInOrder(t *testing.T) {
 	s := NewScheduler()
 	var fired []int

@@ -154,12 +154,6 @@ func NewDriver(emu *device.Emulator, book *trace.Book, now sim.Duration) *Driver
 	return d
 }
 
-// Instance returns the underlying instance ID.
-func (d *Driver) Instance() int { return d.emu.ID }
-
-// Emulator exposes the wrapped instance for coverage/crash collection.
-func (d *Driver) Emulator() *device.Emulator { return d.emu }
-
 // Trace returns the instance's transition log.
 func (d *Driver) Trace() *trace.Log { return d.log }
 

@@ -88,18 +88,6 @@ func (l *Log) Replay(fn func(Event)) {
 	}
 }
 
-// Screens returns the sequence of visited abstract screens with timestamps —
-// the (S, T) input of Algorithm 1.
-func (l *Log) Screens() ([]ui.Signature, []sim.Duration) {
-	sigs := make([]ui.Signature, len(l.events))
-	times := make([]sim.Duration, len(l.events))
-	for i, e := range l.events {
-		sigs[i] = e.To
-		times[i] = e.At
-	}
-	return sigs, times
-}
-
 // Book is a registry of canonical concrete screens per abstract signature.
 // Retaining one exemplar hierarchy per signature lets the analyzer compute
 // tree similarities (CountIn) without storing every rendered screen.

@@ -2,18 +2,6 @@ package ui
 
 import "slices"
 
-// Similarity computes the tree similarity of two abstracted UI hierarchies in
-// [0, 1]. It follows the spirit of the comparator used by CountIn in
-// Algorithm 1 (tree similarity of abstract hierarchies, after [66]): each
-// hierarchy is decomposed into the multiset of its abstract root-to-node
-// paths, and the similarity is the Dice coefficient of the two multisets.
-//
-// Dice over path multisets is cheap (linear in tree size), symmetric, equals
-// 1 exactly for structurally identical trees regardless of text, and degrades
-// smoothly when list rows are added/removed — the dominant source of benign
-// structural variation in mobile UIs.
-func Similarity(a, b *Node) float64 { return Dice(Paths(a), Paths(b)) }
-
 // PathCount is one entry of a PathVector: the hash of an abstract
 // root-to-node path and how many nodes end it.
 type PathCount struct {
@@ -107,9 +95,18 @@ func ShapeOf(s *Screen) *Shape {
 	return &Shape{Activity: s.Activity, Paths: Paths(s.Root)}
 }
 
-// ShapeSimilarity compares two screens by their shapes, treating a
-// differing activity name as an immediate mismatch — the abstraction keys on
-// activity first.
+// ShapeSimilarity computes the tree similarity of two abstracted UI
+// hierarchies in [0, 1]. It follows the spirit of the comparator used by
+// CountIn in Algorithm 1 (tree similarity of abstract hierarchies, after
+// [66]): each hierarchy is decomposed into the multiset of its abstract
+// root-to-node paths, and the similarity is the Dice coefficient of the two
+// multisets. A differing activity name is an immediate mismatch — the
+// abstraction keys on activity first.
+//
+// Dice over path multisets is cheap (linear in tree size), symmetric, equals
+// 1 exactly for structurally identical trees regardless of text, and degrades
+// smoothly when list rows are added/removed — the dominant source of benign
+// structural variation in mobile UIs.
 //
 //lint:hotpath
 func ShapeSimilarity(a, b *Shape) float64 {
