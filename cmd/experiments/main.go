@@ -150,6 +150,7 @@ func chaosGrid(sc *scenario.Campaign) ([]report.ChaosVariant, error) {
 }
 
 func main() {
+	fatalf := cli.Fatalf("experiments")
 	var (
 		exp       = flag.String("exp", "all", "experiment to regenerate: fig3|table1|table2|fig5|fig6|table4|table5|table6|single|preserve|chaos|ablate|all|grid")
 		seeds     = flag.Int("seeds", 1, "number of seeded campaigns for -exp grid")
@@ -172,8 +173,7 @@ func main() {
 
 	stopProfiles, err := cli.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
@@ -183,8 +183,7 @@ func main() {
 
 	fn, ok := experiments[*exp]
 	if !ok && *exp != "grid" && *exp != "chaos" {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", *exp)
-		os.Exit(1)
+		fatalf("unknown experiment %q", *exp)
 	}
 
 	setFlags := make(map[string]bool)
@@ -194,12 +193,10 @@ func main() {
 	if *scenFile != "" {
 		raw, err := os.ReadFile(*scenFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		if scCampaign, err = scenario.CompileCampaign(raw); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", *scenFile, err)
-			os.Exit(1)
+			fatalf("%s: %v", *scenFile, err)
 		}
 		// To stderr with the progress lines: the document hash correlates this
 		// sweep with exports and service cache keys without perturbing the
@@ -215,8 +212,7 @@ func main() {
 	}
 	if *binDir != "" {
 		if err := os.MkdirAll(*binDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		cfg.BinTraceDir = *binDir
 	}
@@ -236,8 +232,7 @@ func main() {
 		// the user set explicitly always wins over the file.
 		scCfg, err := harness.FromScenario(scCampaign)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		cfg.ScenarioApps = scCfg.ScenarioApps
 		cfg.SampleEvery = scCfg.SampleEvery
@@ -264,8 +259,7 @@ func main() {
 		}
 		if len(scCampaign.Settings) > 0 {
 			if settings, err = harness.ScenarioSettings(scCampaign); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
+				fatalf("%v", err)
 			}
 		}
 	}
@@ -276,8 +270,7 @@ func main() {
 	if *exp == "chaos" {
 		grid, err := chaosGrid(scCampaign)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		fn = func(w io.Writer, c *harness.Campaign) error {
 			return report.ChaosGrid(w, c, grid)
@@ -286,16 +279,14 @@ func main() {
 
 	if *exp == "grid" {
 		if err := gridExperiment(os.Stdout, cfg, *seeds, settings); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		return
 	}
 
 	c := harness.NewCampaign(cfg)
 	if err := fn(os.Stdout, c); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	if *workers > 1 {
 		// Pool accounting goes to stderr with the progress lines: stdout must

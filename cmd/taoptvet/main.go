@@ -5,15 +5,9 @@
 // DESIGN.md §10 — the goldens tell you *that* a run stopped being
 // reproducible, taoptvet tells you *which statement* broke it.
 //
-// Standalone (the usual way, also what CI runs):
+// Usage (also what CI and make lint run):
 //
 //	go run ./cmd/taoptvet ./...
-//
-// As a vet tool, so the suite runs alongside the standard vet passes with
-// cmd/go's caching and package metadata:
-//
-//	go build -o /tmp/taoptvet ./cmd/taoptvet
-//	go vet -vettool=/tmp/taoptvet ./...
 //
 // Findings print as file:line:col: analyzer: message; -json switches to a
 // machine-readable findings array for CI artifacts, -list prints the
@@ -30,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"taopt/internal/cli"
 	"taopt/internal/lint"
@@ -48,24 +41,6 @@ type jsonFinding struct {
 
 func main() {
 	fatalf := cli.Fatalf("taoptvet")
-
-	// cmd/go's -vettool handshake: it probes the tool's version for its
-	// build cache key, asks for the tool's flags, then invokes it once
-	// per package with a *.cfg file. Handle those shapes before normal
-	// flag parsing so the same binary serves both modes.
-	args := os.Args[1:]
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Printf("taoptvet version v2 buildID=taoptvet-v2\n")
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runVetTool(args[0], fatalf)
-		return
-	}
 
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	listOnly := flag.Bool("list", false, "list the analyzers and exit")

@@ -198,7 +198,7 @@ func analyse(run *export.Run, opts graph.PartitionOptions) {
 
 	activityOf := make(map[uint64]string, len(run.Screens))
 	for _, s := range run.Screens {
-		activityOf[s.Signature] = s.Activity
+		activityOf[s.Sig] = s.Activity
 	}
 
 	explored := part.ExploredBy(g, logs)
@@ -259,7 +259,7 @@ func checkDecisions(run *export.Run) bool {
 	for _, inst := range run.Instances {
 		instances[inst.ID] = true
 	}
-	subspaces := make(map[int]export.Subspace, len(run.Subspaces))
+	subspaces := make(map[int]bin.Subspace, len(run.Subspaces))
 	for _, sub := range run.Subspaces {
 		subspaces[sub.ID] = sub
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"taopt/internal/bus"
 	"taopt/internal/export"
@@ -73,7 +74,9 @@ func replayMain(args []string) {
 }
 
 // dumpRecords prints the stream's header, then one stable line per record:
-// the protocol time (blank for other kinds), the kind and its payload.
+// the protocol time (blank for other kinds), the kind and its payload. A
+// stream the Reader rejects, a truncated one say, prints every record it
+// can read and then fails with bin.ErrCorrupt.
 func dumpRecords(w io.Writer, r io.Reader) error {
 	br, err := bin.NewReader(r)
 	if err != nil {
@@ -112,7 +115,15 @@ func payload(rec bin.Record) string {
 	case bin.KindScreen:
 		return fmt.Sprintf("%+v", rec.Screen)
 	case bin.KindTransport, bin.KindAccounting:
-		return fmt.Sprintf("%+v", rec.Transport)
+		// Print the command mix's counts, not its address.
+		t := rec.Transport
+		mix := t.CommandMix
+		t.CommandMix = nil
+		s := fmt.Sprintf("%+v", t)
+		if mix != nil {
+			s = strings.Replace(s, "CommandMix:<nil>", fmt.Sprintf("CommandMix:%+v", *mix), 1)
+		}
+		return s
 	case bin.KindMetric:
 		return fmt.Sprintf("%+v", rec.Metric)
 	case bin.KindEnd:

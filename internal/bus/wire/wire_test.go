@@ -36,13 +36,15 @@ var testReplay = bin.ReplayConfig{
 	MachineBudgetNS: 5 * 3600e9, SampleEveryNS: 30e9,
 }
 
-// records opens a replayable stream, lets write fill it, and decodes every
-// record after the replay announcement back.
+// records opens a replayable stream, lets write fill it, closes it with an
+// end record, and decodes every record between the replay announcement and
+// the end record back.
 func records(t *testing.T, write func(w *bin.Writer)) []bin.Record {
 	t.Helper()
 	var buf bytes.Buffer
 	w := bin.NewReplayWriter(&buf, testHeader, testReplay)
 	write(w)
+	w.End(bin.End{})
 	if err := w.Close(); err != nil {
 		t.Fatalf("writing: %v", err)
 	}
@@ -53,7 +55,7 @@ func records(t *testing.T, write func(w *bin.Writer)) []bin.Record {
 	if recs[0].Kind != bin.KindReplay || *recs[0].Replay != testReplay {
 		t.Fatalf("stream opens with %v %+v, want the replay config", recs[0].Kind, recs[0].Replay)
 	}
-	return recs[1:]
+	return recs[1 : len(recs)-1]
 }
 
 func readAll(raw []byte) ([]bin.Record, error) {
@@ -96,7 +98,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	acct := bin.Transport{
 		Events: 10, Delivered: 8, Commands: 5, CommandFailures: 2, Dropped: 2, Delayed: 1,
 		Deaths: 2, Hangs: 1, AllocFailures: 1, LostCommands: 1, FailedInstances: 1, OrphansPending: 1,
-		HasMix: true, Mix: [6]int{3, 0, 0, 0, 2, 0},
+		CommandMix: &bin.CommandMix{Allocate: 3, Kill: 2},
 	}
 	recs := records(t, func(w *bin.Writer) {
 		w.Tree(1e9, uint64(sig), screen)
@@ -149,7 +151,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if r := recs[8]; r.At != 55e9 {
 		t.Fatalf("tick at %v, want 55s", r.At)
 	}
-	if r := recs[9]; r.Transport != acct {
+	if r := recs[9]; !reflect.DeepEqual(r.Transport, acct) {
 		t.Fatalf("accounting changed: %+v", r.Transport)
 	}
 }
@@ -291,15 +293,20 @@ func TestReadLogRejectsGarbage(t *testing.T) {
 		t.Fatalf("unknown version: got %v", err)
 	}
 
-	// plainWith appends one chunk of raw record bytes to a plain stream.
+	// plainWith appends one chunk of raw record bytes, closed by a zero end
+	// record, to a plain stream holding one sample.
 	plainWith := func(records ...byte) []byte {
 		var p bytes.Buffer
 		pw := bin.NewWriter(&p, testHeader)
-		pw.End(bin.End{})
+		pw.Sample(bin.Sample{})
 		if err := pw.Close(); err != nil {
 			t.Fatal(err)
 		}
+		records = append(records, byte(bin.KindEnd), 0, 0, 0, 0)
 		return append(binary.LittleEndian.AppendUint32(p.Bytes(), uint32(len(records))), records...)
+	}
+	if _, err := readAll(plainWith()); err != nil {
+		t.Fatalf("plain stream without protocol records: %v", err)
 	}
 	if _, err := readAll(plainWith(byte(bin.KindTick), 0)); !errors.Is(err, bin.ErrCorrupt) {
 		t.Fatalf("unannounced tick: got %v", err)
@@ -330,6 +337,7 @@ func TestReadLogRejectsDeepScreenTree(t *testing.T) {
 		var buf bytes.Buffer
 		w := bin.NewReplayWriter(&buf, testHeader, testReplay)
 		w.Tree(0, 1, &ui.Screen{Activity: "A", Root: root})
+		w.End(bin.End{})
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,9 @@ type RunStat struct {
 
 // Scan streams one binary trace and reduces it to its RunStat. name and
 // size fill the Path and Bytes fields (callers reading from disk pass the
-// base filename and file length).
+// base filename and file length). A stream bin.Reader rejects fails with
+// its bin.ErrCorrupt, so Scan and export.ReadBin agree on which streams
+// are well formed.
 func Scan(r io.Reader, name string, size int64) (*RunStat, error) {
 	br, err := bin.NewReader(r)
 	if err != nil {
@@ -81,11 +83,10 @@ func Scan(r io.Reader, name string, size int64) (*RunStat, error) {
 		Bytes:     size,
 		CrashSigs: make(map[string]int),
 	}
-	sawEnd := false
 	for {
 		rec, err := br.Next()
 		if err == io.EOF {
-			break
+			return st, nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %s: %w", name, err)
@@ -114,23 +115,16 @@ func Scan(r io.Reader, name string, size int64) (*RunStat, error) {
 			st.MachineNS = rec.End.MachineNS
 			st.Coverage = rec.End.Coverage
 			st.UniqueCrashes = rec.End.UniqueCrashes
-			sawEnd = true
 		case bin.KindTransport:
 			// Chaos transport accounting is export-level detail; corpus
 			// stats aggregate run outcomes only.
-		case bin.KindReplay, bin.KindTree, bin.KindDelivered, bin.KindCommand, bin.KindFate,
+		case bin.KindHeader, bin.KindStrDef, bin.KindSigDef,
+			bin.KindReplay, bin.KindTree, bin.KindDelivered, bin.KindCommand, bin.KindFate,
 			bin.KindReply, bin.KindLease, bin.KindTick, bin.KindAccounting:
-			// Protocol records of a replayable trace describe the same run.
-		case bin.KindHeader, bin.KindStrDef, bin.KindSigDef:
-			// The Reader consumes header and interning records internally;
-			// one surfacing from Next means the stream (or Reader) is broken.
-			return nil, fmt.Errorf("corpus: %s: %w: %v record surfaced mid-stream", name, bin.ErrCorrupt, rec.Kind)
+			// The Reader consumes header and interning records itself, and
+			// protocol records of a replayable trace describe the same run.
 		}
 	}
-	if !sawEnd {
-		return nil, fmt.Errorf("corpus: %s: %w: stream ends without end record", name, bin.ErrCorrupt)
-	}
-	return st, nil
 }
 
 // ScanFile streams one binary trace file from disk.

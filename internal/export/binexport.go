@@ -30,11 +30,8 @@ func (r *Run) WriteBin(w io.Writer) error {
 			bw.Event(toTraceEvent(inst.ID, ev))
 		}
 	}
-	for _, p := range r.Timeline {
-		bw.Sample(bin.Sample{
-			WallNS: p.WallNS, MachineNS: p.MachineNS,
-			Covered: p.Covered, Crashes: p.Crashes, AJS: p.AJS,
-		})
+	for _, s := range r.Timeline {
+		bw.Sample(s)
 	}
 	if r.Telemetry != nil {
 		for _, d := range r.Telemetry.Decisions {
@@ -42,59 +39,29 @@ func (r *Run) WriteBin(w io.Writer) error {
 		}
 	}
 	for _, inst := range r.Instances {
-		sum := bin.InstanceSummary{
-			ID:          inst.ID,
-			AllocatedNS: inst.AllocatedNS,
-			ReleasedNS:  inst.ReleasedNS,
-			Failed:      inst.Failed,
-			Coverage:    inst.Coverage,
-		}
-		for _, cr := range inst.Crashes {
-			sum.Crashes = append(sum.Crashes, bin.Crash{
-				Signature: cr.Signature, AtNS: cr.AtNS, Frames: cr.Frames,
-			})
-		}
-		bw.Instance(sum)
+		bw.Instance(inst.InstanceSummary)
 	}
 	for _, sub := range r.Subspaces {
-		bw.Subspace(bin.Subspace{
-			ID: sub.ID, Entry: sub.Entry, Members: sub.Members,
-			Owner: sub.Owner, FoundNS: sub.FoundNS,
-		})
+		bw.Subspace(sub)
 	}
 	for _, s := range r.Screens {
-		bw.Screen(bin.Screen{Sig: s.Signature, Activity: s.Activity, Nodes: s.Nodes})
+		bw.Screen(s)
 	}
-	if t := r.Transport; t != nil {
-		bt := bin.Transport{
-			Events: t.Events, Delivered: t.Delivered, Commands: t.Commands,
-			CommandFailures: t.CommandFailures, Dropped: t.Dropped,
-			Delayed: t.Delayed, Deaths: t.Deaths, Hangs: t.Hangs,
-			AllocFailures: t.AllocFailures, LostCommands: t.LostCommands,
-			FailedInstances: t.FailedInstances, OrphansPending: t.OrphansPending,
-		}
-		if m := t.CommandMix; m != nil {
-			bt.HasMix = true
-			bt.Mix = [6]int{m.Allocate, m.Deallocate, m.BlockWidget, m.BlockMember, m.Kill, m.Hang}
-		}
-		bw.Transport(bt)
+	if r.Transport != nil {
+		bw.Transport(*r.Transport)
 	}
 	if r.Telemetry != nil {
 		for _, m := range r.Telemetry.Metrics {
 			bw.Metric(m)
 		}
 	}
-	bw.End(bin.End{
-		WallNS:    r.WallUsedNS,
-		MachineNS: r.MachineUsedNS,
-		Coverage:  r.Coverage, UniqueCrashes: r.UniqueCrashes,
-	})
+	bw.End(r.End)
 	return bw.Close()
 }
 
 // ReadBin streams a binary trace's records through the record builder. The
 // rebuilt Run is byte-identical (as JSON) to FromResult of the run that
-// wrote the stream.
+// wrote the stream. A stream bin.Reader rejects fails with its ErrCorrupt.
 func ReadBin(rd io.Reader) (*Run, error) {
 	br, err := bin.NewReader(rd)
 	if err != nil {
@@ -108,14 +75,11 @@ func ReadBin(rd io.Reader) (*Run, error) {
 	for {
 		rec, err := br.Next()
 		if err == io.EOF {
-			break
+			return b.run, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		if err := b.record(rec); err != nil {
-			return nil, err
-		}
+		b.record(rec)
 	}
-	return b.finish()
 }

@@ -12,21 +12,16 @@ import (
 	"testing"
 
 	"taopt/internal/apps"
+	"taopt/internal/corpus"
 	"taopt/internal/faults"
 	"taopt/internal/harness"
+	"taopt/internal/obs"
 	"taopt/internal/sim"
+	"taopt/internal/trace"
 	"taopt/internal/trace/bin"
 )
 
 var updateBinGolden = flag.Bool("update", false, "rewrite the binary-trace golden digests")
-
-// TestBinExportVersionMatches pins the bin package's mirror of the export
-// schema version. If this fails, a format bump touched one side only.
-func TestBinExportVersionMatches(t *testing.T) {
-	if bin.ExportVersion != FormatVersion {
-		t.Fatalf("bin.ExportVersion = %d, export.FormatVersion = %d; bump them together", bin.ExportVersion, FormatVersion)
-	}
-}
 
 // binCells are the pinned configurations the lossless round-trip and the
 // golden digests cover: the fault-free sample, the chaos/telemetry golden
@@ -194,11 +189,109 @@ func TestBinRoundTripCatalog(t *testing.T) {
 	}
 }
 
+// TestMalformedStreamsRejected: bin.Reader alone decides which streams are
+// well formed, so every consumer rejects the same malformed streams with
+// bin.ErrCorrupt — ReadBin, corpus.Scan, and Replay on the replayable
+// variant of each stream — instead of dropping or double-counting records.
+func TestMalformedStreamsRejected(t *testing.T) {
+	ev := func(inst int, at sim.Duration) trace.Event {
+		return trace.Event{Instance: inst, At: at, Activity: "Main"}
+	}
+	// secondHeader is one chunk holding a header and an end record.
+	var second bytes.Buffer
+	sw := bin.NewWriter(&second, bin.Header{App: "again"})
+	sw.End(bin.End{})
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	secondHeader := second.Bytes()[len(bin.Magic)+1:]
+
+	cases := []struct {
+		name  string
+		write func(w *bin.Writer)
+		tail  []byte // raw chunks appended after the writer's output
+	}{
+		{"record after end", func(w *bin.Writer) {
+			w.Event(ev(0, 1))
+			w.Instance(bin.InstanceSummary{ID: 0})
+			w.End(bin.End{})
+			w.Event(ev(1, 2))
+			w.Sample(bin.Sample{})
+		}, nil},
+		{"header mid-stream", func(w *bin.Writer) { w.Sample(bin.Sample{}) }, secondHeader},
+		{"missing end", func(w *bin.Writer) {
+			w.Event(ev(0, 1))
+			w.Instance(bin.InstanceSummary{ID: 0})
+		}, nil},
+		{"orphan events", func(w *bin.Writer) {
+			w.Event(ev(0, 1))
+			w.Event(ev(3, 1))
+			w.Instance(bin.InstanceSummary{ID: 0})
+			w.End(bin.End{})
+		}, nil},
+		{"orphan events of an instance ID past MaxInt64", func(w *bin.Writer) {
+			w.Event(ev(-1, 1)) // the uvarint of -1 decodes as a negative ID
+			w.End(bin.End{})
+		}, nil},
+		{"duplicate summary", func(w *bin.Writer) {
+			w.Event(ev(0, 1))
+			w.Instance(bin.InstanceSummary{ID: 0})
+			w.Instance(bin.InstanceSummary{ID: 0})
+			w.End(bin.End{})
+		}, nil},
+		{"event after its summary", func(w *bin.Writer) {
+			w.Event(ev(0, 1))
+			w.Instance(bin.InstanceSummary{ID: 0})
+			w.Event(ev(0, 2))
+			w.End(bin.End{})
+		}, nil},
+		{"decision without telemetry flag", func(w *bin.Writer) {
+			w.Decision(obs.Decision{Kind: "allocate"})
+			w.End(bin.End{})
+		}, nil},
+		{"transport without faults flag", func(w *bin.Writer) {
+			w.Transport(bin.Transport{Events: 1})
+			w.End(bin.End{})
+		}, nil},
+	}
+	h := bin.Header{App: "a", Tool: "monkey", Setting: "baseline"} // no coordinator to re-drive
+	build := func(replayable bool, write func(*bin.Writer), tail []byte) []byte {
+		var buf bytes.Buffer
+		var w *bin.Writer
+		if replayable {
+			w = bin.NewReplayWriter(&buf, h, bin.ReplayConfig{MaxDevices: 1})
+		} else {
+			w = bin.NewWriter(&buf, h)
+		}
+		write(w)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return append(buf.Bytes(), tail...)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := build(false, c.write, c.tail)
+			if _, err := ReadBin(bytes.NewReader(data)); !errors.Is(err, bin.ErrCorrupt) {
+				t.Errorf("ReadBin: got %v, want bin.ErrCorrupt", err)
+			}
+			if _, err := corpus.Scan(bytes.NewReader(data), c.name, int64(len(data))); !errors.Is(err, bin.ErrCorrupt) {
+				t.Errorf("corpus.Scan: got %v, want bin.ErrCorrupt", err)
+			}
+			data = build(true, c.write, c.tail)
+			if _, _, err := Replay(bytes.NewReader(data)); !errors.Is(err, bin.ErrCorrupt) {
+				t.Errorf("Replay: got %v, want bin.ErrCorrupt", err)
+			}
+		})
+	}
+}
+
 // FuzzTraceBinCodec fuzzes ReadBin and Replay over arbitrary bytes: neither
 // may panic, Replay fails only with a typed error, and whenever a stream
-// decodes cleanly, encode∘decode must be a fixed point from the first
-// re-encode on. The seeds add a replayable chaos trace and truncated copies
-// of it to the plain streams.
+// decodes cleanly, corpus.Scan accepts it too and counts the same events,
+// and encode∘decode must be a fixed point from the first re-encode on. The
+// seeds add a replayable chaos trace and truncated copies of it to the
+// plain streams.
 func FuzzTraceBinCodec(f *testing.F) {
 	cells := binCells()
 	for _, name := range []string{"golden", "chaos"} {
@@ -235,6 +328,17 @@ func FuzzTraceBinCodec(f *testing.F) {
 		run, err := ReadBin(bytes.NewReader(data))
 		if err != nil {
 			return // corrupt input rejected: fine, as long as no panic
+		}
+		st, err := corpus.Scan(bytes.NewReader(data), "fuzz", int64(len(data)))
+		if err != nil {
+			t.Fatalf("ReadBin accepts a stream corpus.Scan rejects: %v", err)
+		}
+		events := 0
+		for _, inst := range run.Instances {
+			events += len(inst.Events)
+		}
+		if events != st.Events {
+			t.Fatalf("ReadBin keeps %d events, corpus.Scan counts %d", events, st.Events)
 		}
 		var b1 bytes.Buffer
 		if err := run.WriteBin(&b1); err != nil {

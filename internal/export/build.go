@@ -1,8 +1,6 @@
 package export
 
 import (
-	"fmt"
-
 	"taopt/internal/obs"
 	"taopt/internal/trace"
 	"taopt/internal/trace/bin"
@@ -13,7 +11,10 @@ import (
 // (live result), ReadBin (decoded stream) and Replay (re-driven replayable
 // stream) all feed it. Slice and pointer fields are materialised only when
 // their records (or header flags) appear, so a record sequence rebuilds the
-// byte-identical JSON of the run that wrote it.
+// byte-identical JSON of the run that wrote it. The builder trusts its
+// input's framing, which bin.Reader enforces: every event belongs to one
+// instance summary, and telemetry and transport records come only with
+// their header flags.
 type builder struct {
 	run *Run
 	// events holds each instance's events until its summary record claims
@@ -23,9 +24,6 @@ type builder struct {
 	curID  int
 	cur    []Event
 	hasCur bool
-
-	ended bool
-	err   error
 }
 
 var _ bin.Sink = (*builder)(nil)
@@ -46,12 +44,6 @@ func newBuilder(h bin.Header) *builder {
 		b.run.Telemetry = &Telemetry{}
 	}
 	return b
-}
-
-func (b *builder) fail(format string, args ...any) {
-	if b.err == nil {
-		b.err = fmt.Errorf("%w: "+format, append([]any{bin.ErrCorrupt}, args...)...)
-	}
 }
 
 // storeCur hands the pending run of events back to the per-instance map.
@@ -80,100 +72,38 @@ func (b *builder) Event(ev trace.Event) {
 }
 
 // Sample implements bin.Sink.
-func (b *builder) Sample(s bin.Sample) {
-	b.run.Timeline = append(b.run.Timeline, Point{
-		WallNS: s.WallNS, MachineNS: s.MachineNS,
-		Covered: s.Covered, Crashes: s.Crashes, AJS: s.AJS,
-	})
-}
+func (b *builder) Sample(s bin.Sample) { b.run.Timeline = append(b.run.Timeline, s) }
 
 // Decision implements bin.Sink.
 func (b *builder) Decision(d obs.Decision) {
-	if b.run.Telemetry == nil {
-		b.fail("decision record without telemetry header flag")
-		return
-	}
 	b.run.Telemetry.Decisions = append(b.run.Telemetry.Decisions, d)
 }
 
 // Instance implements bin.Sink.
 func (b *builder) Instance(s bin.InstanceSummary) {
 	b.storeCur()
-	inst := Instance{
-		ID:          s.ID,
-		AllocatedNS: s.AllocatedNS,
-		ReleasedNS:  s.ReleasedNS,
-		Coverage:    s.Coverage,
-		Failed:      s.Failed,
-		Events:      b.events[s.ID],
-	}
-	for _, cr := range s.Crashes {
-		inst.Crashes = append(inst.Crashes, Crash{
-			Signature: cr.Signature, AtNS: cr.AtNS, Frames: cr.Frames,
-		})
-	}
-	b.run.Instances = append(b.run.Instances, inst)
+	b.run.Instances = append(b.run.Instances, Instance{InstanceSummary: s, Events: b.events[s.ID]})
 }
 
 // Subspace implements bin.Sink.
-func (b *builder) Subspace(s bin.Subspace) {
-	b.run.Subspaces = append(b.run.Subspaces, Subspace{
-		ID: s.ID, Entry: s.Entry, Members: s.Members,
-		Owner: s.Owner, FoundNS: s.FoundNS,
-	})
-}
+func (b *builder) Subspace(s bin.Subspace) { b.run.Subspaces = append(b.run.Subspaces, s) }
 
 // Screen implements bin.Sink.
-func (b *builder) Screen(s bin.Screen) {
-	b.run.Screens = append(b.run.Screens, Screen{
-		Signature: s.Sig, Activity: s.Activity, Nodes: s.Nodes,
-	})
-}
+func (b *builder) Screen(s bin.Screen) { b.run.Screens = append(b.run.Screens, s) }
 
 // Transport implements bin.Sink.
-func (b *builder) Transport(t bin.Transport) {
-	et := &Transport{
-		Events: t.Events, Delivered: t.Delivered, Commands: t.Commands,
-		CommandFailures: t.CommandFailures, Dropped: t.Dropped,
-		Delayed: t.Delayed, Deaths: t.Deaths, Hangs: t.Hangs,
-		AllocFailures: t.AllocFailures, LostCommands: t.LostCommands,
-		FailedInstances: t.FailedInstances, OrphansPending: t.OrphansPending,
-	}
-	if t.HasMix {
-		et.CommandMix = &CommandMix{
-			Allocate: t.Mix[0], Deallocate: t.Mix[1],
-			BlockWidget: t.Mix[2], BlockMember: t.Mix[3],
-			Kill: t.Mix[4], Hang: t.Mix[5],
-		}
-	}
-	b.run.Transport = et
-}
+func (b *builder) Transport(t bin.Transport) { b.run.Transport = &t }
 
 // Metric implements bin.Sink.
 func (b *builder) Metric(m obs.Metric) {
-	if b.run.Telemetry == nil {
-		b.fail("metric record without telemetry header flag")
-		return
-	}
 	b.run.Telemetry.Metrics = append(b.run.Telemetry.Metrics, m)
 }
 
 // End implements bin.Sink.
-func (b *builder) End(e bin.End) {
-	b.run.WallUsedNS = e.WallNS
-	b.run.MachineUsedNS = e.MachineNS
-	b.run.Coverage = e.Coverage
-	b.run.UniqueCrashes = e.UniqueCrashes
-	b.ended = true
-}
+func (b *builder) End(e bin.End) { b.run.End = e }
 
-// record dispatches one decoded stream record, rejecting what a well-formed
-// stream never holds; it returns the first violation seen.
-func (b *builder) record(rec bin.Record) error {
-	if b.ended {
-		b.fail("%v record after end", rec.Kind)
-		return b.err
-	}
+// record dispatches one decoded stream record.
+func (b *builder) record(rec bin.Record) {
 	switch rec.Kind {
 	case bin.KindEvent:
 		b.Event(rec.Event)
@@ -193,27 +123,11 @@ func (b *builder) record(rec bin.Record) error {
 		b.Metric(rec.Metric)
 	case bin.KindEnd:
 		b.End(rec.End)
-	case bin.KindReplay, bin.KindTree, bin.KindDelivered, bin.KindCommand, bin.KindFate,
+	case bin.KindHeader, bin.KindStrDef, bin.KindSigDef,
+		bin.KindReplay, bin.KindTree, bin.KindDelivered, bin.KindCommand, bin.KindFate,
 		bin.KindReply, bin.KindLease, bin.KindTick, bin.KindAccounting:
+		// The Reader consumes header and interning records itself.
 		// Protocol records are Replay's input; the run they describe is
 		// already in the other records.
-	case bin.KindHeader, bin.KindStrDef, bin.KindSigDef:
-		// The Reader consumes header and interning records internally;
-		// one surfacing from Next means the stream (or Reader) is broken.
-		b.fail("%v record surfaced mid-stream", rec.Kind)
-	default:
-		b.fail("unexpected %v record", rec.Kind)
 	}
-	return b.err
-}
-
-// finish returns the assembled run, or the first violation seen.
-func (b *builder) finish() (*Run, error) {
-	if b.err == nil && !b.ended {
-		b.fail("stream ends without end record")
-	}
-	if b.err != nil {
-		return nil, b.err
-	}
-	return b.run, nil
 }

@@ -14,6 +14,7 @@ import (
 	"taopt/internal/obs"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
+	"taopt/internal/trace/bin"
 	"taopt/internal/ui"
 )
 
@@ -26,10 +27,12 @@ import (
 // 5 marks the binary-trace era (internal/trace/bin): the JSON schema is
 // unchanged from v4, but v5 files are the debug view of runs that can also
 // stream the binary form, and WriteBin/ReadBin round-trip them losslessly.
-// Read and ReadBin accept exactly this version.
-const FormatVersion = 5
+// The binary record types are the document's sections, so the two forms
+// share one version. Read and ReadBin accept exactly this version.
+const FormatVersion = bin.ExportVersion
 
-// Run is the serialised form of one campaign run.
+// Run is the serialised form of one campaign run. Its sections are the
+// binary trace's record types (internal/trace/bin), held as decoded.
 type Run struct {
 	Version int    `json:"version"`
 	App     string `json:"app"`
@@ -40,35 +43,28 @@ type Run struct {
 	// app (format v4); empty for apps built in code.
 	ScenarioHash string `json:"scenario_hash,omitempty"`
 
-	WallUsedNS    int64 `json:"wall_used_ns"`
-	MachineUsedNS int64 `json:"machine_used_ns"`
-	Coverage      int   `json:"coverage"`
-	UniqueCrashes int   `json:"unique_crashes"`
+	// End carries the run totals: wall and machine time used, coverage and
+	// unique crashes.
+	bin.End
 
 	// Transport summarises the coordination transport's delivery accounting
 	// and injected device-farm failures (emitted on chaos runs only).
-	Transport *Transport `json:"transport,omitempty"`
+	Transport *bin.Transport `json:"transport,omitempty"`
 	// Telemetry carries the observability layer's decision log and metrics
 	// snapshot (emitted only when the run collected telemetry).
 	Telemetry *Telemetry `json:"telemetry,omitempty"`
 
-	Instances []Instance `json:"instances"`
-	Subspaces []Subspace `json:"subspaces,omitempty"`
-	Timeline  []Point    `json:"timeline"`
-	Screens   []Screen   `json:"screens"`
+	Instances []Instance     `json:"instances"`
+	Subspaces []bin.Subspace `json:"subspaces,omitempty"`
+	Timeline  []bin.Sample   `json:"timeline"`
+	Screens   []bin.Screen   `json:"screens"`
 }
 
-// Instance is one testing-instance allocation.
+// Instance is one testing-instance allocation: its end-of-run summary and
+// the UI transitions it recorded.
 type Instance struct {
-	ID          int   `json:"id"`
-	AllocatedNS int64 `json:"allocated_ns"`
-	ReleasedNS  int64 `json:"released_ns"`
-	Coverage    int   `json:"coverage"`
-	// Failed marks a lease terminated by an injected fault rather than a
-	// deliberate release.
-	Failed  bool    `json:"failed,omitempty"`
-	Crashes []Crash `json:"crashes,omitempty"`
-	Events  []Event `json:"events"`
+	bin.InstanceSummary
+	Events []Event `json:"events"`
 }
 
 // Event is one UI transition.
@@ -83,77 +79,11 @@ type Event struct {
 	Enforced bool   `json:"enforced,omitempty"`
 }
 
-// Transport summarises a chaos run's coordination transport: trace events
-// published and delivered, commands carried, and the faults the decorated
-// transport injected. Absent on fault-free runs.
-type Transport struct {
-	Events    int `json:"events"`
-	Delivered int `json:"delivered"`
-	Commands  int `json:"commands"`
-	// CommandFailures counts command attempts whose reply carried an error
-	// (injected outages and losses, timeouts, guard rejections).
-	CommandFailures int `json:"command_failures,omitempty"`
-	Dropped         int `json:"dropped"`
-	Delayed         int `json:"delayed"`
-	Deaths          int `json:"deaths"`
-	Hangs           int `json:"hangs"`
-	AllocFailures   int `json:"alloc_failures"`
-	LostCommands    int `json:"lost_commands,omitempty"`
-	FailedInstances int `json:"failed_instances"`
-	OrphansPending  int `json:"orphans_pending"`
-	// CommandMix breaks Commands down per kind (format v3).
-	CommandMix *CommandMix `json:"command_mix,omitempty"`
-}
-
-// CommandMix is the transport's per-kind command breakdown. The injected
-// Kill/Hang fates travel as commands too, so their counts appear here while
-// the Deaths/Hangs fields above count the plan's draws.
-type CommandMix struct {
-	Allocate    int `json:"allocate"`
-	Deallocate  int `json:"deallocate"`
-	BlockWidget int `json:"block_widget"`
-	BlockMember int `json:"block_member"`
-	Kill        int `json:"kill"`
-	Hang        int `json:"hang"`
-}
-
 // Telemetry is the serialised observability block: the coordinator's
 // decision log in emission order and the metrics registry's snapshot.
 type Telemetry struct {
 	Decisions []obs.Decision `json:"decisions"`
 	Metrics   []obs.Metric   `json:"metrics,omitempty"`
-}
-
-// Crash is one observed crash.
-type Crash struct {
-	Signature string   `json:"signature"`
-	AtNS      int64    `json:"at_ns"`
-	Frames    []string `json:"frames"`
-}
-
-// Subspace is one accepted loosely coupled UI subspace.
-type Subspace struct {
-	ID      int      `json:"id"`
-	Entry   uint64   `json:"entry"`
-	Members []uint64 `json:"members"`
-	Owner   int      `json:"owner"`
-	FoundNS int64    `json:"found_ns"`
-}
-
-// Point is one timeline sample.
-type Point struct {
-	WallNS    int64   `json:"wall_ns"`
-	MachineNS int64   `json:"machine_ns"`
-	Covered   int     `json:"covered"`
-	Crashes   int     `json:"crashes"`
-	AJS       float64 `json:"ajs,omitempty"`
-}
-
-// Screen is one distinct abstract screen observed during the run.
-type Screen struct {
-	Signature uint64 `json:"signature"`
-	Activity  string `json:"activity"`
-	Nodes     int    `json:"nodes"`
 }
 
 // FromResult converts a harness result to its serialised form: the run's

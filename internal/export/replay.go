@@ -63,10 +63,10 @@ func Replay(rd io.Reader) (*Run, *obs.Log, error) {
 	}
 	first, err := br.Next()
 	switch {
-	case err == io.EOF || err == nil && first.Kind != bin.KindReplay:
-		return nil, nil, ErrNotReplayable
 	case err != nil:
 		return nil, nil, err
+	case first.Kind != bin.KindReplay:
+		return nil, nil, ErrNotReplayable
 	case first.Replay.CoreOverride:
 		return nil, nil, fmt.Errorf("%w: the run overrode the coordinator config, which is not recorded", ErrNotReplayable)
 	}
@@ -127,7 +127,7 @@ type replayer struct {
 	leased    map[int]bool
 	summaries map[int]bin.InstanceSummary
 	acct      *bin.Transport
-	end       *bin.End
+	end       bin.End
 	grounds   int
 	delivered int
 
@@ -344,23 +344,18 @@ func (e *replayer) drive() {
 		case bin.KindSample:
 			e.out.Sample(rec.Sample)
 		case bin.KindInstance:
-			if _, dup := e.summaries[rec.Summary.ID]; dup {
-				e.fail("instance %d has two end-of-run summaries", rec.Summary.ID)
-			}
 			e.summaries[rec.Summary.ID] = rec.Summary
 		case bin.KindAccounting:
 			e.acct = &rec.Transport
 		case bin.KindEnd:
-			e.end = &rec.End
-		case bin.KindDecision, bin.KindSubspace, bin.KindScreen, bin.KindTransport, bin.KindMetric:
+			e.end = rec.End
+		case bin.KindDecision, bin.KindSubspace, bin.KindScreen, bin.KindTransport, bin.KindMetric,
+			bin.KindHeader, bin.KindStrDef, bin.KindSigDef, bin.KindReplay:
 			// Re-derived by the replay (or, for metrics, not replayed);
-			// next already skips decisions.
+			// next already skips decisions. The Reader consumes header and
+			// interning records itself, and Replay the replay record.
 		case bin.KindReply:
 			e.fail("reply record outside its exchange")
-		case bin.KindHeader, bin.KindStrDef, bin.KindSigDef, bin.KindReplay:
-			e.fail("%v record surfaced mid-stream", rec.Kind)
-		default:
-			e.fail("unexpected %v record", rec.Kind)
 		}
 	}
 }
@@ -368,12 +363,12 @@ func (e *replayer) drive() {
 // reconcile cross-checks the re-driven state against the recorded totals:
 // the record counts must reconcile with the transport accounting, the
 // replayed coordinator must land in the recorded end state, and every lease
-// must have exactly one end-of-run summary.
+// must have an end-of-run summary (the Reader rejects a second one).
 func (e *replayer) reconcile() {
 	a := e.acct
 	switch {
-	case a == nil || e.end == nil:
-		e.fail("stream ends without its accounting and end records (truncated recording)")
+	case a == nil:
+		e.fail("stream ends without its accounting record")
 		return
 	// Every ground event but the launches is a publish the transport
 	// counted — except delayed events the run ended before re-delivering,
@@ -399,7 +394,7 @@ func (e *replayer) reconcile() {
 // harness.RunResult.Records emits a live run, so the replayed bytes match
 // the live bytes.
 func (e *replayer) export() *Run {
-	tail := harness.Tail{Book: e.book, End: *e.end}
+	tail := harness.Tail{Book: e.book, End: e.end}
 	if e.faults {
 		tail.Transport = e.acct
 	}

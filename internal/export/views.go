@@ -54,7 +54,7 @@ func ChromeTrace(r *Run) *obs.ChromeTrace {
 	}
 	for _, sub := range r.Subspaces {
 		tr.Complete(fmt.Sprintf("subspace %d", sub.ID), "subspace", pid, sub.Owner,
-			sim.Duration(sub.FoundNS), sim.Duration(r.WallUsedNS-sub.FoundNS))
+			sim.Duration(sub.FoundNS), sim.Duration(r.WallNS-sub.FoundNS))
 	}
 	if r.Telemetry != nil {
 		for _, d := range r.Telemetry.Decisions {

@@ -116,11 +116,13 @@ func (r *RunResult) transportRecord() bin.Transport {
 		LostCommands:    st.LostCommands,
 		FailedInstances: r.FailedInstances,
 		OrphansPending:  r.OrphansPending,
-		HasMix:          true,
-		Mix: [6]int{
-			st.KindCount(bus.Allocate), st.KindCount(bus.Deallocate),
-			st.KindCount(bus.BlockWidget), st.KindCount(bus.BlockMember),
-			st.KindCount(bus.Kill), st.KindCount(bus.Hang),
+		CommandMix: &bin.CommandMix{
+			Allocate:    st.KindCount(bus.Allocate),
+			Deallocate:  st.KindCount(bus.Deallocate),
+			BlockWidget: st.KindCount(bus.BlockWidget),
+			BlockMember: st.KindCount(bus.BlockMember),
+			Kill:        st.KindCount(bus.Kill),
+			Hang:        st.KindCount(bus.Hang),
 		},
 	}
 }

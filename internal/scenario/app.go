@@ -59,9 +59,7 @@ type appSpecJSON struct {
 	DecorationsMax   *int     `json:"decorationsMax"`
 }
 
-func init() { Register(KindApp, 1, compileAppV1) }
-
-func compileAppV1(doc *Document) (any, []Issue) {
+func compileAppV1(doc *Document) (*App, []Issue) {
 	a, issues := compileAppBody(doc.Name, doc.Body, "$."+bodyKey(KindApp))
 	if len(issues) > 0 {
 		return nil, issues

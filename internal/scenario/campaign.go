@@ -60,9 +60,7 @@ func SettingNames() []string {
 	return []string{"baseline", "taopt-duration", "taopt-resource", "activity-partition", "single-long", "pats"}
 }
 
-func init() { Register(KindCampaign, 1, compileCampaignV1) }
-
-func compileCampaignV1(doc *Document) (any, []Issue) {
+func compileCampaignV1(doc *Document) (*Campaign, []Issue) {
 	path := "$." + bodyKey(KindCampaign)
 	var j campaignJSON
 	issues := decodeFields(path, doc.Body, &j)

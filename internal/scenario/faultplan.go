@@ -45,9 +45,7 @@ type contextEventJSON struct {
 	DelaySec    *float64 `json:"delaySec"`
 }
 
-func init() { Register(KindFaultPlan, 1, compileFaultPlanV1) }
-
-func compileFaultPlanV1(doc *Document) (any, []Issue) {
+func compileFaultPlanV1(doc *Document) (*FaultPlan, []Issue) {
 	fp, issues := compileFaultBody(doc.Name, doc.Body, "$."+bodyKey(KindFaultPlan))
 	if len(issues) > 0 {
 		return nil, issues

@@ -59,9 +59,7 @@ type runJSON struct {
 	Faults         json.RawMessage `json:"faults"`
 }
 
-func init() { Register(KindRun, 1, compileRunV1) }
-
-func compileRunV1(doc *Document) (any, []Issue) {
+func compileRunV1(doc *Document) (*RunSpec, []Issue) {
 	path := "$." + bodyKey(KindRun)
 	var j runJSON
 	issues := decodeFields(path, doc.Body, &j)

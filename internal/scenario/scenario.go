@@ -1,6 +1,7 @@
 // Package scenario is the data layer of the evaluation surface: a versioned
 // JSON format describing synthetic apps, fault plans and whole campaigns,
-// compiled into the repo's own config types through a generator registry.
+// compiled into the repo's own config types, one compiler per (kind,
+// schemaVersion) pair.
 //
 // A scenario document is a small envelope around one kind-specific payload:
 //
@@ -13,8 +14,8 @@
 //
 // Three properties define the format:
 //
-//   - Versioned, strictly. schemaVersion selects the registered compiler for
-//     the document's kind; an unregistered (kind, version) pair is an error,
+//   - Versioned, strictly. schemaVersion selects the compiler for the
+//     document's kind; an unknown (kind, version) pair is an error,
 //     never a best-effort parse. A document that omits schemaVersion means
 //     version 1 — the defaulting is strict in that nothing else is inferred.
 //   - Closed. Unknown fields are rejected at every nesting level, so a typo
@@ -189,43 +190,45 @@ type Compiled struct {
 	Run       *RunSpec
 }
 
-// Compile decodes data and runs the registered compiler for its (kind,
-// schemaVersion) pair. Validation failures return an *InvalidError listing
-// every issue with its JSON path.
+// compilers lists the (kind, version) pairs Compile knows, for its error
+// message. A new schema version adds a case beside the old one, so old
+// files keep compiling.
+const compilers = "app/v1, campaign/v1, fault-plan/v1, run/v1"
+
+// Compile decodes data and runs the compiler for its (kind, schemaVersion)
+// pair. Validation failures return an *InvalidError listing every issue
+// with its JSON path.
 func Compile(data []byte) (*Compiled, error) {
 	doc, err := Decode(data)
 	if err != nil {
 		return nil, err
 	}
-	fn := lookup(doc.Kind, doc.SchemaVersion)
-	if fn == nil {
+	if doc.SchemaVersion != 1 {
 		return nil, fmt.Errorf("scenario: no compiler registered for kind %q version %d (registered: %s)",
-			doc.Kind, doc.SchemaVersion, registeredList())
+			doc.Kind, doc.SchemaVersion, compilers)
 	}
-	v, issues := fn(doc)
+	out := &Compiled{Kind: doc.Kind, Version: doc.SchemaVersion, Name: doc.Name, Hash: doc.Hash}
+	var issues []Issue
+	switch doc.Kind { // Decode admits only these kinds
+	case KindApp:
+		out.App, issues = compileAppV1(doc)
+	case KindFaultPlan:
+		out.FaultPlan, issues = compileFaultPlanV1(doc)
+	case KindCampaign:
+		out.Campaign, issues = compileCampaignV1(doc)
+	case KindRun:
+		out.Run, issues = compileRunV1(doc)
+	}
 	if len(issues) > 0 {
 		return nil, &InvalidError{Issues: issues}
 	}
-	out := &Compiled{Kind: doc.Kind, Version: doc.SchemaVersion, Name: doc.Name, Hash: doc.Hash}
-	switch t := v.(type) {
-	case *App:
-		out.App = t
-	case *FaultPlan:
-		out.FaultPlan = t
-	case *Campaign:
-		out.Campaign = t
-	case *RunSpec:
-		out.Run = t
+	if out.Run != nil {
 		// The cache key of the campaign service: the document's canonical
 		// hash with the name removed, so renaming a run does not defeat the
 		// run store. Stamped here because only Compile holds the raw bytes.
-		hash, err := CanonicalHashExcluding(data, "name")
-		if err != nil {
+		if out.Run.ConfigHash, err = CanonicalHashExcluding(data, "name"); err != nil {
 			return nil, err
 		}
-		t.ConfigHash = hash
-	default:
-		return nil, fmt.Errorf("scenario: compiler for kind %q returned unexpected %T", doc.Kind, v)
 	}
 	return out, nil
 }

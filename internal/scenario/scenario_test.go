@@ -339,12 +339,3 @@ func TestCompileCampaignErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register(KindApp, 1, func(doc *Document) (any, []Issue) { return nil, nil })
-}

@@ -70,9 +70,10 @@ const (
 	Magic = "TAOPTTB"
 	// Version is the binary codec revision.
 	Version = 1
-	// ExportVersion is the JSON export schema (export.FormatVersion) this
-	// codec revision mirrors losslessly; writers stamp it into the header
-	// and readers hand it back so a rebuilt Run names its schema era.
+	// ExportVersion is the JSON export schema this codec revision mirrors
+	// losslessly (export.FormatVersion is defined as it); writers stamp it
+	// into the header and readers hand it back so a rebuilt Run names its
+	// schema era.
 	ExportVersion = 5
 	// ChunkSize is the flush threshold: a chunk is written out as soon as
 	// the pending payload reaches this many bytes. One oversized record
@@ -216,77 +217,102 @@ type Header struct {
 	Faults bool
 }
 
+// The end-of-run record types below double as the JSON export's sections
+// (export format v5): their tags are the export's field names, so the
+// export holds them as they are and never copies a field.
+
 // Sample is one timeline point (raw fields; the bin layer depends on no
 // metrics types).
 type Sample struct {
-	WallNS    int64
-	MachineNS int64
-	Covered   int
-	Crashes   int
-	AJS       float64
+	WallNS    int64   `json:"wall_ns"`
+	MachineNS int64   `json:"machine_ns"`
+	Covered   int     `json:"covered"`
+	Crashes   int     `json:"crashes"`
+	AJS       float64 `json:"ajs,omitempty"`
 }
 
 // Crash is one recorded crash of an instance summary.
 type Crash struct {
-	Signature string
-	AtNS      int64
-	Frames    []string
+	Signature string   `json:"signature"`
+	AtNS      int64    `json:"at_ns"`
+	Frames    []string `json:"frames"`
 }
 
 // InstanceSummary is the end-of-run record of one instance lease.
 type InstanceSummary struct {
-	ID          int
-	AllocatedNS int64
-	ReleasedNS  int64
-	Failed      bool
-	Coverage    int
-	Crashes     []Crash
+	ID          int   `json:"id"`
+	AllocatedNS int64 `json:"allocated_ns"`
+	ReleasedNS  int64 `json:"released_ns"`
+	Coverage    int   `json:"coverage"`
+	// Failed marks a lease terminated by an injected fault rather than a
+	// deliberate release.
+	Failed  bool    `json:"failed,omitempty"`
+	Crashes []Crash `json:"crashes,omitempty"`
 }
 
 // Subspace is one accepted UI subspace; Members must be sorted ascending
 // (the canonical export order).
 type Subspace struct {
-	ID      int
-	Entry   uint64
-	Members []uint64
-	Owner   int
-	FoundNS int64
+	ID      int      `json:"id"`
+	Entry   uint64   `json:"entry"`
+	Members []uint64 `json:"members"`
+	Owner   int      `json:"owner"`
+	FoundNS int64    `json:"found_ns"`
 }
 
 // Screen is one distinct abstract screen digest.
 type Screen struct {
-	Sig      uint64
-	Activity string
-	Nodes    int
+	Sig      uint64 `json:"signature"`
+	Activity string `json:"activity"`
+	Nodes    int    `json:"nodes"`
 }
 
-// Transport is the chaos run's coordination-transport accounting.
+// Transport is the chaos run's coordination-transport accounting: trace
+// events published and delivered, commands carried, and the faults the
+// decorated transport injected.
 type Transport struct {
-	Events          int
-	Delivered       int
-	Commands        int
-	CommandFailures int
-	Dropped         int
-	Delayed         int
-	Deaths          int
-	Hangs           int
-	AllocFailures   int
-	LostCommands    int
-	FailedInstances int
-	OrphansPending  int
-	// HasMix marks a per-kind command breakdown; Mix is ordered like
-	// bus.CommandKind (allocate, deallocate, block-widget, block-member,
-	// kill, hang).
-	HasMix bool
-	Mix    [6]int
+	Events    int `json:"events"`
+	Delivered int `json:"delivered"`
+	Commands  int `json:"commands"`
+	// CommandFailures counts command attempts whose reply carried an error
+	// (injected outages and losses, timeouts, guard rejections).
+	CommandFailures int `json:"command_failures,omitempty"`
+	Dropped         int `json:"dropped"`
+	Delayed         int `json:"delayed"`
+	Deaths          int `json:"deaths"`
+	Hangs           int `json:"hangs"`
+	AllocFailures   int `json:"alloc_failures"`
+	LostCommands    int `json:"lost_commands,omitempty"`
+	FailedInstances int `json:"failed_instances"`
+	OrphansPending  int `json:"orphans_pending"`
+	// CommandMix breaks Commands down per kind (nil: not recorded).
+	CommandMix *CommandMix `json:"command_mix,omitempty"`
+}
+
+// CommandMix is the transport's per-kind command breakdown, its fields in
+// bus.CommandKind order (the order they are encoded in). The injected
+// Kill/Hang fates travel as commands too, so their counts appear here while
+// Transport's Deaths/Hangs count the fault plan's draws.
+type CommandMix struct {
+	Allocate    int `json:"allocate"`
+	Deallocate  int `json:"deallocate"`
+	BlockWidget int `json:"block_widget"`
+	BlockMember int `json:"block_member"`
+	Kill        int `json:"kill"`
+	Hang        int `json:"hang"`
+}
+
+// counts lists the mix's fields in encoding order.
+func (m *CommandMix) counts() []*int {
+	return []*int{&m.Allocate, &m.Deallocate, &m.BlockWidget, &m.BlockMember, &m.Kill, &m.Hang}
 }
 
 // End closes the stream with the run totals.
 type End struct {
-	WallNS        int64
-	MachineNS     int64
-	Coverage      int
-	UniqueCrashes int
+	WallNS        int64 `json:"wall_used_ns"`
+	MachineNS     int64 `json:"machine_used_ns"`
+	Coverage      int   `json:"coverage"`
+	UniqueCrashes int   `json:"unique_crashes"`
 }
 
 // ReplayConfig is what a replayable stream records beyond the header: the
@@ -775,10 +801,10 @@ func (w *Writer) transportBody(t Transport) {
 	} {
 		w.varint(int64(v))
 	}
-	w.boolb(t.HasMix)
-	if t.HasMix {
-		for _, v := range t.Mix {
-			w.varint(int64(v))
+	w.boolb(t.CommandMix != nil)
+	if t.CommandMix != nil {
+		for _, v := range t.CommandMix.counts() {
+			w.varint(int64(*v))
 		}
 	}
 }

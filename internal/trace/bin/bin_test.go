@@ -42,6 +42,13 @@ func testEvent(i int) trace.Event {
 	}
 }
 
+// summarize writes the summaries of testEvent's three instances.
+func summarize(w *Writer) {
+	for id := 0; id < 3; id++ {
+		w.Instance(InstanceSummary{ID: id})
+	}
+}
+
 // TestRoundTripAllKinds drives every record kind through a write/read cycle
 // and compares field by field.
 func TestRoundTripAllKinds(t *testing.T) {
@@ -72,6 +79,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		{ID: 0, AllocatedNS: 0, ReleasedNS: 9e9, Coverage: 12},
 		{ID: 1, AllocatedNS: 1e9, ReleasedNS: 8e9, Failed: true, Coverage: 7,
 			Crashes: []Crash{{Signature: "NPE@Foo", AtNS: 4e9, Frames: []string{"Foo.bar", "Foo.baz"}}}},
+		{ID: 2, AllocatedNS: 2e9, ReleasedNS: 9e9, Coverage: 3},
 	}
 	for _, s := range instances {
 		w.Instance(s)
@@ -93,7 +101,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		Events: 50, Delivered: 48, Commands: 9, CommandFailures: 1, Dropped: 2,
 		Delayed: 3, Deaths: 1, Hangs: 0, AllocFailures: 2, LostCommands: 1,
 		FailedInstances: 1, OrphansPending: 0,
-		HasMix: true, Mix: [6]int{4, 3, 1, 0, 1, 0},
+		CommandMix: &CommandMix{Allocate: 4, Deallocate: 3, BlockWidget: 1, Kill: 1},
 	}
 	w.Transport(transport)
 	metrics := []obs.Metric{
@@ -181,7 +189,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 	if !reflect.DeepEqual(gotScreens, screens) {
 		t.Errorf("screens differ: %+v vs %+v", gotScreens, screens)
 	}
-	if gotTransport == nil || *gotTransport != transport {
+	if gotTransport == nil || !reflect.DeepEqual(*gotTransport, transport) {
 		t.Errorf("transport differs: %+v vs %+v", gotTransport, transport)
 	}
 	if !reflect.DeepEqual(gotMetrics, metrics) {
@@ -253,6 +261,7 @@ func TestReaderMemoryBounded(t *testing.T) {
 	for i := 0; i < n; i++ {
 		w.Event(testEvent(i))
 	}
+	summarize(w)
 	w.End(End{})
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -272,8 +281,8 @@ func TestReaderMemoryBounded(t *testing.T) {
 		}
 		count++
 	}
-	if count != n+1 { // events + end
-		t.Fatalf("decoded %d records, want %d", count, n+1)
+	if count != n+4 { // events + summaries + end
+		t.Fatalf("decoded %d records, want %d", count, n+4)
 	}
 	if cap(r.chunk) > 2*ChunkSize {
 		t.Errorf("reader chunk capacity %d exceeds 2x ChunkSize (%d); stream is %d bytes", cap(r.chunk), 2*ChunkSize, buf.Len())
@@ -289,6 +298,7 @@ func TestReaderRejectsCorruption(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		w.Event(testEvent(i))
 	}
+	summarize(w)
 	w.End(End{WallNS: 1})
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

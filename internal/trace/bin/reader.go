@@ -15,14 +15,33 @@ import (
 
 // ErrCorrupt marks a stream that violates the format: a bad magic or
 // version, a record running past its chunk, a reference outside the intern
-// tables, or an implausible chunk length. Every decode failure wraps it, so
-// callers can errors.Is-classify corruption apart from plain I/O errors.
+// tables, an implausible chunk length, or a record sequence that breaks the
+// stream framing (see Reader). Every decode failure wraps it, so callers
+// can errors.Is-classify corruption apart from plain I/O errors.
 var ErrCorrupt = errors.New("bin: corrupt stream")
 
 // Reader streams records back out of a chunked binary trace. It loads one
 // chunk at a time, so reader memory is bounded by the largest chunk plus the
 // intern tables — never the whole stream. Interning records (KindStrDef,
 // KindSigDef) are consumed internally; Next never surfaces them.
+//
+// The Reader is the one authority on stream framing, so every consumer
+// accepts exactly the same streams. Beyond the per-record layout, Next
+// fails with ErrCorrupt on:
+//
+//   - a second header record;
+//   - a replay record anywhere but right after the header, or a protocol
+//     record in a stream without one;
+//   - a decision or metric record in a stream whose header does not flag
+//     telemetry, or a transport record in one whose header does not flag
+//     faults;
+//   - a second summary for one instance, or a ground event of an instance
+//     after its summary;
+//   - an end record while an instance has ground events but no summary;
+//   - any record after the end record, or a stream that ends without one.
+//
+// So io.EOF means the stream closed with its end record, and every ground
+// event belongs to exactly one instance summary.
 type Reader struct {
 	r   io.Reader
 	hdr Header
@@ -34,16 +53,26 @@ type Reader struct {
 	strs []string
 	sigs []uint64
 
-	lastEventAt map[int]int64
-	lastWall    int64
-	lastDecAt   int64
+	insts     map[int]instState
+	lastWall  int64
+	lastDecAt int64
 
 	// n counts the records surfaced so far (the header is record 0);
 	// replayable is set by a replay record at n == 1 and admits protocol
-	// records.
+	// records; ended is set by the end record.
 	n           int
 	replayable  bool
 	lastProtoAt int64
+	ended       bool
+}
+
+// instState is what the Reader tracks per instance: its last ground
+// event's time (the next event's delta base) and whether its summary has
+// been read. An instance enters the map with its first event or its
+// summary, so an entry without a summary has events.
+type instState struct {
+	lastAt     int64
+	summarized bool
 }
 
 // maxNodeDepth bounds the nesting of a decoded screen tree, so a corrupt
@@ -54,7 +83,7 @@ const maxNodeDepth = 256
 // NewReader opens a binary trace stream: it validates the magic and codec
 // version and decodes the mandatory header record.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := &Reader{r: r, lastEventAt: make(map[int]int64)}
+	br := &Reader{r: r, insts: make(map[int]instState)}
 	var pre [len(Magic) + 1]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
@@ -67,23 +96,20 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	rec, err := br.Next()
 	if err != nil {
-		if err == io.EOF {
-			err = fmt.Errorf("%w: stream ends before header record", ErrCorrupt)
-		}
 		return nil, err
 	}
 	if rec.Kind != KindHeader {
 		return nil, fmt.Errorf("%w: first record is %v, want header", ErrCorrupt, rec.Kind)
 	}
-	br.hdr = rec.Header
 	return br, nil
 }
 
 // Header returns the run identity the stream opened with.
 func (r *Reader) Header() Header { return r.hdr }
 
-// Next returns the next record, or io.EOF at a clean end of stream (a chunk
-// boundary). Errors latch: after a failure every later call returns it.
+// Next returns the next record, or io.EOF at a clean end of stream: a chunk
+// boundary after the end record. Errors latch: after a failure every later
+// call returns it.
 //
 //lint:hotpath
 func (r *Reader) Next() (Record, error) {
@@ -93,6 +119,9 @@ func (r *Reader) Next() (Record, error) {
 		}
 		if r.off == len(r.chunk) {
 			if err := r.loadChunk(); err != nil {
+				if err == io.EOF && !r.ended {
+					err = fmt.Errorf("%w: stream ends without end record", ErrCorrupt)
+				}
 				if err != io.EOF {
 					r.err = err
 				}
@@ -100,6 +129,10 @@ func (r *Reader) Next() (Record, error) {
 			}
 		}
 		kind := Kind(r.u8())
+		if r.ended {
+			r.corruptf("%v record after end", kind)
+			return Record{}, r.err
+		}
 		rec := Record{Kind: kind}
 		switch kind {
 		case KindStrDef:
@@ -109,25 +142,35 @@ func (r *Reader) Next() (Record, error) {
 			r.sigs = append(r.sigs, r.u64le())
 			continue
 		case KindHeader:
-			rec.Header = r.header()
+			if r.n != 0 {
+				r.corruptf("second header record")
+			}
+			r.hdr = r.header()
+			rec.Header = r.hdr
 		case KindEvent:
 			rec.Event = r.event(kind, 0)
 		case KindSample:
 			rec.Sample = r.sample()
 		case KindDecision:
+			r.flagged(kind, r.hdr.Telemetry, "telemetry")
 			rec.Decision = r.decision()
 		case KindInstance:
 			rec.Summary = r.instance()
+			r.summarize(rec.Summary.ID)
 		case KindSubspace:
 			rec.Subspace = r.subspace()
 		case KindScreen:
 			rec.Screen = r.screen()
 		case KindTransport:
+			r.flagged(kind, r.hdr.Faults, "faults")
 			rec.Transport = r.transport()
 		case KindMetric:
+			r.flagged(kind, r.hdr.Telemetry, "telemetry")
 			rec.Metric = r.metric()
 		case KindEnd:
 			rec.End = r.end()
+			r.ended = true
+			r.checkSummaries()
 		case KindReplay:
 			if r.n != 1 {
 				r.corruptf("replay record is not the first record after the header")
@@ -189,6 +232,39 @@ func (r *Reader) loadChunk() error {
 		return fmt.Errorf("%w: reading %d-byte chunk: %v", ErrCorrupt, n, err)
 	}
 	return nil
+}
+
+// flagged rejects a record of kind k unless the header set the flag that
+// announces such records.
+func (r *Reader) flagged(k Kind, set bool, flag string) {
+	if !set {
+		r.corruptf("%v record without the header's %s flag", k, flag)
+	}
+}
+
+// summarize marks instance id summarized, rejecting a second summary.
+func (r *Reader) summarize(id int) {
+	st := r.insts[id]
+	if st.summarized {
+		r.corruptf("second summary for instance %d", id)
+	}
+	st.summarized = true
+	r.insts[id] = st
+}
+
+// checkSummaries rejects an instance left with ground events but no
+// summary at the end record. It names the lowest such ID, so the error is
+// stable.
+func (r *Reader) checkSummaries() {
+	orphan, found := 0, false
+	for id, st := range r.insts {
+		if !st.summarized && (!found || id < orphan) {
+			orphan, found = id, true
+		}
+	}
+	if found {
+		r.corruptf("instance %d has ground events but no summary", orphan)
+	}
 }
 
 // corruptf latches a corruption error.
@@ -336,12 +412,18 @@ func (r *Reader) header() Header {
 //lint:hotpath
 func (r *Reader) event(k Kind, at int64) trace.Event {
 	inst := int(r.uvarint())
+	var st instState
 	if k == KindEvent {
-		at = r.lastEventAt[inst]
+		st = r.insts[inst]
+		if st.summarized {
+			r.corruptf("event of instance %d after its summary", inst)
+		}
+		at = st.lastAt
 	}
 	at += r.varint()
 	if k == KindEvent && r.err == nil {
-		r.lastEventAt[inst] = at
+		st.lastAt = at
+		r.insts[inst] = st
 	}
 	packed := r.u8()
 	return trace.Event{
@@ -464,10 +546,10 @@ func (r *Reader) transport() Transport {
 	} {
 		*p = int(r.varint())
 	}
-	t.HasMix = r.boolb()
-	if t.HasMix {
-		for i := range t.Mix {
-			t.Mix[i] = int(r.varint())
+	if r.boolb() {
+		t.CommandMix = &CommandMix{}
+		for _, p := range t.CommandMix.counts() {
+			*p = int(r.varint())
 		}
 	}
 	return t

@@ -257,9 +257,10 @@ func TestWireReplayRejectsDivergedCoordinator(t *testing.T) {
 }
 
 // TestReplayRejectsLeaseSummaryMismatch: every lease must have exactly one
-// end-of-run summary, and every lease ID may occur once. A stray summary,
-// a duplicated summary and a duplicated lease each fail replay, while the
-// untouched re-encode still replays.
+// end-of-run summary, and every lease ID may occur once. A stray summary
+// and a duplicated lease each fail replay as divergence, a duplicated
+// summary as a corrupt stream (bin.Reader rejects it), while the untouched
+// re-encode still replays.
 func TestReplayRejectsLeaseSummaryMismatch(t *testing.T) {
 	_, trace := recordReplayable(t, conformanceCells(true)[1].config()) // taopt-duration/chaos
 	if _, _, err := export.Replay(bytes.NewReader(rewrite(t, trace, nil))); err != nil {
@@ -268,9 +269,6 @@ func TestReplayRejectsLeaseSummaryMismatch(t *testing.T) {
 	cases := map[string]func(w *bin.Writer, rec *bin.Record) bool{
 		"stray summary": once(bin.KindInstance, func(w *bin.Writer, rec *bin.Record) {
 			w.Instance(bin.InstanceSummary{ID: 999})
-		}),
-		"duplicate summary": once(bin.KindInstance, func(w *bin.Writer, rec *bin.Record) {
-			w.Instance(rec.Summary)
 		}),
 		"duplicate lease": func() func(*bin.Writer, *bin.Record) bool {
 			first := -1
@@ -290,6 +288,10 @@ func TestReplayRejectsLeaseSummaryMismatch(t *testing.T) {
 		if _, _, err := export.Replay(bytes.NewReader(rewrite(t, trace, edit))); !errors.Is(err, export.ErrDiverged) {
 			t.Errorf("%s: got %v, want ErrDiverged", name, err)
 		}
+	}
+	dup := once(bin.KindInstance, func(w *bin.Writer, rec *bin.Record) { w.Instance(rec.Summary) })
+	if _, _, err := export.Replay(bytes.NewReader(rewrite(t, trace, dup))); !errors.Is(err, bin.ErrCorrupt) {
+		t.Errorf("duplicate summary: got %v, want bin.ErrCorrupt", err)
 	}
 }
 
