@@ -96,8 +96,8 @@ type Executor interface {
 // handed to the transport; Delivered counts those that reached subscribers
 // (the difference is injected drops); Commands counts executor commands
 // *attempted* — every Send, whether or not it succeeded. The fault counters
-// mirror the decorating plan's injections and stay zero on an undecorated
-// transport.
+// count the injections the fault decorator applied and stay zero on an
+// undecorated transport.
 type Stats struct {
 	Published int
 	Delivered int
@@ -129,8 +129,7 @@ func (s Stats) KindCount(k CommandKind) int {
 	return s.ByKind[k]
 }
 
-// Injected totals the injected faults the transport carried (the decorated
-// equivalent of faults.Stats.Total).
+// Injected totals the injected faults the transport carried.
 func (s Stats) Injected() int {
 	return s.Dropped + s.Delayed + s.Deaths + s.Hangs + s.AllocFailures + s.LostCommands
 }

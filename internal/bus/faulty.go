@@ -25,16 +25,18 @@ func WithFaults(inner Transport, plan *faults.Plan, sched *sim.Scheduler) Transp
 }
 
 // faulty is the fault-decorator transport. It owns the *application* of the
-// plan's decisions (dropping, rescheduling, failing commands, firing fates);
-// the *drawing* of those decisions stays in faults.Plan so the RNG stream
-// identities match the plan's documented fork layout.
+// plan's decisions (dropping, rescheduling, failing commands, firing fates)
+// and their accounting; the *drawing* of those decisions stays in
+// faults.Plan so the RNG stream identities match the plan's documented fork
+// layout.
 type faulty struct {
 	inner Transport
 	plan  *faults.Plan
 	sched *sim.Scheduler
-	// overlay accounts for commands this decorator resolves without ever
-	// reaching inner (injected outages and losses): attempts and failures
-	// must be counted exactly once, whichever layer answers them.
+	// overlay counts every injection this decorator applies, and the
+	// commands it resolves without ever reaching inner (injected outages and
+	// losses): attempts and failures must be counted exactly once, whichever
+	// layer answers them.
 	overlay Stats
 }
 
@@ -46,9 +48,11 @@ type faulty struct {
 func (t *faulty) Publish(ev trace.Event) {
 	drop, delay := t.plan.TraceDelivery(t.sched.Now())
 	if drop {
+		t.overlay.Dropped++
 		return
 	}
 	if delay > 0 {
+		t.overlay.Delayed++
 		t.sched.After(delay, sim.EventFunc(func(*sim.Scheduler) {
 			t.inner.Publish(ev)
 		}))
@@ -73,6 +77,7 @@ func (t *faulty) Send(cmd Command) Reply {
 	switch cmd.Kind {
 	case Allocate:
 		if t.plan.AllocationFails(t.sched.Now()) {
+			t.overlay.AllocFailures++
 			t.swallow(cmd)
 			return Reply{Err: fmt.Errorf("bus: injected allocation outage: %w", device.ErrFarmBusy)}
 		}
@@ -82,6 +87,9 @@ func (t *faulty) Send(cmd Command) Reply {
 				kind := Kill
 				if fate.Kind == faults.Hang {
 					kind = Hang
+					t.overlay.Hangs++
+				} else {
+					t.overlay.Deaths++
 				}
 				id := rep.Instance
 				t.sched.After(fate.After, sim.EventFunc(func(*sim.Scheduler) {
@@ -92,6 +100,7 @@ func (t *faulty) Send(cmd Command) Reply {
 		return rep
 	case BlockWidget, BlockMember:
 		if t.plan.CommandLost(t.sched.Now()) {
+			t.overlay.LostCommands++
 			t.swallow(cmd)
 			return Reply{Instance: cmd.Instance, Err: fmt.Errorf("bus: injected command loss: %w", ErrTimeout)}
 		}
@@ -116,24 +125,25 @@ func (t *faulty) swallow(cmd Command) {
 	t.overlay.CommandFailures++
 }
 
-// Stats implements Transport: the inner counts plus the plan's injections
-// and the overlay of commands answered at this layer. Dropped events were
+// Stats implements Transport: the inner counts plus the overlay of
+// injections and of commands answered at this layer. Dropped events were
 // published at this transport but never reached inner, so they are added
-// back into Published.
+// back into Published. Deaths and hangs count when the fate is drawn, so a
+// fate scheduled past the run's end still counts.
 func (t *faulty) Stats() Stats {
 	s := t.inner.Stats()
-	fs := t.plan.Stats()
-	s.Published += fs.TraceDrops
-	s.Commands += t.overlay.Commands
-	for k, n := range t.overlay.ByKind {
+	o := t.overlay
+	s.Published += o.Dropped
+	s.Commands += o.Commands
+	for k, n := range o.ByKind {
 		s.ByKind[k] += n
 	}
-	s.CommandFailures += t.overlay.CommandFailures
-	s.Dropped = fs.TraceDrops
-	s.Delayed = fs.TraceDelays
-	s.Deaths = fs.Deaths
-	s.Hangs = fs.Hangs
-	s.AllocFailures = fs.AllocFailures
-	s.LostCommands = fs.CmdLosses
+	s.CommandFailures += o.CommandFailures
+	s.Dropped = o.Dropped
+	s.Delayed = o.Delayed
+	s.Deaths = o.Deaths
+	s.Hangs = o.Hangs
+	s.AllocFailures = o.AllocFailures
+	s.LostCommands = o.LostCommands
 	return s
 }

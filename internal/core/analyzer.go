@@ -36,7 +36,8 @@ type Candidate struct {
 	At      sim.Duration
 }
 
-// AnalyzerConfig tunes the trace analyzer.
+// AnalyzerConfig tunes the trace analyzer. DefaultAnalyzerConfig fills every
+// threshold; a zero field is not replaced by a default.
 type AnalyzerConfig struct {
 	// LMin is Algorithm 1's exploration threshold (l_min^long or l_min^short
 	// depending on the coordinator mode).
@@ -97,20 +98,9 @@ type instanceTrace struct {
 	sinceReport int
 }
 
-// NewAnalyzer returns an analyzer reading exemplar hierarchies from book.
+// NewAnalyzer returns an analyzer reading exemplar hierarchies from book. It
+// uses cfg as given; start from DefaultAnalyzerConfig.
 func NewAnalyzer(cfg AnalyzerConfig, book *trace.Book) *Analyzer {
-	if cfg.AnalyzeEvery <= 0 {
-		cfg.AnalyzeEvery = 25
-	}
-	if cfg.WindowCap <= 0 {
-		cfg.WindowCap = 450
-	}
-	if cfg.SimilarityThreshold == 0 {
-		cfg.SimilarityThreshold = 0.85
-	}
-	if cfg.ScoreMax == 0 {
-		cfg.ScoreMax = 0.5
-	}
 	ts := &treeSimilarity{book: book, threshold: cfg.SimilarityThreshold}
 	return &Analyzer{
 		cfg:         cfg,

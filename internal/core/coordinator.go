@@ -68,15 +68,15 @@ const (
 	AllocRetryCap  = 5 * sim.Duration(60e9)
 )
 
-// Config parameterises a Coordinator.
+// Config parameterises a Coordinator. Start from DefaultConfig: every field
+// is used as given, so a zero numeric field means zero, not "default".
 type Config struct {
 	Mode Mode
-	// LMin overrides the mode's default l_min when non-zero.
-	LMin sim.Duration
-	// Stagnation overrides StagnationWindow when non-zero.
+	// Stagnation releases an instance that discovered no new screen for this
+	// long.
 	Stagnation sim.Duration
-	// Analyzer carries the trace-analysis knobs; LMin above wins over
-	// Analyzer.LMin.
+	// Analyzer carries the trace-analysis knobs. Its LMin also selects the
+	// acceptance rule: below LMinLong, candidates need confirmation.
 	Analyzer AnalyzerConfig
 	// MinSubspaceSize rejects candidates with fewer distinct member screens.
 	MinSubspaceSize int
@@ -88,20 +88,16 @@ type Config struct {
 	// all screens observed so far — a subspace is a part of the UI space,
 	// never most of it.
 	MaxSpaceFraction float64
-	// ConfirmShort is how many distinct instances must report a matching
-	// candidate under LMinShort before acceptance (paper: 2).
-	ConfirmShort int
 	// DropOrphans leaves a de-allocated owner's subspace blocked for
 	// everyone instead of re-dedicating it to the next allocated instance.
 	// Off by default: stagnation can fire before true exhaustion, and a
 	// permanently orphaned subspace is a dead zone nobody can finish (the
 	// ablation benches flip this).
 	DropOrphans bool
-	// Heartbeat overrides HeartbeatWindow when non-zero; negative disables
+	// Heartbeat is the hang-detection window; zero or negative disables
 	// hang detection entirely.
 	Heartbeat sim.Duration
-	// AllocRetry and AllocRetryMax override the allocation backoff bounds
-	// when non-zero.
+	// AllocRetry and AllocRetryMax bound the allocation backoff.
 	AllocRetry    sim.Duration
 	AllocRetryMax sim.Duration
 	// Obs, when non-nil, receives a typed decision-log event at every
@@ -111,7 +107,8 @@ type Config struct {
 	Obs *obs.Log
 }
 
-// DefaultConfig returns the paper's configuration for the given mode.
+// DefaultConfig returns the paper's configuration for the given mode. It is
+// the only source of coordinator defaults.
 func DefaultConfig(mode Mode) Config {
 	lmin := LMinShort
 	if mode == ResourceConstrained {
@@ -119,13 +116,14 @@ func DefaultConfig(mode Mode) Config {
 	}
 	return Config{
 		Mode:             mode,
-		LMin:             lmin,
 		Stagnation:       StagnationWindow,
 		Analyzer:         DefaultAnalyzerConfig(lmin),
 		MinSubspaceSize:  3,
 		WarmUp:           3 * sim.Duration(60e9),
 		MaxSpaceFraction: 0.5,
-		ConfirmShort:     2,
+		Heartbeat:        HeartbeatWindow,
+		AllocRetry:       AllocRetryBase,
+		AllocRetryMax:    AllocRetryCap,
 	}
 }
 
@@ -185,22 +183,11 @@ type Coordinator struct {
 	// for re-dedication to the next allocated instance (oldest first).
 	orphans []int
 
-	// Stagnation tracking.
-	seen    map[int]map[ui.Signature]bool
-	lastNew map[int]sim.Duration
-	// firstSeen is when each instance started exploring (for warm-up), and
+	// insts holds each instance's stagnation and health state; retire
+	// deletes the one entry.
+	insts map[int]*instState
 	// globalSeen is every screen any instance has observed.
-	firstSeen  map[int]sim.Duration
 	globalSeen map[ui.Signature]bool
-
-	// Health monitoring. lastEvent is trace-event recency per instance (the
-	// heartbeat); tracked holds the instances this coordinator allocated and
-	// has not yet retired — an ID in tracked but absent from the env's
-	// active list died underneath us. tracked is set only in allocate() and
-	// cleared only in retire(): trailing events from a just-released
-	// instance must not resurrect it.
-	lastEvent map[int]sim.Duration
-	tracked   map[int]bool
 
 	// Allocation retry state: deferred wants and capped exponential backoff
 	// in virtual time. allocDisabled latches on a permanent (non-busy)
@@ -210,10 +197,39 @@ type Coordinator struct {
 	nextAllocAt   sim.Duration
 	allocDisabled bool
 
-	// stats
-	deallocations int
-	allocations   int
-	stats         Stats
+	stats Stats
+}
+
+// instState is one instance's stagnation and health state. An entry starts
+// when the instance is allocated, at its first trace event, or when the
+// stagnation reaper first sees it active.
+type instState struct {
+	// seen is the set of screens the instance has visited; nil until its
+	// first event.
+	seen map[ui.Signature]bool
+	// lastNew is when the instance last discovered a new screen (the
+	// stagnation clock), and firstSeen when it started exploring (for
+	// warm-up).
+	lastNew   sim.Duration
+	firstSeen sim.Duration
+	// lastEvent is trace-event recency (the heartbeat), kept only while
+	// tracked.
+	lastEvent sim.Duration
+	// tracked marks an instance this coordinator allocated and has not yet
+	// retired: one absent from the env's active list died underneath us.
+	// Only allocate sets it, so a trailing event from a just-released
+	// instance creates an untracked entry and never resurrects it.
+	tracked bool
+}
+
+// inst returns id's state, starting an entry when there is none.
+func (c *Coordinator) inst(id int) *instState {
+	st := c.insts[id]
+	if st == nil {
+		st = &instState{}
+		c.insts[id] = st
+	}
+	return st
 }
 
 // Stats counts coordinator decisions, for reports and debugging.
@@ -245,37 +261,6 @@ type Stats struct {
 // NewCoordinator wires a coordinator to its environment and the transport
 // it emits block commands on. Call Start before feeding events.
 func NewCoordinator(cfg Config, env Env, port bus.Sender, book *trace.Book) *Coordinator {
-	if cfg.LMin == 0 {
-		cfg.LMin = LMinShort
-		if cfg.Mode == ResourceConstrained {
-			cfg.LMin = LMinLong
-		}
-	}
-	if cfg.Stagnation == 0 {
-		cfg.Stagnation = StagnationWindow
-	}
-	if cfg.MinSubspaceSize == 0 {
-		cfg.MinSubspaceSize = 3
-	}
-	if cfg.WarmUp == 0 {
-		cfg.WarmUp = 3 * sim.Duration(60e9)
-	}
-	if cfg.MaxSpaceFraction == 0 {
-		cfg.MaxSpaceFraction = 0.5
-	}
-	if cfg.ConfirmShort == 0 {
-		cfg.ConfirmShort = 2
-	}
-	if cfg.Heartbeat == 0 {
-		cfg.Heartbeat = HeartbeatWindow
-	}
-	if cfg.AllocRetry == 0 {
-		cfg.AllocRetry = AllocRetryBase
-	}
-	if cfg.AllocRetryMax == 0 {
-		cfg.AllocRetryMax = AllocRetryCap
-	}
-	cfg.Analyzer.LMin = cfg.LMin
 	cfg.Analyzer.Obs = cfg.Obs
 	cfg.Analyzer.Clock = env.Now
 	return &Coordinator{
@@ -288,12 +273,8 @@ func NewCoordinator(cfg Config, env Env, port bus.Sender, book *trace.Book) *Coo
 		launchScreens: make(map[ui.Signature]bool),
 		owned:         make(map[ui.Signature]int),
 		pending:       make(map[int]Candidate),
-		seen:          make(map[int]map[ui.Signature]bool),
-		lastNew:       make(map[int]sim.Duration),
-		firstSeen:     make(map[int]sim.Duration),
+		insts:         make(map[int]*instState),
 		globalSeen:    make(map[ui.Signature]bool),
-		lastEvent:     make(map[int]sim.Duration),
-		tracked:       make(map[int]bool),
 	}
 }
 
@@ -318,12 +299,7 @@ func (c *Coordinator) Subspaces() []*Subspace { return c.accepted }
 func (c *Coordinator) OrphanCount() int { return len(c.orphans) }
 
 // DecisionStats returns counts of the coordinator's decisions so far.
-func (c *Coordinator) DecisionStats() Stats {
-	st := c.stats
-	st.Allocations = c.allocations
-	st.Deallocations = c.deallocations
-	return st
-}
+func (c *Coordinator) DecisionStats() Stats { return c.stats }
 
 // OnTransition consumes one Toller event. The harness subscribes the
 // coordinator to every driver.
@@ -340,23 +316,21 @@ func (c *Coordinator) OnTransition(ev trace.Event) {
 	}
 
 	// Heartbeat: any trace event proves the instance is alive.
-	if c.tracked[ev.Instance] {
-		c.lastEvent[ev.Instance] = now
+	st := c.inst(ev.Instance)
+	if st.tracked {
+		st.lastEvent = now
 	}
 
 	// Stagnation bookkeeping: has this instance discovered a new screen?
-	inst := ev.Instance
-	s, ok := c.seen[inst]
-	if !ok {
-		s = make(map[ui.Signature]bool)
-		c.seen[inst] = s
-		c.lastNew[inst] = now
-		c.firstSeen[inst] = now
+	if st.seen == nil {
+		st.seen = make(map[ui.Signature]bool)
+		st.lastNew = now
+		st.firstSeen = now
 	}
 	c.globalSeen[ev.To] = true
-	if !s[ev.To] {
-		s[ev.To] = true
-		c.lastNew[inst] = now
+	if !st.seen[ev.To] {
+		st.seen[ev.To] = true
+		st.lastNew = now
 	}
 
 	// Feed the analyzer.
@@ -407,8 +381,8 @@ func (c *Coordinator) reject(now sim.Duration, cand Candidate, reason string) {
 }
 
 // onCandidate applies the acceptance rules of Section 5.2: l_min^long
-// candidates are accepted at once; l_min^short candidates need matching
-// reports from ConfirmShort distinct instances.
+// candidates are accepted at once; l_min^short candidates need a matching
+// report from a second instance (see confirm).
 func (c *Coordinator) onCandidate(cand Candidate) {
 	c.stats.Candidates++
 	now := c.env.Now()
@@ -417,7 +391,8 @@ func (c *Coordinator) onCandidate(cand Candidate) {
 		Entry: obs.Sig(cand.Entry), Members: len(cand.Members),
 		Score: cand.Score, Overlap: cand.Overlap, Purity: cand.Purity,
 	})
-	if now-c.firstSeen[cand.Instance] < c.cfg.WarmUp {
+	// OnTransition started the instance's entry before feeding the analyzer.
+	if now-c.insts[cand.Instance].firstSeen < c.cfg.WarmUp {
 		c.stats.WarmingUp++
 		c.reject(now, cand, "warm-up")
 		return
@@ -512,7 +487,7 @@ func (c *Coordinator) onCandidate(cand Candidate) {
 		return
 	}
 
-	if c.cfg.LMin < LMinLong {
+	if c.cfg.Analyzer.LMin < LMinLong {
 		confirmed, merged := c.confirm(cand, members)
 		if !confirmed {
 			c.stats.Unconfirmed++
@@ -555,17 +530,7 @@ func (c *Coordinator) confirm(cand Candidate, members []ui.Signature) (bool, []u
 			delete(c.pending, inst)
 			continue
 		}
-		inter := 0
-		for _, m := range p.Members {
-			if memberSet[m] {
-				inter++
-			}
-		}
-		smaller := len(p.Members)
-		if len(members) < smaller {
-			smaller = len(members)
-		}
-		if smaller == 0 || float64(inter)/float64(smaller) < 0.5 {
+		if !matches(p.Members, memberSet, len(members)) {
 			continue
 		}
 		// Matching reports confirm in two ways: a second instance reported
@@ -607,36 +572,32 @@ func (c *Coordinator) confirm(cand Candidate, members []ui.Signature) (bool, []u
 	// matches the instance's previous one keeps the original timestamp, so
 	// sustained exploration of one subspace accumulates toward the
 	// l_min^long acceptance above.
-	if prev, ok := c.pending[cand.Instance]; ok {
-		inter := 0
-		for _, m := range prev.Members {
-			if memberSet[m] {
-				inter++
-			}
-		}
-		smaller := len(prev.Members)
-		if len(members) < smaller {
-			smaller = len(members)
-		}
-		if smaller > 0 && float64(inter)/float64(smaller) >= 0.5 {
-			c.pending[cand.Instance] = Candidate{
-				Instance: cand.Instance,
-				Entry:    prev.Entry,
-				Members:  members,
-				Score:    cand.Score,
-				At:       prev.At,
-			}
-			return false, nil
-		}
+	entry, at := cand.Entry, now
+	if prev, ok := c.pending[cand.Instance]; ok && matches(prev.Members, memberSet, len(members)) {
+		entry, at = prev.Entry, prev.At
 	}
 	c.pending[cand.Instance] = Candidate{
 		Instance: cand.Instance,
-		Entry:    cand.Entry,
+		Entry:    entry,
 		Members:  members,
 		Score:    cand.Score,
-		At:       now,
+		At:       at,
 	}
 	return false, nil
+}
+
+// matches reports whether two candidate reports describe the same subspace:
+// they share at least half the screens of the smaller one. The second report
+// is given as the set of its n members.
+func matches(a []ui.Signature, b map[ui.Signature]bool, n int) bool {
+	inter := 0
+	for _, m := range a {
+		if b[m] {
+			inter++
+		}
+	}
+	smaller := min(len(a), n)
+	return smaller > 0 && float64(inter)/float64(smaller) >= 0.5
 }
 
 // enclosingSubspace reports the accepted subspace that fully encloses the
@@ -884,16 +845,17 @@ func (c *Coordinator) allocate() (int, bool) {
 		}
 		return 0, false
 	}
-	c.allocations++
+	c.stats.Allocations++
 	c.allocBackoff = 0
 	c.nextAllocAt = 0
 	now := c.env.Now()
 	c.obs.Emit(obs.Decision{
 		AtNS: obs.At(now), Kind: obs.KindAllocate, Instance: id, Sub: -1,
 	})
-	c.lastNew[id] = now
-	c.lastEvent[id] = now
-	c.tracked[id] = true
+	st := c.inst(id)
+	st.lastNew = now
+	st.lastEvent = now
+	st.tracked = true
 	if !c.cfg.DropOrphans && len(c.orphans) > 0 {
 		adopted := c.orphans[0]
 		c.accepted[adopted].Owner = id
@@ -951,14 +913,10 @@ func (c *Coordinator) retire(id int, deallocate bool) {
 				Reason: err.Error(),
 			})
 		}
-		c.deallocations++
+		c.stats.Deallocations++
 	}
 	c.analyzer.ResetInstance(id)
-	delete(c.seen, id)
-	delete(c.lastNew, id)
-	delete(c.firstSeen, id)
-	delete(c.lastEvent, id)
-	delete(c.tracked, id)
+	delete(c.insts, id)
 	for _, sub := range c.accepted {
 		if sub.Owner == id {
 			c.orphans = append(c.orphans, sub.ID)
@@ -998,17 +956,17 @@ func (c *Coordinator) reapStagnant(now sim.Duration) {
 	active := c.env.ActiveInstances()
 	reaped := false
 	for _, id := range active {
-		last, ok := c.lastNew[id]
+		st, ok := c.insts[id]
 		if !ok {
-			c.lastNew[id] = now
+			c.insts[id] = &instState{lastNew: now}
 			continue
 		}
-		if now-last <= c.cfg.Stagnation {
+		if now-st.lastNew <= c.cfg.Stagnation {
 			continue
 		}
 		c.obs.Emit(obs.Decision{
 			AtNS: obs.At(now), Kind: obs.KindStagnant, Instance: id, Sub: -1,
-			IdleNS: int64(now - last),
+			IdleNS: int64(now - st.lastNew),
 		})
 		c.retire(id, true)
 		c.replaceLost()
@@ -1045,9 +1003,11 @@ func (c *Coordinator) checkHealth(now sim.Duration) {
 		active[id] = true
 	}
 
-	tracked := make([]int, 0, len(c.tracked))
-	for id := range c.tracked {
-		tracked = append(tracked, id)
+	var tracked []int
+	for id, st := range c.insts {
+		if st.tracked {
+			tracked = append(tracked, id)
+		}
 	}
 	sort.Ints(tracked)
 	for _, id := range tracked {
@@ -1071,17 +1031,14 @@ func (c *Coordinator) checkHealth(now sim.Duration) {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		if !c.tracked[id] {
-			continue
-		}
-		last, ok := c.lastEvent[id]
-		if !ok || now-last <= c.cfg.Heartbeat {
+		st, ok := c.insts[id]
+		if !ok || !st.tracked || now-st.lastEvent <= c.cfg.Heartbeat {
 			continue
 		}
 		c.stats.Hangs++
 		c.obs.Emit(obs.Decision{
 			AtNS: obs.At(now), Kind: obs.KindHung, Instance: id, Sub: -1,
-			IdleNS: int64(now - last),
+			IdleNS: int64(now - st.lastEvent),
 		})
 		c.retire(id, true)
 		c.replaceLost()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"taopt/internal/bus"
@@ -147,6 +148,25 @@ func shortCfg() Config {
 	cfg.Stagnation = 3600 * sim.Duration(1e9) // keep instances alive in tests
 	cfg.Analyzer.AnalyzeEvery = 10
 	return cfg
+}
+
+// DefaultConfig is the only source of coordinator defaults: nothing re-fills
+// a zero field, so every numeric knob it returns must be set, in both modes.
+func TestDefaultConfigComplete(t *testing.T) {
+	for _, mode := range []Mode{DurationConstrained, ResourceConstrained} {
+		cfg := DefaultConfig(mode)
+		for _, v := range []reflect.Value{reflect.ValueOf(cfg), reflect.ValueOf(cfg.Analyzer)} {
+			for i := 0; i < v.NumField(); i++ {
+				f, name := v.Field(i), v.Type().Field(i).Name
+				switch f.Kind() {
+				case reflect.Int, reflect.Int64, reflect.Float64:
+					if name != "Mode" && f.IsZero() {
+						t.Errorf("%v: DefaultConfig leaves %s.%s zero", mode, v.Type().Name(), name)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestCoordinatorStartAllocates(t *testing.T) {

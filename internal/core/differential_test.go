@@ -21,7 +21,7 @@ func walkTrace(t *testing.T, aut *app.App, toolName string, seed int64, steps in
 	t.Helper()
 	book := trace.NewBook()
 	rng := sim.NewRNG(seed)
-	farm := device.NewFarm(aut, rng.Fork(1), 1, true)
+	farm := device.NewFarm(aut, rng.Fork(1), 1)
 	al, err := farm.Allocate(0)
 	if err != nil {
 		t.Fatal(err)

@@ -187,18 +187,65 @@ func TestHangDetection(t *testing.T) {
 	}
 }
 
-// Negative Heartbeat disables hang detection.
+// A zero or negative Heartbeat disables hang detection.
 func TestHeartbeatDisabled(t *testing.T) {
-	env := newFakeEnv(2)
-	book, _ := testBook(10)
-	cfg := shortCfg()
-	cfg.Heartbeat = -1
-	c := NewCoordinator(cfg, env, env, book)
+	for _, hb := range []sim.Duration{-1, 0} {
+		env := newFakeEnv(2)
+		book, _ := testBook(10)
+		cfg := shortCfg()
+		cfg.Heartbeat = hb
+		c := NewCoordinator(cfg, env, env, book)
+		c.Start()
+		env.now += 60 * 60 * second
+		c.Tick(env.now)
+		if len(env.deallocs) != 0 {
+			t.Fatalf("heartbeat %v: deallocs = %v with hang detection disabled", hb, env.deallocs)
+		}
+	}
+}
+
+// A trace event that arrives after its instance was released (a delayed
+// delivery) must not bring the instance back under health monitoring: no
+// later Tick may declare it dead or hung.
+func TestRetiredInstanceTrailingEvent(t *testing.T) {
+	env := newFakeEnv(1)
+	book, sigs := testBook(10)
+	c := NewCoordinator(shortCfg(), env, env, book)
 	c.Start()
-	env.now += 60 * 60 * second
+
+	// Instance 0 stays silent past the heartbeat window: it is released as
+	// hung and replaced by instance 1.
+	env.now += 3 * 60 * second
 	c.Tick(env.now)
-	if len(env.deallocs) != 0 {
-		t.Fatalf("deallocs = %v with hang detection disabled", env.deallocs)
+	if len(env.deallocs) != 1 || env.deallocs[0] != 0 || len(env.active) != 1 || env.active[0] != 1 {
+		t.Fatalf("setup: deallocs %v active %v, want [0] and [1]", env.deallocs, env.active)
+	}
+
+	// A delayed event from instance 0 arrives after its release.
+	c.OnTransition(trace.Event{
+		Instance: 0, At: env.now,
+		Action: trace.Action{Kind: trace.ActionTap, Widget: "w"},
+		From:   sigs[1], To: sigs[2], Activity: "Act2",
+	})
+
+	// Instance 1 keeps working well past another heartbeat window.
+	for i := 0; i < 20; i++ {
+		env.now += 15 * second
+		c.OnTransition(trace.Event{
+			Instance: 1, At: env.now,
+			Action: trace.Action{Kind: trace.ActionTap, Widget: "w"},
+			From:   sigs[3], To: sigs[4+i%5], Activity: "Act4",
+		})
+		c.Tick(env.now)
+	}
+
+	st := c.DecisionStats()
+	if st.Deaths != 0 || st.Hangs != 1 {
+		t.Fatalf("deaths = %d hangs = %d, want 0 and 1: the retired instance came back", st.Deaths, st.Hangs)
+	}
+	if len(env.deallocs) != 1 || st.ReleaseErrors != 0 {
+		t.Fatalf("deallocs = %v, release errors = %d: the retired instance was released again",
+			env.deallocs, st.ReleaseErrors)
 	}
 }
 
@@ -308,8 +355,7 @@ func TestReleaseErrorSurfaced(t *testing.T) {
 	}
 
 	// Force the error path directly: retire an ID the env never allocated.
-	c.tracked[99] = true
-	c.lastEvent[99] = 0
+	c.insts[99] = &instState{tracked: true}
 	c.retire(99, true)
 	if got := c.DecisionStats().ReleaseErrors; got != 1 {
 		t.Fatalf("release errors = %d, want 1", got)

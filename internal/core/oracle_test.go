@@ -240,11 +240,11 @@ type rescanAnalyzer struct {
 }
 
 // newRescanAnalyzer returns a rescan reference configured exactly as
-// NewAnalyzer(cfg, book) would be, defaults included.
+// NewAnalyzer(cfg, book) would be.
 func newRescanAnalyzer(cfg AnalyzerConfig, book *trace.Book) *rescanAnalyzer {
 	a := NewAnalyzer(cfg, book)
 	return &rescanAnalyzer{
-		cfg:         a.cfg,
+		cfg:         cfg,
 		match:       a,
 		visits:      make(map[int][]ScreenVisit),
 		sinceReport: make(map[int]int),

@@ -213,7 +213,7 @@ func TestActionsRespectDisabled(t *testing.T) {
 // TestFarmSharesScreenCache checks that the emulators of one farm fill and
 // read one screen cache, while a standalone emulator has its own.
 func TestFarmSharesScreenCache(t *testing.T) {
-	f := NewFarm(testApp(), sim.NewRNG(1), 2, false)
+	f := NewFarm(testApp(), sim.NewRNG(1), 2)
 	a1, _ := f.Allocate(0)
 	a2, _ := f.Allocate(0)
 	if &a1.Emu.screens[0] != &a2.Emu.screens[0] {
@@ -250,7 +250,7 @@ func TestFarmSharesScreenCache(t *testing.T) {
 func TestFarmActiveOrder(t *testing.T) {
 	const devices = 4
 	rng := sim.NewRNG(7)
-	f := NewFarm(testApp(), sim.NewRNG(1), devices, false)
+	f := NewFarm(testApp(), sim.NewRNG(1), devices)
 	live := map[int]bool{}
 	allocated := 0
 	var want []int
@@ -318,7 +318,7 @@ func TestFarmActiveOrder(t *testing.T) {
 }
 
 func TestFarmLifecycle(t *testing.T) {
-	f := NewFarm(testApp(), sim.NewRNG(1), 2, false)
+	f := NewFarm(testApp(), sim.NewRNG(1), 2)
 	a1, err := f.Allocate(0)
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestFarmAutoLogin(t *testing.T) {
 	spec := app.DefaultSpec("L2", 4)
 	spec.LoginRequired = true
 	a := app.Generate(spec)
-	f := NewFarm(a, sim.NewRNG(1), 1, true)
+	f := NewFarm(a, sim.NewRNG(1), 1)
 	al, err := f.Allocate(0)
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +385,7 @@ func TestFarmAutoLogin(t *testing.T) {
 }
 
 func TestFarmReleaseErrors(t *testing.T) {
-	f := NewFarm(testApp(), sim.NewRNG(1), 1, false)
+	f := NewFarm(testApp(), sim.NewRNG(1), 1)
 	if _, err := f.Release(42, 0); !errors.Is(err, ErrUnknownInstance) {
 		t.Fatalf("release of unknown ID: err = %v, want ErrUnknownInstance", err)
 	}
@@ -407,7 +407,7 @@ func TestFarmReleaseErrors(t *testing.T) {
 // Fail charges the lease up to the moment of death, like a release, and
 // marks it failed for reporting.
 func TestFarmFailChargesPartialTime(t *testing.T) {
-	f := NewFarm(testApp(), sim.NewRNG(1), 2, false)
+	f := NewFarm(testApp(), sim.NewRNG(1), 2)
 	al, err := f.Allocate(0)
 	if err != nil {
 		t.Fatal(err)

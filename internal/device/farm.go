@@ -31,7 +31,6 @@ type Farm struct {
 	app        *app.App
 	rng        *sim.RNG
 	maxDevices int
-	autoLogin  bool
 	screens    screenCache
 
 	// all holds every allocation ever made, indexed by instance ID: IDs are
@@ -59,9 +58,9 @@ type Allocation struct {
 func (al *Allocation) Done() bool { return al.done }
 
 // NewFarm returns a farm for a with at most maxDevices concurrent instances.
-// If autoLogin is set, each freshly allocated instance runs the app's
-// auto-login script before testing starts (as in the paper's setup).
-func NewFarm(a *app.App, rng *sim.RNG, maxDevices int, autoLogin bool) *Farm {
+// Each freshly allocated instance runs the app's auto-login script before
+// testing starts (as in the paper's setup).
+func NewFarm(a *app.App, rng *sim.RNG, maxDevices int) *Farm {
 	if maxDevices <= 0 {
 		panic("device: farm needs at least one device")
 	}
@@ -69,7 +68,6 @@ func NewFarm(a *app.App, rng *sim.RNG, maxDevices int, autoLogin bool) *Farm {
 		app:        a,
 		rng:        rng,
 		maxDevices: maxDevices,
-		autoLogin:  autoLogin,
 		screens:    newScreenCache(a),
 	}
 }
@@ -92,9 +90,7 @@ func (f *Farm) Allocate(now sim.Duration) (*Allocation, error) {
 	}
 	id := len(f.all)
 	emu := newEmulator(id, f.app, f.rng.Fork(int64(id)), f.screens)
-	if f.autoLogin {
-		emu.AutoLogin()
-	}
+	emu.AutoLogin()
 	al := &Allocation{Emu: emu, Since: now}
 	f.all = append(f.all, al)
 	f.active = append(f.active, al)

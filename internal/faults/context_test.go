@@ -47,11 +47,6 @@ func TestContextWindows(t *testing.T) {
 	if drop, delay := p.TraceDelivery(360 * sec); drop || delay != 2*sec {
 		t.Fatalf("battery-low delivery = (%v, %v), want (false, 2s)", drop, delay)
 	}
-
-	st := p.Stats()
-	if st.TraceDrops != 3 || st.CmdLosses != 3 || st.AllocFailures != 3 || st.TraceDelays != 1 {
-		t.Fatalf("stats = %+v, want 3 drops, 3 losses, 3 alloc failures, 1 delay", st)
-	}
 }
 
 // Adding context windows to a probabilistic config must not perturb the
@@ -79,9 +74,6 @@ func TestContextDoesNotPerturbStreams(t *testing.T) {
 		if a.AllocationFails(now) != b.AllocationFails(now) {
 			t.Fatalf("alloc decision %d diverged", i)
 		}
-	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
 	}
 }
 

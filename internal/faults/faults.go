@@ -135,17 +135,6 @@ type Fate struct {
 	After sim.Duration
 }
 
-// Stats counts the faults a plan has injected (for instance fates: planned —
-// a death scheduled after the run's end never fires).
-type Stats struct {
-	Deaths        int
-	Hangs         int
-	AllocFailures int
-	TraceDrops    int
-	TraceDelays   int
-	CmdLosses     int
-}
-
 // Plan is one run's deterministic fault schedule. All methods are safe on a
 // nil Plan (injecting nothing), so callers need no fault-enabled branches.
 type Plan struct {
@@ -161,7 +150,6 @@ type Plan struct {
 	cmds   *sim.RNG
 
 	outageUntil sim.Duration
-	stats       Stats
 }
 
 // NewPlan derives a plan from cfg and an RNG (typically a fork of the run's
@@ -203,9 +191,6 @@ func (p *Plan) InstanceFate(id int) (Fate, bool) {
 	fate := Fate{Kind: Death, After: rng.DurationBetween(p.cfg.MinLife, p.cfg.MaxLife)}
 	if rng.Bool(p.cfg.HangFraction) {
 		fate.Kind = Hang
-		p.stats.Hangs++
-	} else {
-		p.stats.Deaths++
 	}
 	return fate, true
 }
@@ -218,20 +203,17 @@ func (p *Plan) AllocationFails(now sim.Duration) bool {
 		return false
 	}
 	if _, ok := p.contextActive(now, NetworkLoss); ok {
-		p.stats.AllocFailures++
 		return true
 	}
 	if p.cfg.AllocFailRate <= 0 {
 		return false
 	}
 	if now < p.outageUntil {
-		p.stats.AllocFailures++
 		return true
 	}
 	if !p.alloc.Bool(p.cfg.AllocFailRate) {
 		return false
 	}
-	p.stats.AllocFailures++
 	if p.cfg.AllocOutage > 0 {
 		p.outageUntil = now + p.cfg.AllocOutage
 	}
@@ -248,22 +230,18 @@ func (p *Plan) TraceDelivery(now sim.Duration) (drop bool, delay sim.Duration) {
 		return false, 0
 	}
 	if _, ok := p.contextActive(now, NetworkLoss); ok {
-		p.stats.TraceDrops++
 		return true, 0
 	}
 	if ev, ok := p.contextActive(now, BatteryLow); ok && ev.Delay > 0 {
-		p.stats.TraceDelays++
 		return false, ev.Delay
 	}
 	if p.cfg.TraceDropRate <= 0 && p.cfg.TraceDelayRate <= 0 {
 		return false, 0
 	}
 	if p.cfg.TraceDropRate > 0 && p.tracer.Bool(p.cfg.TraceDropRate) {
-		p.stats.TraceDrops++
 		return true, 0
 	}
 	if p.cfg.TraceDelayRate > 0 && p.tracer.Bool(p.cfg.TraceDelayRate) {
-		p.stats.TraceDelays++
 		return false, p.tracer.DurationBetween(200*sim.Duration(1e6), p.cfg.TraceDelayMax)
 	}
 	return false, 0
@@ -279,23 +257,7 @@ func (p *Plan) CommandLost(now sim.Duration) bool {
 		return false
 	}
 	if _, ok := p.contextActive(now, NetworkLoss); ok {
-		p.stats.CmdLosses++
 		return true
 	}
-	if p.cfg.CmdLossRate <= 0 {
-		return false
-	}
-	if !p.cmds.Bool(p.cfg.CmdLossRate) {
-		return false
-	}
-	p.stats.CmdLosses++
-	return true
-}
-
-// Stats returns the faults injected so far (zero for a nil plan).
-func (p *Plan) Stats() Stats {
-	if p == nil {
-		return Stats{}
-	}
-	return p.stats
+	return p.cfg.CmdLossRate > 0 && p.cmds.Bool(p.cfg.CmdLossRate)
 }

@@ -319,7 +319,6 @@ func newRunner(cfg RunConfig) *runner {
 	}
 
 	maxDevices := cfg.Instances
-	autoLogin := true
 	switch cfg.Setting {
 	case BaselineParallel, ActivityPartition, PATSMasterSlave:
 		r.wallDeadline = cfg.Duration
@@ -354,7 +353,7 @@ func newRunner(cfg RunConfig) *runner {
 		// buffering them to run end.
 		r.tel.DecisionLog().Tee(r.bin.Decision)
 	}
-	r.farm = device.NewFarm(cfg.App, r.rng.Fork(1000003), maxDevices, autoLogin)
+	r.farm = device.NewFarm(cfg.App, r.rng.Fork(1000003), maxDevices)
 	// The transport stack, innermost first: the Inline base transport, the
 	// fault decorator on chaos runs (a nil plan leaves it undecorated), and
 	// — on a replayable run — the recorder's two taps: Inner below the

@@ -64,6 +64,8 @@ type (
 	// Subspace is a loosely coupled UI subspace identified by TaOPT.
 	Subspace = core.Subspace
 	// CoordinatorConfig tunes TaOPT's analyzer and coordinator (ablations).
+	// Start from DefaultCoordinatorConfig and override fields: every field is
+	// used as given, so a zero field is not a default.
 	CoordinatorConfig = core.Config
 	// Campaign caches runs across a grid of (app, tool, setting) cells.
 	Campaign = harness.Campaign
@@ -80,9 +82,6 @@ type (
 	// (chaos campaigns); pass one via RunConfig.Faults or
 	// CampaignConfig.Faults.
 	FaultConfig = faults.Config
-	// FaultStats counts the faults a chaos fault plan drew; runs report the
-	// transport-level view instead (see TransportStats).
-	FaultStats = faults.Stats
 	// TransportStats is a run's coordination-transport accounting: trace
 	// events published and delivered, commands carried, and injected faults
 	// (RunResult.Transport).
