@@ -117,36 +117,18 @@ var experiments = map[string]func(io.Writer, *harness.Campaign) error{
 	"all":      report.All,
 }
 
-// defaultChaosGridFile is the scenario document the chaos experiment sweeps
-// when neither -scenario nor a custom grid names one. It pins the same grid
-// as report.DefaultChaosGrid (a test holds the two equal), so the report is
-// byte-identical whether the grid comes from the file or the fallback.
-const defaultChaosGridFile = "testdata/scenarios/chaos-grid.json"
-
 // chaosGrid resolves the chaos experiment's variant grid: the -scenario
-// campaign's faultGrid if it has one, else the checked-in default grid
-// scenario, else (when that file is out of reach) the built-in grid.
-func chaosGrid(sc *scenario.Campaign) ([]report.ChaosVariant, error) {
+// campaign's faultGrid if it has one, else report.DefaultChaosGrid (which
+// testdata/scenarios/chaos-grid.json pins, a test holds the two equal).
+func chaosGrid(sc *scenario.Campaign) []report.ChaosVariant {
 	if sc == nil || len(sc.FaultGrid) == 0 {
-		raw, err := os.ReadFile(defaultChaosGridFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v; using the built-in chaos grid\n", err)
-			return report.DefaultChaosGrid(), nil
-		}
-		g, err := scenario.CompileCampaign(raw)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", defaultChaosGridFile, err)
-		}
-		sc = g
-	}
-	if len(sc.FaultGrid) == 0 {
-		return nil, fmt.Errorf("scenario %q has no faultGrid to sweep", sc.Name)
+		return report.DefaultChaosGrid()
 	}
 	grid := make([]report.ChaosVariant, 0, len(sc.FaultGrid))
 	for _, fp := range sc.FaultGrid {
 		grid = append(grid, report.ChaosVariant{Label: fp.Name, Config: fp.Config})
 	}
-	return grid, nil
+	return grid
 }
 
 func main() {
@@ -268,10 +250,7 @@ func main() {
 	}
 
 	if *exp == "chaos" {
-		grid, err := chaosGrid(scCampaign)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		grid := chaosGrid(scCampaign)
 		fn = func(w io.Writer, c *harness.Campaign) error {
 			return report.ChaosGrid(w, c, grid)
 		}

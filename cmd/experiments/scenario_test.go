@@ -16,7 +16,7 @@ import (
 // readGridScenario compiles the checked-in default chaos-grid scenario.
 func readGridScenario(t *testing.T) *scenario.Campaign {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("..", "..", defaultChaosGridFile))
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "chaos-grid.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +29,11 @@ func readGridScenario(t *testing.T) *scenario.Campaign {
 
 // TestChaosGridScenarioPinsDefault holds the checked-in grid scenario equal
 // to report.DefaultChaosGrid — the documented guarantee that the chaos table
-// is identical whether the grid comes from the file or the built-in
-// fallback — and pins its setting names to the harness vocabulary.
+// is identical whether the grid comes from -scenario on that file or the
+// built-in default — and pins its setting names to the harness vocabulary.
 func TestChaosGridScenarioPinsDefault(t *testing.T) {
 	sc := readGridScenario(t)
-	grid, err := chaosGrid(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := chaosGrid(sc)
 	if want := report.DefaultChaosGrid(); !reflect.DeepEqual(grid, want) {
 		t.Fatalf("scenario grid diverged from the built-in grid:\nfile %+v\nbuilt-in %+v", grid, want)
 	}
@@ -64,10 +61,7 @@ func TestChaosScenarioReportByteForByte(t *testing.T) {
 	if err := report.Chaos(&legacy, harness.NewCampaign(cfg)); err != nil {
 		t.Fatal(err)
 	}
-	grid, err := chaosGrid(readGridScenario(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := chaosGrid(readGridScenario(t))
 	var scenic bytes.Buffer
 	if err := report.ChaosGrid(&scenic, harness.NewCampaign(cfg), grid); err != nil {
 		t.Fatal(err)

@@ -283,7 +283,7 @@ func printSummary(w io.Writer, aut *app.App, tool string, st harness.Setting, re
 		fmt.Fprintf(w, "subspaces:      %d identified\n", len(res.Subspaces))
 	}
 	if res.CoordinatorStats != nil {
-		fmt.Fprintf(w, "coordinator:    %+v\n", *res.CoordinatorStats)
+		fmt.Fprintf(w, "coordinator:    %v\n", res.CoordinatorStats)
 	}
 	if res.Transport.Injected() > 0 {
 		fmt.Fprintf(w, "transport:      %+v\n", res.Transport)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"sort"
 
 	"taopt/internal/bus"
@@ -127,11 +128,11 @@ func DefaultConfig(mode Mode) Config {
 	}
 }
 
-// Env is the coordinator's handle on the testing cloud's allocation
-// primitives. The harness implements it; the coordinator never touches
-// devices, tools or the app directly, and everything finer-grained than a
-// lease — entrypoint blocks, lifecycle commands — travels as bus commands
-// through the Sender given to NewCoordinator.
+// Env is the coordinator's read-only view of the testing cloud: the clock,
+// the concurrency cap and the running instances. The harness implements it.
+// The coordinator never touches devices, tools or the app directly: every
+// command it issues — allocation, release, entrypoint blocks — travels as a
+// bus command through the Sender given to NewCoordinator.
 type Env interface {
 	// Now returns the current virtual time.
 	Now() sim.Duration
@@ -140,14 +141,6 @@ type Env interface {
 	// ActiveInstances lists the IDs of running instances in ascending
 	// order, in a fresh slice the caller may keep or modify.
 	ActiveInstances() []int
-	// Allocate boots a new testing instance, returning its ID. An error
-	// wrapping bus.ErrFarmBusy means no device is available right now
-	// and the attempt may be retried; any other error is permanent (the
-	// run is winding down) and stops further allocation.
-	Allocate() (id int, err error)
-	// Deallocate releases a running instance. Errors (unknown ID, double
-	// release) are surfaced for accounting, never fatal.
-	Deallocate(id int) error
 }
 
 // edgeObs records one observed way into a screen.
@@ -167,6 +160,8 @@ type Coordinator struct {
 	analyzer *Analyzer
 	// obs is the decision log (nil when telemetry is off; emits are nil-safe).
 	obs *obs.Log
+	// counts tallies every decision by obs kind, telemetry or not.
+	counts map[string]int
 
 	// incoming[to] lists observed edges into screen `to`.
 	incoming map[ui.Signature][]edgeObs
@@ -196,8 +191,6 @@ type Coordinator struct {
 	allocBackoff  sim.Duration
 	nextAllocAt   sim.Duration
 	allocDisabled bool
-
-	stats Stats
 }
 
 // instState is one instance's stagnation and health state. An entry starts
@@ -232,34 +225,8 @@ func (c *Coordinator) inst(id int) *instState {
 	return st
 }
 
-// Stats counts coordinator decisions, for reports and debugging.
-type Stats struct {
-	Candidates    int // candidates received from the analyzer
-	WarmingUp     int // rejected: instance still in its warm-up period
-	TooBroad      int // rejected: claimed most of the known UI space
-	TrimmedAway   int // rejected: too small after owned/launch trimming
-	EntryTaken    int // rejected: entry already owned or unblockable
-	Merged        int // folded into an enclosing subspace
-	Extended      int // owner reports extending an accepted subspace
-	Unconfirmed   int // stored as pending, waiting for a second reporter
-	Accepted      int // accepted as new subspaces
-	Allocations   int
-	Deallocations int
-
-	// Failure handling (all zero on a fault-free run).
-	Deaths         int // instances that vanished from the farm without our release
-	Hangs          int // instances released for missing the heartbeat window
-	AllocDeferred  int // allocation attempts deferred on a busy farm
-	ReleaseErrors  int // de-allocations the farm rejected (unknown/double)
-	Orphaned       int // subspaces orphaned by their owner's departure
-	Rededicated    int // orphans re-assigned to a replacement instance
-	DroppedOrphans int // orphans left permanently blocked (DropOrphans)
-	CmdRetries     int // block commands retransmitted after a retryable failure
-	CmdDropped     int // block commands abandoned after exhausting retransmits
-}
-
 // NewCoordinator wires a coordinator to its environment and the transport
-// it emits block commands on. Call Start before feeding events.
+// it sends every command on. Call Start before feeding events.
 func NewCoordinator(cfg Config, env Env, port bus.Sender, book *trace.Book) *Coordinator {
 	cfg.Analyzer.Obs = cfg.Obs
 	cfg.Analyzer.Clock = env.Now
@@ -269,6 +236,7 @@ func NewCoordinator(cfg Config, env Env, port bus.Sender, book *trace.Book) *Coo
 		port:          port,
 		analyzer:      NewAnalyzer(cfg.Analyzer, book),
 		obs:           cfg.Obs,
+		counts:        make(map[string]int),
 		incoming:      make(map[ui.Signature][]edgeObs),
 		launchScreens: make(map[ui.Signature]bool),
 		owned:         make(map[ui.Signature]int),
@@ -298,8 +266,17 @@ func (c *Coordinator) Subspaces() []*Subspace { return c.accepted }
 // under DropOrphans, permanently denied) a replacement owner.
 func (c *Coordinator) OrphanCount() int { return len(c.orphans) }
 
-// DecisionStats returns counts of the coordinator's decisions so far.
-func (c *Coordinator) DecisionStats() Stats { return c.stats }
+// DecisionStats returns the coordinator's decisions so far counted by kind
+// (the obs.Kind* constants): the same tally the decision log would show
+// without the analyzer's entries, kept whether or not telemetry is on.
+func (c *Coordinator) DecisionStats() map[string]int { return maps.Clone(c.counts) }
+
+// decide records one decision: it counts d.Kind, then emits d to the
+// nil-safe decision log.
+func (c *Coordinator) decide(d obs.Decision) {
+	c.counts[d.Kind]++
+	c.obs.Emit(d)
+}
 
 // OnTransition consumes one Toller event. The harness subscribes the
 // coordinator to every driver.
@@ -372,9 +349,9 @@ func (c *Coordinator) learnEdge(ev trace.Event) {
 	}
 }
 
-// reject logs one candidate-rejection verdict in the decision log.
+// reject records one candidate-rejection verdict.
 func (c *Coordinator) reject(now sim.Duration, cand Candidate, reason string) {
-	c.obs.Emit(obs.Decision{
+	c.decide(obs.Decision{
 		AtNS: obs.At(now), Kind: obs.KindReject, Instance: cand.Instance, Sub: -1,
 		Entry: obs.Sig(cand.Entry), Reason: reason,
 	})
@@ -384,21 +361,18 @@ func (c *Coordinator) reject(now sim.Duration, cand Candidate, reason string) {
 // candidates are accepted at once; l_min^short candidates need a matching
 // report from a second instance (see confirm).
 func (c *Coordinator) onCandidate(cand Candidate) {
-	c.stats.Candidates++
 	now := c.env.Now()
-	c.obs.Emit(obs.Decision{
+	c.decide(obs.Decision{
 		AtNS: obs.At(now), Kind: obs.KindCandidate, Instance: cand.Instance, Sub: -1,
 		Entry: obs.Sig(cand.Entry), Members: len(cand.Members),
 		Score: cand.Score, Overlap: cand.Overlap, Purity: cand.Purity,
 	})
 	// OnTransition started the instance's entry before feeding the analyzer.
 	if now-c.insts[cand.Instance].firstSeen < c.cfg.WarmUp {
-		c.stats.WarmingUp++
 		c.reject(now, cand, "warm-up")
 		return
 	}
 	if float64(len(cand.Members)) > c.cfg.MaxSpaceFraction*float64(len(c.globalSeen)) {
-		c.stats.TooBroad++
 		c.reject(now, cand, "too-broad")
 		return
 	}
@@ -435,8 +409,7 @@ func (c *Coordinator) onCandidate(cand Candidate) {
 	}
 	if bestSub >= 0 && bestOverlap >= len(members) && bestOverlap >= c.cfg.MinSubspaceSize {
 		if len(members) > 0 && cand.Instance == c.accepted[bestSub].Owner {
-			c.stats.Extended++
-			c.obs.Emit(obs.Decision{
+			c.decide(obs.Decision{
 				AtNS: obs.At(now), Kind: obs.KindExtend, Instance: cand.Instance, Sub: bestSub,
 				Entry: obs.Sig(c.accepted[bestSub].Entry), Members: len(members),
 			})
@@ -449,12 +422,10 @@ func (c *Coordinator) onCandidate(cand Candidate) {
 	}
 
 	if len(members) < c.cfg.MinSubspaceSize {
-		c.stats.TrimmedAway++
 		c.reject(now, cand, "trimmed-away")
 		return
 	}
 	if _, taken := c.owned[cand.Entry]; taken || c.launchScreens[cand.Entry] {
-		c.stats.EntryTaken++
 		c.reject(now, cand, "entry-taken")
 		return
 	}
@@ -474,8 +445,7 @@ func (c *Coordinator) onCandidate(cand Candidate) {
 		// else's report from inside someone's territory is a leak (a rare
 		// cross edge) — folding it in would snowball unrelated screens.
 		if cand.Instance == encl.Owner {
-			c.stats.Merged++
-			c.obs.Emit(obs.Decision{
+			c.decide(obs.Decision{
 				AtNS: obs.At(now), Kind: obs.KindMerge, Instance: cand.Instance, Sub: encl.ID,
 				Entry: obs.Sig(cand.Entry), Members: len(members),
 			})
@@ -490,8 +460,7 @@ func (c *Coordinator) onCandidate(cand Candidate) {
 	if c.cfg.Analyzer.LMin < LMinLong {
 		confirmed, merged := c.confirm(cand, members)
 		if !confirmed {
-			c.stats.Unconfirmed++
-			c.obs.Emit(obs.Decision{
+			c.decide(obs.Decision{
 				AtNS: obs.At(now), Kind: obs.KindPending, Instance: cand.Instance, Sub: -1,
 				Entry: obs.Sig(cand.Entry), Members: len(members),
 			})
@@ -561,7 +530,7 @@ func (c *Coordinator) confirm(cand Candidate, members []ui.Signature) (bool, []u
 		if inst == cand.Instance {
 			reason = "sustained"
 		}
-		c.obs.Emit(obs.Decision{
+		c.decide(obs.Decision{
 			AtNS: obs.At(now), Kind: obs.KindConfirmed, Instance: cand.Instance, Sub: -1,
 			Entry: obs.Sig(cand.Entry), Members: len(consensus), Reason: reason,
 		})
@@ -714,7 +683,6 @@ func (c *Coordinator) absorbable(sub *Subspace, members []ui.Signature) []ui.Sig
 // accept dedicates the subspace to the discovering instance and blocks its
 // entrypoints on every other instance (Figure 4, step 5).
 func (c *Coordinator) accept(cand Candidate, members []ui.Signature) {
-	c.stats.Accepted++
 	sub := &Subspace{
 		ID:      len(c.accepted),
 		Entry:   cand.Entry,
@@ -728,7 +696,7 @@ func (c *Coordinator) accept(cand Candidate, members []ui.Signature) {
 	}
 	sub.InitialMembers = len(sub.Members)
 	c.accepted = append(c.accepted, sub)
-	c.obs.Emit(obs.Decision{
+	c.decide(obs.Decision{
 		AtNS: obs.At(sub.FoundAt), Kind: obs.KindAccept, Instance: sub.Owner, Sub: sub.ID,
 		Entry: obs.Sig(sub.Entry), Members: sub.InitialMembers, Score: cand.Score,
 	})
@@ -778,15 +746,13 @@ func (c *Coordinator) sendBlock(cmd bus.Command) {
 	rep := c.port.Send(cmd)
 	for attempt := 0; rep.Err != nil && bus.Retryable(rep.Err); attempt++ {
 		if attempt == cmdRetryLimit {
-			c.stats.CmdDropped++
-			c.obs.Emit(obs.Decision{
+			c.decide(obs.Decision{
 				AtNS: obs.At(c.env.Now()), Kind: obs.KindCmdDrop, Instance: cmd.Instance, Sub: -1,
 				Entry: obs.Sig(cmd.Screen), Reason: cmd.Kind.String(),
 			})
 			return
 		}
-		c.stats.CmdRetries++
-		c.obs.Emit(obs.Decision{
+		c.decide(obs.Decision{
 			AtNS: obs.At(c.env.Now()), Kind: obs.KindCmdRetry, Instance: cmd.Instance, Sub: -1,
 			Entry: obs.Sig(cmd.Screen), Reason: cmd.Kind.String(),
 		})
@@ -821,15 +787,16 @@ func (c *Coordinator) blockSubspace(id int, sub *Subspace) {
 // instance (a subspace must always have a living owner, or it becomes a
 // permanently blocked dead zone); every other accepted subspace is blocked.
 //
-// On a busy farm (bus.ErrFarmBusy) the want is deferred and retried by
+// The request is a bus.Allocate command on the Sender. On a retryable reply
+// error (busy farm, command timeout) the want is deferred and retried by
 // Tick with capped exponential backoff; any other allocation error is
 // permanent (the run is winding down) and disables allocation for good.
 func (c *Coordinator) allocate() (int, bool) {
 	if c.allocDisabled {
 		return 0, false
 	}
-	id, err := c.env.Allocate()
-	if err != nil {
+	rep := c.port.Send(bus.Command{Kind: bus.Allocate})
+	if err := rep.Err; err != nil {
 		if bus.Retryable(err) {
 			reason := "farm-busy"
 			if errors.Is(err, bus.ErrTimeout) {
@@ -838,18 +805,18 @@ func (c *Coordinator) allocate() (int, bool) {
 			c.deferAllocation(reason)
 		} else {
 			c.allocDisabled = true
-			c.obs.Emit(obs.Decision{
+			c.decide(obs.Decision{
 				AtNS: obs.At(c.env.Now()), Kind: obs.KindAllocDisable, Instance: -1, Sub: -1,
 				Reason: err.Error(),
 			})
 		}
 		return 0, false
 	}
-	c.stats.Allocations++
+	id := rep.Instance
 	c.allocBackoff = 0
 	c.nextAllocAt = 0
 	now := c.env.Now()
-	c.obs.Emit(obs.Decision{
+	c.decide(obs.Decision{
 		AtNS: obs.At(now), Kind: obs.KindAllocate, Instance: id, Sub: -1,
 	})
 	st := c.inst(id)
@@ -860,8 +827,7 @@ func (c *Coordinator) allocate() (int, bool) {
 		adopted := c.orphans[0]
 		c.accepted[adopted].Owner = id
 		c.orphans = c.orphans[1:]
-		c.stats.Rededicated++
-		c.obs.Emit(obs.Decision{
+		c.decide(obs.Decision{
 			AtNS: obs.At(now), Kind: obs.KindRededicate, Instance: id, Sub: adopted,
 			Entry: obs.Sig(c.accepted[adopted].Entry),
 		})
@@ -882,7 +848,6 @@ func (c *Coordinator) deferAllocation(reason string) {
 	if c.pendingAllocs < c.env.MaxInstances() {
 		c.pendingAllocs++
 	}
-	c.stats.AllocDeferred++
 	if c.allocBackoff == 0 {
 		c.allocBackoff = c.cfg.AllocRetry
 	} else {
@@ -892,7 +857,7 @@ func (c *Coordinator) deferAllocation(reason string) {
 		}
 	}
 	c.nextAllocAt = c.env.Now() + c.allocBackoff
-	c.obs.Emit(obs.Decision{
+	c.decide(obs.Decision{
 		AtNS: obs.At(c.env.Now()), Kind: obs.KindAllocDefer, Instance: -1, Sub: -1,
 		BackoffNS: int64(c.allocBackoff), Reason: reason,
 	})
@@ -906,14 +871,12 @@ func (c *Coordinator) deferAllocation(reason string) {
 func (c *Coordinator) retire(id int, deallocate bool) {
 	now := c.env.Now()
 	if deallocate {
-		if err := c.env.Deallocate(id); err != nil {
-			c.stats.ReleaseErrors++
-			c.obs.Emit(obs.Decision{
+		if err := c.port.Send(bus.Command{Kind: bus.Deallocate, Instance: id}).Err; err != nil {
+			c.decide(obs.Decision{
 				AtNS: obs.At(now), Kind: obs.KindReleaseError, Instance: id, Sub: -1,
 				Reason: err.Error(),
 			})
 		}
-		c.stats.Deallocations++
 	}
 	c.analyzer.ResetInstance(id)
 	delete(c.insts, id)
@@ -922,12 +885,9 @@ func (c *Coordinator) retire(id int, deallocate bool) {
 			c.orphans = append(c.orphans, sub.ID)
 			reason := "queued"
 			if c.cfg.DropOrphans {
-				c.stats.DroppedOrphans++
 				reason = "dropped"
-			} else {
-				c.stats.Orphaned++
 			}
-			c.obs.Emit(obs.Decision{
+			c.decide(obs.Decision{
 				AtNS: obs.At(now), Kind: obs.KindOrphan, Instance: id, Sub: sub.ID,
 				Entry: obs.Sig(sub.Entry), Reason: reason,
 			})
@@ -964,7 +924,7 @@ func (c *Coordinator) reapStagnant(now sim.Duration) {
 		if now-st.lastNew <= c.cfg.Stagnation {
 			continue
 		}
-		c.obs.Emit(obs.Decision{
+		c.decide(obs.Decision{
 			AtNS: obs.At(now), Kind: obs.KindStagnant, Instance: id, Sub: -1,
 			IdleNS: int64(now - st.lastNew),
 		})
@@ -1014,8 +974,7 @@ func (c *Coordinator) checkHealth(now sim.Duration) {
 		if active[id] {
 			continue
 		}
-		c.stats.Deaths++
-		c.obs.Emit(obs.Decision{
+		c.decide(obs.Decision{
 			AtNS: obs.At(now), Kind: obs.KindDead, Instance: id, Sub: -1,
 		})
 		c.retire(id, false)
@@ -1035,8 +994,7 @@ func (c *Coordinator) checkHealth(now sim.Duration) {
 		if !ok || !st.tracked || now-st.lastEvent <= c.cfg.Heartbeat {
 			continue
 		}
-		c.stats.Hangs++
-		c.obs.Emit(obs.Decision{
+		c.decide(obs.Decision{
 			AtNS: obs.At(now), Kind: obs.KindHung, Instance: id, Sub: -1,
 			IdleNS: int64(now - st.lastEvent),
 		})

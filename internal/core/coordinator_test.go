@@ -22,9 +22,9 @@ type fakeEnv struct {
 	nextID   int
 	blocks   map[int]*toller.BlockSet
 	deallocs []int
-	// allocFail makes Allocate fail permanently; busy makes it fail with the
-	// retryable device.ErrFarmBusy. attempts records when each Allocate call
-	// happened, for backoff-timing tests.
+	// allocFail makes an Allocate command fail permanently; busy makes it
+	// fail with the retryable device.ErrFarmBusy. attempts records when each
+	// Allocate command arrived, for backoff-timing tests.
 	allocFail bool
 	busy      bool
 	attempts  []sim.Duration
@@ -39,7 +39,7 @@ func (e *fakeEnv) MaxInstances() int { return e.max }
 func (e *fakeEnv) ActiveInstances() []int {
 	return append([]int(nil), e.active...)
 }
-func (e *fakeEnv) Allocate() (int, error) {
+func (e *fakeEnv) allocate() (int, error) {
 	e.attempts = append(e.attempts, e.now)
 	if e.allocFail {
 		return 0, errors.New("farm unreachable")
@@ -53,7 +53,7 @@ func (e *fakeEnv) Allocate() (int, error) {
 	e.blocks[id] = toller.NewBlockSet()
 	return id, nil
 }
-func (e *fakeEnv) Deallocate(id int) error {
+func (e *fakeEnv) deallocate(id int) error {
 	for i, a := range e.active {
 		if a == id {
 			e.active = append(e.active[:i], e.active[i+1:]...)
@@ -65,7 +65,7 @@ func (e *fakeEnv) Deallocate(id int) error {
 }
 
 // kill simulates an instance death: it vanishes from the active list
-// without a Deallocate, exactly as a crashed emulator disappears from the
+// without a Deallocate command, exactly as a crashed emulator disappears from the
 // farm.
 func (e *fakeEnv) kill(id int) {
 	for i, a := range e.active {
@@ -84,10 +84,16 @@ func (e *fakeEnv) Blocks(id int) *toller.BlockSet {
 	return b
 }
 
-// Send lets the fakeEnv double as the coordinator's bus.Sender: block
-// commands are applied to the per-instance block sets directly.
+// Send lets the fakeEnv double as the coordinator's bus.Sender: lease
+// commands act on the fake farm, and block commands are applied to the
+// per-instance block sets directly.
 func (e *fakeEnv) Send(cmd bus.Command) bus.Reply {
 	switch cmd.Kind {
+	case bus.Allocate:
+		id, err := e.allocate()
+		return bus.Reply{Instance: id, Err: err}
+	case bus.Deallocate:
+		return bus.Reply{Instance: cmd.Instance, Err: e.deallocate(cmd.Instance)}
 	case bus.BlockWidget:
 		e.Blocks(cmd.Instance).BlockWidget(cmd.Screen, cmd.Widget)
 	case bus.BlockMember:

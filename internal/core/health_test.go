@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"taopt/internal/obs"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
 	"taopt/internal/ui"
@@ -41,8 +42,8 @@ func TestDeathOrphanRededication(t *testing.T) {
 	c.Tick(env.now)
 
 	st := c.DecisionStats()
-	if st.Deaths != 1 {
-		t.Fatalf("deaths = %d, want 1", st.Deaths)
+	if st[obs.KindDead] != 1 {
+		t.Fatalf("deaths = %d, want 1", st[obs.KindDead])
 	}
 	if len(env.deallocs) != 0 {
 		t.Fatalf("dead instance must not be deallocated again, got %v", env.deallocs)
@@ -57,7 +58,7 @@ func TestDeathOrphanRededication(t *testing.T) {
 	if c.OrphanCount() != 0 {
 		t.Fatalf("orphans = %d, want 0", c.OrphanCount())
 	}
-	if st.Orphaned != 1 || st.Rededicated == 0 {
+	if st[obs.KindOrphan] != 1 || st[obs.KindRededicate] == 0 {
 		t.Fatalf("orphan stats %+v", st)
 	}
 	if env.Blocks(newest).IsMember(sigs[11]) {
@@ -65,7 +66,7 @@ func TestDeathOrphanRededication(t *testing.T) {
 	}
 	// A second tick must not double-count the same death.
 	c.Tick(env.now + 30*second)
-	if got := c.DecisionStats().Deaths; got != 1 {
+	if got := c.DecisionStats()[obs.KindDead]; got != 1 {
 		t.Fatalf("deaths after second tick = %d, want 1", got)
 	}
 }
@@ -88,7 +89,7 @@ func TestDeathDropOrphansKeepsBlocked(t *testing.T) {
 	if sub.Owner != 0 {
 		t.Fatalf("dropped orphan was re-dedicated to %d", sub.Owner)
 	}
-	if got := c.DecisionStats().DroppedOrphans; got != 1 {
+	if got := c.DecisionStats()[obs.KindOrphan]; got != 1 {
 		t.Fatalf("dropped orphans = %d, want 1", got)
 	}
 	newest := env.active[len(env.active)-1]
@@ -117,7 +118,7 @@ func TestOldestOrphanRededicatedFirst(t *testing.T) {
 	env.now += 30 * second
 	c.Tick(env.now)
 
-	if got := c.DecisionStats().Deaths; got != 2 {
+	if got := c.DecisionStats()[obs.KindDead]; got != 2 {
 		t.Fatalf("deaths = %d, want 2", got)
 	}
 	if len(env.active) != 1 {
@@ -170,8 +171,8 @@ func TestHangDetection(t *testing.T) {
 	}
 
 	st := c.DecisionStats()
-	if st.Hangs != 1 {
-		t.Fatalf("hangs = %d, want 1: %+v", st.Hangs, st)
+	if st[obs.KindHung] != 1 {
+		t.Fatalf("hangs = %d, want 1: %+v", st[obs.KindHung], st)
 	}
 	if len(env.deallocs) != 1 || env.deallocs[0] != 0 {
 		t.Fatalf("deallocs = %v, want [0] (hung instances are released)", env.deallocs)
@@ -240,12 +241,12 @@ func TestRetiredInstanceTrailingEvent(t *testing.T) {
 	}
 
 	st := c.DecisionStats()
-	if st.Deaths != 0 || st.Hangs != 1 {
-		t.Fatalf("deaths = %d hangs = %d, want 0 and 1: the retired instance came back", st.Deaths, st.Hangs)
+	if st[obs.KindDead] != 0 || st[obs.KindHung] != 1 {
+		t.Fatalf("deaths = %d hangs = %d, want 0 and 1: the retired instance came back", st[obs.KindDead], st[obs.KindHung])
 	}
-	if len(env.deallocs) != 1 || st.ReleaseErrors != 0 {
+	if len(env.deallocs) != 1 || st[obs.KindReleaseError] != 0 {
 		t.Fatalf("deallocs = %v, release errors = %d: the retired instance was released again",
-			env.deallocs, st.ReleaseErrors)
+			env.deallocs, st[obs.KindReleaseError])
 	}
 }
 
@@ -296,7 +297,7 @@ func TestAllocBackoffTiming(t *testing.T) {
 					t.Fatalf("attempt %d at %v, want %v (all: %v)", i, env.attempts[i], want, env.attempts)
 				}
 			}
-			if got := c.DecisionStats().AllocDeferred; got != len(tc.wantAttempts) {
+			if got := c.DecisionStats()[obs.KindAllocDefer]; got != len(tc.wantAttempts) {
 				t.Fatalf("deferred = %d, want %d", got, len(tc.wantAttempts))
 			}
 
@@ -350,14 +351,14 @@ func TestReleaseErrorSurfaced(t *testing.T) {
 	env.now += 5 * 60 * second
 	env.kill(0)
 	c.Tick(env.now)
-	if got := c.DecisionStats().ReleaseErrors; got != 0 {
+	if got := c.DecisionStats()[obs.KindReleaseError]; got != 0 {
 		t.Fatalf("release errors = %d, want 0 (death beats hang)", got)
 	}
 
 	// Force the error path directly: retire an ID the env never allocated.
 	c.insts[99] = &instState{tracked: true}
 	c.retire(99, true)
-	if got := c.DecisionStats().ReleaseErrors; got != 1 {
+	if got := c.DecisionStats()[obs.KindReleaseError]; got != 1 {
 		t.Fatalf("release errors = %d, want 1", got)
 	}
 	_ = sigs

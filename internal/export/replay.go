@@ -134,15 +134,10 @@ type replayer struct {
 	err error
 }
 
-// senderFunc adapts the engine's record-matching send to bus.Sender.
-type senderFunc func(bus.Command) bus.Reply
-
-func (f senderFunc) Send(cmd bus.Command) bus.Reply { return f(cmd) }
-
 func (e *replayer) buildCoordinator(mode core.Mode) {
 	cfg := core.DefaultConfig(mode)
 	cfg.Obs = e.decisions
-	e.coord = core.NewCoordinator(cfg, e, senderFunc(e.send), e.book)
+	e.coord = core.NewCoordinator(cfg, e, e, e.book)
 }
 
 func (e *replayer) fail(format string, args ...any) {
@@ -188,22 +183,14 @@ func (e *replayer) ActiveInstances() []int {
 	return append([]int(nil), e.active...)
 }
 
-func (e *replayer) Allocate() (int, error) {
-	rep := e.send(bus.Command{Kind: bus.Allocate})
-	return rep.Instance, rep.Err
-}
-
-func (e *replayer) Deallocate(id int) error {
-	return e.send(bus.Command{Kind: bus.Deallocate, Instance: id}).Err
-}
-
 // --- record consumption --------------------------------------------------
 
-// send matches one coordinator-originated command against the next recorded
-// exchange and returns the recorded reply. The live run's decision sequence
-// is deterministic, so the replayed coordinator must ask for exactly what
-// the stream carries next — anything else is divergence.
-func (e *replayer) send(cmd bus.Command) bus.Reply {
+// Send implements bus.Sender for the replayed coordinator: it matches one
+// coordinator-originated command against the next recorded exchange and
+// returns the recorded reply. The live run's decision sequence is
+// deterministic, so the replayed coordinator must ask for exactly what the
+// stream carries next — anything else is divergence.
+func (e *replayer) Send(cmd bus.Command) bus.Reply {
 	rec, ok := e.next()
 	switch {
 	case !ok:
@@ -407,6 +394,3 @@ func (e *replayer) export() *Run {
 	tail.Records(e.out)
 	return e.out.run
 }
-
-// Statically assert the engine satisfies the coordinator's environment seam.
-var _ core.Env = (*replayer)(nil)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"taopt/internal/faults"
@@ -179,7 +180,7 @@ func TestChaosHungLeaseBilledUntilReaped(t *testing.T) {
 	if res.FailedInstances == 0 {
 		t.Fatal("no hung lease was ever failed")
 	}
-	if res.CoordinatorStats.Hangs == 0 {
+	if res.CoordinatorStats[obs.KindHung] == 0 {
 		t.Fatal("heartbeat monitor detected no hangs")
 	}
 	// Hang at 1m, heartbeat window 2m: a reaped lease outlives its hang.
@@ -275,5 +276,49 @@ func TestChaosWireOutageBackoff(t *testing.T) {
 	reasons := res.Telemetry.DecisionLog().CountByReason(obs.KindAllocDefer)
 	if reasons["farm-busy"] == 0 {
 		t.Fatalf("alloc-defer reasons = %v, want farm-busy entries", reasons)
+	}
+}
+
+// TestCoordinatorStatsTallyDecisionLog: the coordinator's always-on counts
+// are its decision log tallied by kind — everything but the analyzer's
+// "analyzed" entries — and they do not depend on telemetry being on. The
+// run's faults kill and wedge instances and lose block commands, so the
+// health, orphan and retransmit kinds are counted too.
+func TestCoordinatorStatsTallyDecisionLog(t *testing.T) {
+	fc := faults.DefaultConfig(0.8)
+	fc.HangFraction = 0.5
+	fc.MinLife = 3 * chaosMinute
+	fc.MaxLife = 8 * chaosMinute
+	fc.AllocFailRate = 0.1
+	fc.CmdLossRate = 0.2
+	cfg := RunConfig{
+		App:       mustLoad(t, "Filters For Selfie"),
+		Tool:      "monkey",
+		Setting:   TaOPTDuration,
+		Duration:  12 * chaosMinute,
+		Seed:      5,
+		Faults:    &fc,
+		Telemetry: true,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Telemetry.DecisionLog().CountByKind()
+	delete(want, obs.KindAnalyzed)
+	if want[obs.KindDead] == 0 || want[obs.KindHung] == 0 {
+		t.Fatalf("run logged no dead or no hung decision: %v", want)
+	}
+	if !reflect.DeepEqual(res.CoordinatorStats, want) {
+		t.Fatalf("coordinator stats %v, want the decision log's %v", res.CoordinatorStats, want)
+	}
+
+	cfg.Telemetry = false
+	quiet, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(quiet.CoordinatorStats, want) {
+		t.Fatalf("coordinator stats without telemetry %v, want %v", quiet.CoordinatorStats, want)
 	}
 }

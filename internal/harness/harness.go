@@ -178,8 +178,9 @@ type RunResult struct {
 	UIOccurrences map[ui.Signature]int
 	// Subspaces are TaOPT's accepted subspaces (nil for baselines).
 	Subspaces []*core.Subspace
-	// CoordinatorStats holds TaOPT's decision counters (nil for baselines).
-	CoordinatorStats *core.Stats
+	// CoordinatorStats counts TaOPT's coordinator decisions by obs.Kind*
+	// constant, whether or not telemetry is on (nil for baselines).
+	CoordinatorStats map[string]int
 	// Book is the campaign's screen registry.
 	Book *trace.Book
 	// FailedInstances counts leases terminated by injected faults.
@@ -399,39 +400,42 @@ func (r *runner) MaxInstances() int { return r.farm.MaxDevices() }
 // ActiveInstances implements core.Env.
 func (r *runner) ActiveInstances() []int { return r.farm.ActiveIDs() }
 
-// Allocate implements core.Env: the request travels as a bus command to the
-// executor below (possibly through the fault decorator's outage model). A
-// wound-down run returns a permanent error; a busy (or outage-stricken) farm
-// returns an error wrapping device.ErrFarmBusy, which the coordinator
-// retries with backoff. The lifecycle guards stay on this client side so
-// every caller — coordinator and baseline strategies alike — sees them
-// before the transport is consulted.
+// --- bus.Sender implementation -------------------------------------------
+
+// Send is the client side of the transport, the coordinator's bus.Sender
+// and the baselines' way down: every command travels to the executor below
+// (possibly through the fault decorator). The lifecycle guards stay on
+// this side, so an Allocate after the run ended or past the wall deadline
+// is refused without consulting the transport. A busy (or
+// outage-stricken) farm replies with an error wrapping
+// device.ErrFarmBusy, which the coordinator retries with backoff.
+func (r *runner) Send(cmd bus.Command) bus.Reply {
+	if cmd.Kind == bus.Allocate {
+		if r.ended {
+			return r.localReject(cmd, fmt.Errorf("harness: run ended"))
+		}
+		if r.wallDeadline != 0 && r.sched.Now() >= r.wallDeadline {
+			return r.localReject(cmd, fmt.Errorf("harness: wall deadline reached"))
+		}
+	}
+	return r.port.Send(cmd)
+}
+
+// Allocate boots an instance for the baseline strategies through Send.
 func (r *runner) Allocate() (int, error) {
-	if r.ended {
-		return 0, r.localReject(fmt.Errorf("harness: run ended"))
-	}
-	if r.wallDeadline != 0 && r.sched.Now() >= r.wallDeadline {
-		return 0, r.localReject(fmt.Errorf("harness: wall deadline reached"))
-	}
-	rep := r.port.Send(bus.Command{Kind: bus.Allocate})
+	rep := r.Send(bus.Command{Kind: bus.Allocate})
 	return rep.Instance, rep.Err
 }
 
-// localReject records an allocation the lifecycle guards refused on the
-// client side, without consulting the transport. A replayable trace still
-// carries the exchange, so replay resolves the same request with the same
-// error.
-func (r *runner) localReject(err error) error {
+// localReject records a command the lifecycle guards refused on the client
+// side, without consulting the transport. A replayable trace still carries
+// the exchange, so replay resolves the same request with the same error.
+func (r *runner) localReject(cmd bus.Command, err error) bus.Reply {
+	rep := bus.Reply{Err: err}
 	if r.rec != nil {
-		r.rec.Local(bus.Command{Kind: bus.Allocate}, bus.Reply{Err: err})
+		r.rec.Local(cmd, rep)
 	}
-	return err
-}
-
-// Deallocate implements core.Env: the release travels as a bus command.
-// Unknown IDs and double releases are errors the coordinator records.
-func (r *runner) Deallocate(id int) error {
-	return r.port.Send(bus.Command{Kind: bus.Deallocate, Instance: id}).Err
+	return rep
 }
 
 // --- bus.Executor implementation -----------------------------------------
@@ -589,7 +593,7 @@ func (r *runner) step(a *actor) {
 	}
 	now := r.sched.Now()
 	if r.wallDeadline != 0 && now >= r.wallDeadline {
-		r.Deallocate(a.id)
+		r.Send(bus.Command{Kind: bus.Deallocate, Instance: a.id})
 		return
 	}
 	if r.machineBudget != 0 && r.farm.MachineTime(now) >= r.machineBudget {
@@ -745,8 +749,7 @@ func (r *runner) result() *RunResult {
 	}
 	if r.coord != nil {
 		res.Subspaces = r.coord.Subspaces()
-		st := r.coord.DecisionStats()
-		res.CoordinatorStats = &st
+		res.CoordinatorStats = r.coord.DecisionStats()
 		res.OrphansPending = r.coord.OrphanCount()
 	}
 	if r.tel != nil {

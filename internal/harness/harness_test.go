@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"taopt/internal/app"
+	"taopt/internal/bus"
 	"taopt/internal/sim"
 )
 
@@ -51,6 +53,37 @@ func TestBaselineParallelSmoke(t *testing.T) {
 	}
 	t.Logf("baseline: union=%d methods, crashes=%d, machine=%v, screens=%d",
 		res.Union.Count(), res.UniqueCrashes, res.MachineUsed, res.Book.Len())
+}
+
+// TestSendRefusesLateAllocate: once the run has reached its wall deadline or
+// ended, runner.Send refuses an Allocate on the client side — the transport
+// never carries it — and still passes every other command down.
+func TestSendRefusesLateAllocate(t *testing.T) {
+	r := newRunner(RunConfig{
+		App:      smallApp(),
+		Tool:     "monkey",
+		Setting:  BaselineParallel,
+		Duration: 2 * minute,
+		Seed:     1,
+	}.withDefaults())
+	r.run()
+	sent := r.port.Stats().Commands
+	for _, tc := range []struct {
+		ended bool
+		want  string
+	}{{false, "wall deadline reached"}, {true, "run ended"}} {
+		r.ended = tc.ended
+		if rep := r.Send(bus.Command{Kind: bus.Allocate}); rep.Err == nil || !strings.Contains(rep.Err.Error(), tc.want) {
+			t.Fatalf("ended=%v: Allocate reply %+v, want a %q refusal", tc.ended, rep, tc.want)
+		}
+		if got := r.port.Stats().Commands; got != sent {
+			t.Fatalf("ended=%v: a refused Allocate reached the transport (%d -> %d commands)", tc.ended, sent, got)
+		}
+	}
+	r.Send(bus.Command{Kind: bus.Deallocate, Instance: 0})
+	if got := r.port.Stats().Commands; got != sent+1 {
+		t.Fatalf("a Deallocate after the run did not reach the transport (%d -> %d commands)", sent, got)
+	}
 }
 
 func TestTaOPTDurationSmoke(t *testing.T) {

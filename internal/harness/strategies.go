@@ -115,38 +115,25 @@ func newTaOPT(r *runner, mode core.Mode) *taopt {
 	// Nil when telemetry is off: the coordinator's decision-log emits are
 	// nil-safe no-ops.
 	cfg.Obs = r.tel.DecisionLog()
-	var env core.Env = r
-	var send bus.Sender = r.port
+	var send bus.Sender = r
 	if r.rec != nil {
-		env, send = coordSeams{r}, coordSeams{r}
+		send = coordSender{r}
 	}
-	coord := core.NewCoordinator(cfg, env, send, r.book)
+	coord := core.NewCoordinator(cfg, r, send, r.book)
 	r.coord = coord
 	return &taopt{coord: coord}
 }
 
-// coordSeams is the coordinator's view of a recorded run: every exchange it
-// starts — allocations, releases, block commands — is recorded as
+// coordSender is the coordinator's Sender on a recorded run: every exchange
+// it starts — allocations, releases, block commands — is recorded as
 // coordinator-sent, so replay can require the replayed coordinator to send
 // exactly those.
-type coordSeams struct{ *runner }
+type coordSender struct{ *runner }
 
-func (c coordSeams) Allocate() (int, error) {
+func (c coordSender) Send(cmd bus.Command) bus.Reply {
 	c.rec.Coordinating(true)
 	defer c.rec.Coordinating(false)
-	return c.runner.Allocate()
-}
-
-func (c coordSeams) Deallocate(id int) error {
-	c.rec.Coordinating(true)
-	defer c.rec.Coordinating(false)
-	return c.runner.Deallocate(id)
-}
-
-func (c coordSeams) Send(cmd bus.Command) bus.Reply {
-	c.rec.Coordinating(true)
-	defer c.rec.Coordinating(false)
-	return c.port.Send(cmd)
+	return c.runner.Send(cmd)
 }
 
 func (s *taopt) start() { s.coord.Start() }

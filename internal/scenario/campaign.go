@@ -107,46 +107,16 @@ func compileCampaignV1(doc *Document) (*Campaign, []Issue) {
 		}
 		c.Tools = append(c.Tools, tool)
 	}
-	known := map[string]bool{}
-	for _, s := range SettingNames() {
-		known[s] = true
-	}
 	for i, s := range j.Settings {
-		if !known[s] {
-			issues = append(issues, Issue{fmt.Sprintf("%s.settings[%d]", path, i), fmt.Sprintf("unknown setting %q (want one of: %v)", s, SettingNames())})
-			continue
+		if knownSetting(&issues, fmt.Sprintf("%s.settings[%d]", path, i), s) {
+			c.Settings = append(c.Settings, s)
 		}
-		c.Settings = append(c.Settings, s)
 	}
 
-	if j.Instances != nil {
-		if *j.Instances < 1 {
-			issues = append(issues, Issue{path + ".instances", fmt.Sprintf("must be at least 1, got %d (omit the field for the harness default)", *j.Instances)})
-		} else {
-			c.Instances = *j.Instances
-		}
-	}
-	if j.DurationMin != nil {
-		if *j.DurationMin <= 0 {
-			issues = append(issues, Issue{path + ".durationMin", fmt.Sprintf("must be > 0 minutes, got %g (omit the field for the harness default)", *j.DurationMin)})
-		} else {
-			c.Duration = sim.Duration(*j.DurationMin * 60e9)
-		}
-	}
-	if j.SampleEverySec != nil {
-		if *j.SampleEverySec <= 0 {
-			issues = append(issues, Issue{path + ".sampleEverySec", fmt.Sprintf("must be > 0 seconds, got %g (omit the field for the harness default)", *j.SampleEverySec)})
-		} else {
-			c.SampleEvery = seconds(*j.SampleEverySec)
-		}
-	}
-	if j.Workers != nil {
-		if *j.Workers < 1 {
-			issues = append(issues, Issue{path + ".workers", fmt.Sprintf("must be at least 1, got %d (omit the field for the harness default)", *j.Workers)})
-		} else {
-			c.Workers = *j.Workers
-		}
-	}
+	c.Instances = countField(&issues, path+".instances", j.Instances)
+	c.Duration = durationField(&issues, path+".durationMin", j.DurationMin, "minutes", 60e9)
+	c.SampleEvery = durationField(&issues, path+".sampleEverySec", j.SampleEverySec, "seconds", 1e9)
+	c.Workers = countField(&issues, path+".workers", j.Workers)
 	if j.Seed != nil {
 		c.Seed = *j.Seed
 	}
@@ -154,18 +124,7 @@ func compileCampaignV1(doc *Document) (*Campaign, []Issue) {
 	if j.Faults != nil && j.FaultGrid != nil {
 		issues = append(issues, Issue{path + ".faults", "cannot combine with faultGrid (pick one)"})
 	}
-	if j.Faults != nil {
-		p := path + ".faults"
-		var body map[string]json.RawMessage
-		if err := json.Unmarshal(j.Faults, &body); err != nil {
-			issues = append(issues, Issue{p, "want an object"})
-		} else if fp, fpIssues := compileFaultBody(doc.Name, body, p); len(fpIssues) > 0 {
-			issues = append(issues, fpIssues...)
-		} else {
-			cfg := fp.Config
-			c.Faults = &cfg
-		}
-	}
+	c.Faults = faultsField(&issues, path+".faults", doc.Name, j.Faults)
 	gridSeen := map[string]string{}
 	for i, raw := range j.FaultGrid {
 		p := fmt.Sprintf("%s.faultGrid[%d]", path, i)

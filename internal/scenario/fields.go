@@ -2,9 +2,14 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+
+	"taopt/internal/faults"
+	"taopt/internal/sim"
 )
 
 // decodeFields unmarshals raw's members into dst's matching fields (matched
@@ -89,4 +94,61 @@ func sortedKeys(m map[string]json.RawMessage) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// The checks below are shared by the run and campaign compilers. Each
+// appends its issue to *issues and returns the compiled value, or the zero
+// value when the member is absent (the harness default applies) or invalid.
+
+// countField checks an optional count member (instances, workers): at
+// least 1.
+func countField(issues *[]Issue, path string, v *int) int {
+	if v == nil {
+		return 0
+	}
+	if *v < 1 {
+		*issues = append(*issues, Issue{path, fmt.Sprintf("must be at least 1, got %d (omit the field for the harness default)", *v)})
+		return 0
+	}
+	return *v
+}
+
+// durationField checks an optional duration member written in unit
+// ("minutes" or "seconds", nsPerUnit nanoseconds each): more than zero.
+func durationField(issues *[]Issue, path string, v *float64, unit string, nsPerUnit float64) sim.Duration {
+	if v == nil {
+		return 0
+	}
+	if *v <= 0 {
+		*issues = append(*issues, Issue{path, fmt.Sprintf("must be > 0 %s, got %g (omit the field for the harness default)", unit, *v)})
+		return 0
+	}
+	return sim.Duration(*v * nsPerUnit)
+}
+
+// faultsField compiles an optional inline fault-plan member named name.
+func faultsField(issues *[]Issue, path, name string, raw json.RawMessage) *faults.Config {
+	if raw == nil {
+		return nil
+	}
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &body); err != nil {
+		*issues = append(*issues, Issue{path, "want an object"})
+		return nil
+	}
+	fp, fpIssues := compileFaultBody(name, body, path)
+	if len(fpIssues) > 0 {
+		*issues = append(*issues, fpIssues...)
+		return nil
+	}
+	return &fp.Config
+}
+
+// knownSetting reports whether s is one of SettingNames.
+func knownSetting(issues *[]Issue, path, s string) bool {
+	if slices.Contains(SettingNames(), s) {
+		return true
+	}
+	*issues = append(*issues, Issue{path, fmt.Sprintf("unknown setting %q (want one of: %v)", s, SettingNames())})
+	return false
 }

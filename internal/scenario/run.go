@@ -110,67 +110,21 @@ func compileRunV1(doc *Document) (*RunSpec, []Issue) {
 	}
 	if j.Setting == nil {
 		issues = append(issues, Issue{path + ".setting", "required"})
-	} else {
-		known := false
-		for _, s := range SettingNames() {
-			if s == *j.Setting {
-				known = true
-				break
-			}
-		}
-		if !known {
-			issues = append(issues, Issue{path + ".setting", fmt.Sprintf("unknown setting %q (want one of: %v)", *j.Setting, SettingNames())})
-		} else {
-			rs.Setting = *j.Setting
-		}
+	} else if knownSetting(&issues, path+".setting", *j.Setting) {
+		rs.Setting = *j.Setting
 	}
 
-	if j.Instances != nil {
-		if *j.Instances < 1 {
-			issues = append(issues, Issue{path + ".instances", fmt.Sprintf("must be at least 1, got %d (omit the field for the harness default)", *j.Instances)})
-		} else {
-			rs.Instances = *j.Instances
-		}
-	}
-	if j.DurationMin != nil {
-		if *j.DurationMin <= 0 {
-			issues = append(issues, Issue{path + ".durationMin", fmt.Sprintf("must be > 0 minutes, got %g (omit the field for the harness default)", *j.DurationMin)})
-		} else {
-			rs.Duration = sim.Duration(*j.DurationMin * 60e9)
-		}
-	}
-	if j.BudgetMin != nil {
-		if *j.BudgetMin <= 0 {
-			issues = append(issues, Issue{path + ".budgetMin", fmt.Sprintf("must be > 0 minutes, got %g (omit the field for the harness default)", *j.BudgetMin)})
-		} else {
-			rs.MachineBudget = sim.Duration(*j.BudgetMin * 60e9)
-		}
-	}
-	if j.SampleEverySec != nil {
-		if *j.SampleEverySec <= 0 {
-			issues = append(issues, Issue{path + ".sampleEverySec", fmt.Sprintf("must be > 0 seconds, got %g (omit the field for the harness default)", *j.SampleEverySec)})
-		} else {
-			rs.SampleEvery = seconds(*j.SampleEverySec)
-		}
-	}
+	rs.Instances = countField(&issues, path+".instances", j.Instances)
+	rs.Duration = durationField(&issues, path+".durationMin", j.DurationMin, "minutes", 60e9)
+	rs.MachineBudget = durationField(&issues, path+".budgetMin", j.BudgetMin, "minutes", 60e9)
+	rs.SampleEvery = durationField(&issues, path+".sampleEverySec", j.SampleEverySec, "seconds", 1e9)
 	if j.Seed != nil {
 		rs.Seed = *j.Seed
 	}
 	if j.Telemetry != nil {
 		rs.Telemetry = *j.Telemetry
 	}
-	if j.Faults != nil {
-		p := path + ".faults"
-		var body map[string]json.RawMessage
-		if err := json.Unmarshal(j.Faults, &body); err != nil {
-			issues = append(issues, Issue{p, "want an object"})
-		} else if fp, fpIssues := compileFaultBody(doc.Name, body, p); len(fpIssues) > 0 {
-			issues = append(issues, fpIssues...)
-		} else {
-			cfg := fp.Config
-			rs.Faults = &cfg
-		}
-	}
+	rs.Faults = faultsField(&issues, path+".faults", doc.Name, j.Faults)
 
 	if len(issues) > 0 {
 		return nil, issues
