@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s
 	$(GO) test ./internal/export -run '^$$' -fuzz FuzzTraceBinCodec -fuzztime 10s
 	$(GO) test ./internal/export -run '^$$' -fuzz FuzzExportRead -fuzztime 10s
+	$(GO) test ./internal/export -run '^$$' -fuzz FuzzIndentJSON -fuzztime 10s
 	$(GO) test ./internal/bus/wire -run '^$$' -fuzz FuzzWireLog -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzServiceSubmit -fuzztime 10s
 

@@ -359,8 +359,9 @@ func FuzzTraceBinCodec(f *testing.F) {
 }
 
 // FuzzExportRead fuzzes the JSON reader over arbitrary bytes: it must never
-// panic, TraceLogs must be safe on whatever it accepts, and Write∘Read must
-// be a fixed point from the first re-encode on.
+// panic, TraceLogs must be safe on whatever it accepts, Write must match
+// the Encoder it replaced (refWrite) on it, and Write∘Read must be a fixed
+// point from the first re-encode on.
 func FuzzExportRead(f *testing.F) {
 	cells := binCells()
 	for _, name := range []string{"golden", "chaos", "telemetry"} {
@@ -383,6 +384,9 @@ func FuzzExportRead(f *testing.F) {
 		var b1 bytes.Buffer
 		if err := run.Write(&b1); err != nil {
 			t.Fatalf("re-encoding a cleanly decoded document: %v", err)
+		}
+		if !bytes.Equal(b1.Bytes(), refWrite(t, run)) {
+			t.Fatal("Write differs from the Encoder")
 		}
 		back, err := Read(bytes.NewReader(b1.Bytes()))
 		if err != nil {
