@@ -94,19 +94,6 @@ func FromResult(res *harness.RunResult) *Run {
 	return b.run
 }
 
-// Write serialises the run as indented JSON, byte for byte what a
-// json.Encoder with SetIndent("", " ") writes: json.Marshal encodes it
-// (field order, omitempty and HTML escaping as the Encoder's) and
-// writeIndented lays it out in one streamed pass. On a marshal error
-// nothing is written.
-func (r *Run) Write(w io.Writer) error {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	return writeIndented(w, b)
-}
-
 // Read deserialises a run and validates the schema version.
 func Read(rd io.Reader) (*Run, error) {
 	var run Run
