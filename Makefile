@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-json lint-allows vet bench-go fuzz scenario-hashes corpus-golden service-e2e loc check
+.PHONY: build test race fmt lint lint-json lint-allows vet bench-go fuzz scenario-hashes corpus-golden service-e2e loc check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,10 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fmt fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "not gofmt-formatted:"; echo "$$files"; exit 1; fi
 
 # taoptvet is the in-repo go/analysis-style suite enforcing the
 # determinism and layering contracts (DESIGN.md §10). It is built from
@@ -87,4 +91,4 @@ loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './perfbench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
-check: build vet lint test
+check: build fmt vet lint test

@@ -111,7 +111,7 @@ func compileCmd(path string) {
 	case c.App != nil:
 		s := c.App.Spec
 		fmt.Printf("app:    seed %d, %d functionalities, %d–%d screens, login %v\n",
-			s.Seed, s.Subspaces, s.ScreensMin, s.ScreensMax, c.App.Login)
+			s.Seed, s.Subspaces, s.ScreensMin, s.ScreensMax, s.LoginRequired)
 	case c.FaultPlan != nil:
 		cfg := c.FaultPlan.Config
 		fmt.Printf("faults: failure rate %g, %d context windows, enabled %v\n",
@@ -159,7 +159,7 @@ func emitCmd(name string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	out, err := scenario.EmitApp(&scenario.App{Spec: e.Spec, Login: e.Login})
+	out, err := scenario.EmitApp(&scenario.App{Spec: e.Spec})
 	if err != nil {
 		fatalf("%v", err)
 	}

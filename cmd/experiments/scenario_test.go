@@ -47,9 +47,8 @@ func TestChaosGridScenarioPinsDefault(t *testing.T) {
 }
 
 // TestChaosScenarioReportByteForByte renders the chaos experiment twice on
-// the same small campaign — once through the legacy report.Chaos entry
-// point, once through report.ChaosGrid fed by the scenario file — and
-// requires identical bytes.
+// the same small campaign — once under report.DefaultChaosGrid, once under
+// the grid the scenario file declares — and requires identical bytes.
 func TestChaosScenarioReportByteForByte(t *testing.T) {
 	cfg := harness.CampaignConfig{
 		Apps:     []string{"Filters For Selfie"},
@@ -58,7 +57,7 @@ func TestChaosScenarioReportByteForByte(t *testing.T) {
 		Seed:     3,
 	}
 	var legacy bytes.Buffer
-	if err := report.Chaos(&legacy, harness.NewCampaign(cfg)); err != nil {
+	if err := report.ChaosGrid(&legacy, harness.NewCampaign(cfg), report.DefaultChaosGrid()); err != nil {
 		t.Fatal(err)
 	}
 	grid := chaosGrid(readGridScenario(t))

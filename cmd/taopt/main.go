@@ -82,7 +82,7 @@ func main() {
 		for _, e := range apps.Entries() {
 			a := apps.MustLoad(e.Spec.Name)
 			login := ""
-			if e.Login {
+			if e.Spec.LoginRequired {
 				login = "*"
 			}
 			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%d\n",

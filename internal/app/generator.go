@@ -12,66 +12,78 @@ import (
 // Spec parameterises the synthetic app generator. The defaults produced by
 // DefaultSpec generate mid-sized apps; internal/apps calibrates one Spec per
 // evaluation app to match the relative sizes of Table 3/Table 4.
+//
+// The json tags are the payload of an app-kind scenario document
+// (internal/scenario): a document's members are decoded onto DefaultSpec,
+// and an emitted document is this struct marshalled in field order.
 type Spec struct {
-	Name     string
-	Version  string
-	Category string
+	// Name is carried by the scenario document's envelope, not its payload.
+	Name     string `json:"-"`
+	Version  string `json:"version"`
+	Category string `json:"category"`
 	// Downloads is the Table 3 "#Inst" column (informational).
-	Downloads string
+	Downloads string `json:"downloads"`
 	// Seed drives all structural randomness; the same Spec always generates
 	// the identical app.
-	Seed int64
+	Seed int64 `json:"seed"`
+	// LoginRequired mirrors Table 3's asterisk: it gates the main
+	// functionality behind a login screen, and the harness runs an
+	// auto-login script once per instance, as in the paper.
+	LoginRequired bool `json:"login"`
 
 	// Subspaces is the number of loosely coupled functionalities, excluding
 	// the hub.
-	Subspaces int
+	Subspaces int `json:"subspaces"`
 	// ScreensMin/Max bound the number of screens per functionality.
-	ScreensMin, ScreensMax int
+	ScreensMin int `json:"screensMin"`
+	ScreensMax int `json:"screensMax"`
 	// WidgetsMin/Max bound the number of interactive widgets per screen.
-	WidgetsMin, WidgetsMax int
+	WidgetsMin int `json:"widgetsMin"`
+	WidgetsMax int `json:"widgetsMax"`
 	// ActivitiesMin/Max bound how many Android activities implement one
 	// functionality. Functionalities spanning several activities — and
 	// activities shared across functionalities — are what break
 	// activity-granularity parallelization (Section 2, Section 3.3).
-	ActivitiesMin, ActivitiesMax int
+	ActivitiesMin int `json:"activitiesMin"`
+	ActivitiesMax int `json:"activitiesMax"`
 	// SharedActivityProb is the chance that a functionality reuses a
 	// globally shared activity (e.g. a Settings screen) for one of its
 	// screens.
-	SharedActivityProb float64
+	SharedActivityProb float64 `json:"sharedActivityProb"`
 	// CrossProb is the probability that an internal widget targets a screen
 	// of a different functionality directly (not through the hub). This is
 	// the "global sparsity" knob: cross edges are rare but nonzero.
-	CrossProb float64
+	CrossProb float64 `json:"crossProb"`
 	// ExitProb is the probability that a non-entry screen carries an
 	// explicit widget back to the hub (Back navigation exists regardless).
-	ExitProb float64
+	ExitProb float64 `json:"exitProb"`
 	// LayerWidth shapes each functionality as a layered flow of this width:
 	// screens mostly link forward one layer, sideways, or back. Depth is what
 	// makes coverage hard to saturate — a random walk needs many actions to
 	// reach the deep layers, exactly like multi-step flows (search → detail
 	// → cart → checkout) in real apps.
-	LayerWidth int
+	LayerWidth int `json:"layerWidth"`
 
 	// VisitMethodsMin/Max bound methods covered on each screen render.
-	VisitMethodsMin, VisitMethodsMax int
+	VisitMethodsMin int `json:"visitMethodsMin"`
+	VisitMethodsMax int `json:"visitMethodsMax"`
 	// WidgetMethodsMin/Max bound methods covered per interaction.
-	WidgetMethodsMin, WidgetMethodsMax int
+	WidgetMethodsMin int `json:"widgetMethodsMin"`
+	WidgetMethodsMax int `json:"widgetMethodsMax"`
 	// ExtraMethods are methods in the binary never reachable from the UI
 	// (dead code, server-driven paths); they keep coverage below 100%.
-	ExtraMethods int
+	ExtraMethods int `json:"extraMethods"`
 
 	// CrashSites is the number of planted faults.
-	CrashSites int
+	CrashSites int `json:"crashSites"`
 	// CrashProbMin/Max bound each site's trigger probability.
-	CrashProbMin, CrashProbMax float64
+	CrashProbMin float64 `json:"crashProbMin"`
+	CrashProbMax float64 `json:"crashProbMax"`
 
-	// LoginRequired gates the main functionality behind a login screen; the
-	// harness runs an auto-login script once per instance, as in the paper.
-	LoginRequired bool
 	// VolatileTextProb is the chance a widget renders changing text.
-	VolatileTextProb float64
+	VolatileTextProb float64 `json:"volatileTextProb"`
 	// DecorationsMax bounds non-clickable structure rows per screen.
-	DecorationsMax int
+	DecorationsMax int `json:"decorationsMax"`
 }
 
 // DefaultSpec returns a reasonable mid-size app spec with the given name and

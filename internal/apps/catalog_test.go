@@ -34,7 +34,7 @@ func TestCatalogMatchesTable3(t *testing.T) {
 	}
 	logins := 0
 	for _, e := range Entries() {
-		if e.Login {
+		if e.Spec.LoginRequired {
 			logins++
 		}
 	}
@@ -46,8 +46,8 @@ func TestCatalogMatchesTable3(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing app %q", name)
 		}
-		if e.Spec.Version != w.version || e.Login != w.login {
-			t.Fatalf("%s: got (%s, %v), want (%s, %v)", name, e.Spec.Version, e.Login, w.version, w.login)
+		if e.Spec.Version != w.version || e.Spec.LoginRequired != w.login {
+			t.Fatalf("%s: got (%s, %v), want (%s, %v)", name, e.Spec.Version, e.Spec.LoginRequired, w.version, w.login)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"taopt/internal/app"
+	"taopt/internal/scenario"
 )
 
 // legacySpec reconstructs one row of the hard-coded table the embedded
@@ -25,7 +27,7 @@ func legacySpec(name, version, category, downloads string, login bool,
 	s.ExtraMethods = extra
 	s.CrashSites = crashes
 	s.LoginRequired = login
-	return Entry{Spec: s, Login: login}
+	return Entry{Spec: s}
 }
 
 // legacyCatalog is the pre-refactor table, in its original (alphabetical)
@@ -69,9 +71,6 @@ func TestCatalogMatchesLegacyTable(t *testing.T) {
 		if g.Spec != w.Spec {
 			t.Errorf("%s: compiled spec differs from legacy table:\n got %+v\nwant %+v", w.Spec.Name, g.Spec, w.Spec)
 		}
-		if g.Login != w.Login {
-			t.Errorf("%s: login = %v, want %v", w.Spec.Name, g.Login, w.Login)
-		}
 		if g.Hash == "" {
 			t.Errorf("%s: entry carries no scenario hash", w.Spec.Name)
 		}
@@ -80,6 +79,33 @@ func TestCatalogMatchesLegacyTable(t *testing.T) {
 
 // TestCatalogHashesDistinct pins that each entry's scenario hash identifies
 // its document: 18 files, 18 distinct hashes, stable across loads.
+// TestCatalogFilesAreEmitFixedPoints requires every embedded scenario file
+// to be exactly what EmitApp writes for the app it compiles to: app.Spec's
+// json tags own the catalog files' key names and key order.
+func TestCatalogFilesAreEmitFixedPoints(t *testing.T) {
+	files, err := scenarioFS.ReadDir("scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := scenarioFS.ReadFile("scenarios/" + f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := scenario.CompileApp(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+		out, err := scenario.EmitApp(a)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Errorf("%s: emitted document differs from the file:\n%s", f.Name(), out)
+		}
+	}
+}
+
 func TestCatalogHashesDistinct(t *testing.T) {
 	seen := make(map[string]string)
 	for _, e := range Entries() {

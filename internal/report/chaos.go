@@ -34,13 +34,6 @@ func DefaultChaosGrid() []ChaosVariant {
 	return out
 }
 
-// Chaos prints the fault-injection experiment under the default grid. Every
-// chaos campaign derives its plans from the same campaign seed, so the table
-// is byte-for-byte reproducible.
-func Chaos(w io.Writer, c *harness.Campaign) error {
-	return ChaosGrid(w, c, DefaultChaosGrid())
-}
-
 // ChaosGrid prints the fault-injection experiment over an explicit variant
 // grid: the campaign re-run under each variant, with coverage, crash and
 // behaviour-preservation deltas against the first variant (the baseline row

@@ -88,7 +88,7 @@ func TestChaosRenderer(t *testing.T) {
 			Seed:     3,
 		})
 		var sb strings.Builder
-		if err := Chaos(&sb, c); err != nil {
+		if err := ChaosGrid(&sb, c, DefaultChaosGrid()); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()

@@ -13,10 +13,13 @@ import (
 )
 
 // decodeFields unmarshals raw's members into dst's matching fields (matched
-// by json tag; dst is a pointer to a struct of pointer- or slice-typed
-// fields, so an absent member is distinguishable from an explicit zero). It
-// reports every type mismatch and every unknown key as an issue under path,
-// never stopping at the first — the all-errors contract of the package.
+// by json tag; dst is a pointer to a struct). An absent or null member
+// leaves its field as dst had it: nil for a pointer field, so the caller can
+// tell it from an explicit zero, or a value field's default. A mistyped
+// scalar member leaves its field zero, as json leaves a mistyped pointer
+// member pointing at a zero, so a range check reports it too. It reports
+// every type mismatch and every unknown key as an issue under path, never
+// stopping at the first — the all-errors contract of the package.
 func decodeFields(path string, raw map[string]json.RawMessage, dst any) []Issue {
 	var issues []Issue
 	v := reflect.ValueOf(dst).Elem()
@@ -32,8 +35,12 @@ func decodeFields(path string, raw map[string]json.RawMessage, dst any) []Issue 
 		if !ok {
 			continue
 		}
-		if err := json.Unmarshal(rawVal, v.Field(i).Addr().Interface()); err != nil {
+		f := v.Field(i)
+		if err := json.Unmarshal(rawVal, f.Addr().Interface()); err != nil {
 			issues = append(issues, Issue{path + "." + tag, "want " + wantType(t.Field(i).Type)})
+			if k := f.Kind(); k != reflect.Pointer && k != reflect.Slice {
+				f.SetZero()
+			}
 		}
 	}
 	var unknown []string

@@ -53,7 +53,7 @@ func FuzzScenarioDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("recompile emitted document: %v\n%s", err, out)
 		}
-		if back.Spec != c.App.Spec || back.Login != c.App.Login {
+		if back.Spec != c.App.Spec {
 			t.Fatalf("emit/compile fixed point broken:\ncompiled %+v\nround-tripped %+v", c.App, back)
 		}
 		out2, err := scenario.EmitApp(back)

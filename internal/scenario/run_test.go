@@ -78,7 +78,7 @@ func TestCompileRunInlineAppHashMatchesStandalone(t *testing.T) {
 		t.Fatalf("inline app not compiled: %+v", rs)
 	}
 	standalone := mustCompileApp(t, `{"schemaVersion": 1, "kind": "app", "name": "Tiny", "app": {"subspaces": 4, "login": true}}`)
-	if rs.App.Spec != standalone.Spec || rs.App.Login != standalone.Login {
+	if rs.App.Spec != standalone.Spec {
 		t.Fatalf("inline spec diverges from standalone:\n%+v\n%+v", rs.App.Spec, standalone.Spec)
 	}
 	if rs.App.Hash != standalone.Hash {

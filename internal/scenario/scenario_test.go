@@ -83,7 +83,7 @@ func TestCompileAppDefaults(t *testing.T) {
 	if a.Spec != want {
 		t.Fatalf("empty payload spec = %+v, want defaults %+v", a.Spec, want)
 	}
-	if a.Login {
+	if a.Spec.LoginRequired {
 		t.Fatal("default app requires login")
 	}
 }
@@ -97,7 +97,7 @@ func TestCompileAppOverrides(t *testing.T) {
 		s.CrashProbMin != 0.2 || s.CrashProbMax != 0.4 || !s.LoginRequired || s.Seed != 77 {
 		t.Fatalf("overrides not applied: %+v", s)
 	}
-	if !a.Login {
+	if !a.Spec.LoginRequired {
 		t.Fatal("login gate not set")
 	}
 	// Untouched knobs keep generator defaults.
@@ -154,7 +154,7 @@ func TestEmitAppFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile emitted: %v", err)
 	}
-	if b.Spec != a.Spec || b.Login != a.Login {
+	if b.Spec != a.Spec {
 		t.Fatalf("emit round-trip changed the app:\n%+v\n%+v", a.Spec, b.Spec)
 	}
 	out2, err := EmitApp(b)
