@@ -100,7 +100,7 @@ func dumpRecords(w io.Writer, r io.Reader) error {
 }
 
 // payload renders the record's meaningful field.
-func payload(rec bin.Record) string {
+func payload(rec *bin.Record) string {
 	switch rec.Kind {
 	case bin.KindEvent, bin.KindDelivered:
 		return fmt.Sprintf("%+v", rec.Event)

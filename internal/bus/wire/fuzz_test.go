@@ -43,7 +43,7 @@ func FuzzWireLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br, err := bin.NewReader(bytes.NewReader(data))
 		for err == nil {
-			var rec bin.Record
+			var rec *bin.Record
 			if rec, err = br.Next(); err != nil {
 				break
 			}

@@ -72,7 +72,7 @@ func readAll(raw []byte) ([]bin.Record, error) {
 		if err != nil {
 			return out, err
 		}
-		out = append(out, rec)
+		out = append(out, *rec)
 	}
 }
 

@@ -333,11 +333,7 @@ func FuzzTraceBinCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ReadBin accepts a stream corpus.Scan rejects: %v", err)
 		}
-		events := 0
-		for _, inst := range run.Instances {
-			events += len(inst.Events)
-		}
-		if events != st.Events {
+		if events := eventCount(run); events != st.Events {
 			t.Fatalf("ReadBin keeps %d events, corpus.Scan counts %d", events, st.Events)
 		}
 		var b1 bytes.Buffer

@@ -102,8 +102,9 @@ func (b *builder) Metric(m obs.Metric) {
 // End implements bin.Sink.
 func (b *builder) End(e bin.End) { b.run.End = e }
 
-// record dispatches one decoded stream record.
-func (b *builder) record(rec bin.Record) {
+// record dispatches one decoded stream record. The Sink methods take the
+// payload by value, so the builder keeps nothing of the Reader's record.
+func (b *builder) record(rec *bin.Record) {
 	switch rec.Kind {
 	case bin.KindEvent:
 		b.Event(rec.Event)

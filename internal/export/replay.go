@@ -148,8 +148,10 @@ func (e *replayer) fail(format string, args ...any) {
 
 // next returns the next record, or false at the end of the stream or after
 // a failure. It skips decision records, which the replayed coordinator
-// re-derives; a protocol record advances the replay clock.
-func (e *replayer) next() (bin.Record, bool) {
+// re-derives; a protocol record advances the replay clock. The record is
+// the Reader's and valid until the next call: what the replay keeps of it
+// is copied out.
+func (e *replayer) next() (*bin.Record, bool) {
 	for e.err == nil {
 		rec, err := e.rd.Next()
 		if err != nil {
@@ -167,7 +169,7 @@ func (e *replayer) next() (bin.Record, bool) {
 		}
 		return rec, true
 	}
-	return bin.Record{}, false
+	return nil, false
 }
 
 // diverged is the reply a send gets once the replay has failed.
@@ -269,12 +271,13 @@ func (e *replayer) removeActive(id int) {
 	}
 }
 
-func (e *replayer) observe(rec bin.Record) {
-	sig := rec.Tree.Abstract()
+func (e *replayer) observe(rec *bin.Record) {
+	tree := rec.Tree
+	sig := tree.Abstract()
 	if uint64(sig) != rec.Screen.Sig {
 		e.fail("screen tree hashes to %v, recorded as %v (codec or abstraction drift)", sig, ui.Signature(rec.Screen.Sig))
 	}
-	e.book.Observe(sig, func() *ui.Screen { return rec.Tree })
+	e.book.Observe(sig, func() *ui.Screen { return tree })
 }
 
 func (e *replayer) lease(id int) {
@@ -333,7 +336,8 @@ func (e *replayer) drive() {
 		case bin.KindInstance:
 			e.summaries[rec.Summary.ID] = rec.Summary
 		case bin.KindAccounting:
-			e.acct = &rec.Transport
+			acct := rec.Transport
+			e.acct = &acct
 		case bin.KindEnd:
 			e.end = rec.End
 		case bin.KindDecision, bin.KindSubspace, bin.KindScreen, bin.KindTransport, bin.KindMetric,

@@ -284,10 +284,7 @@ func FuzzIndentJSON(f *testing.F) {
 // BenchmarkRunWrite measures the JSON export of the golden cell.
 func BenchmarkRunWrite(b *testing.B) {
 	_, r := runWithBinTrace(b, binCells()["golden"])
-	events := 0
-	for _, inst := range r.Instances {
-		events += len(inst.Events)
-	}
+	events := eventCount(r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -296,4 +293,31 @@ func BenchmarkRunWrite(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(events*b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkReadBin measures decoding the golden cell's binary trace back
+// into a Run.
+func BenchmarkReadBin(b *testing.B) {
+	_, r := runWithBinTrace(b, binCells()["golden"])
+	var stream bytes.Buffer
+	if err := r.WriteBin(&stream); err != nil {
+		b.Fatal(err)
+	}
+	events := eventCount(r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBin(bytes.NewReader(stream.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(events*b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+func eventCount(r *Run) int {
+	n := 0
+	for _, inst := range r.Instances {
+		n += len(inst.Events)
+	}
+	return n
 }

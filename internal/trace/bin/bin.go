@@ -350,7 +350,9 @@ type Reply struct {
 }
 
 // Record is one decoded stream entry; Kind selects the meaningful payload
-// field.
+// field, and every other field is zero. The *Record Reader.Next returns is
+// the Reader's own, decoded in place: it is valid until the next call to
+// Next, so a caller that keeps a payload copies the field out.
 type Record struct {
 	Kind Kind
 
@@ -365,8 +367,9 @@ type Record struct {
 	Metric    obs.Metric      // KindMetric
 	End       End             // KindEnd
 
-	// Protocol payloads sit behind pointers, so the records analytics
-	// decode stay as small to copy as before the protocol kinds existed.
+	// Protocol payloads a replay keeps past the next record (trees,
+	// commands, replies, the replay config) sit behind pointers, each
+	// freshly allocated per record.
 	At      sim.Duration  // every protocol kind but KindReplay
 	Replay  *ReplayConfig // KindReplay
 	Tree    *ui.Screen    // KindTree

@@ -353,3 +353,122 @@ func TestReaderRejectsCorruption(t *testing.T) {
 		}
 	})
 }
+
+// TestNextClearsOtherPayloads pins the in-place decoding contract: the
+// record Next hands out holds its own kind's payload and nothing else, just
+// like a fresh Record. The stream carries every surfaced kind, ground and
+// protocol, each right after a record whose payload fields differ from its
+// own, with every field of every payload set, so a payload the Reader fails
+// to clear before decoding the next record shows up as a leftover field.
+func TestNextClearsOtherPayloads(t *testing.T) {
+	cfg := ReplayConfig{Instances: 3, MaxDevices: 2, DurationNS: 9e9, MachineBudgetNS: 27e9, SampleEveryNS: 1e9, CoreOverride: true}
+	tree := &ui.Screen{Activity: "Main", Root: &ui.Node{
+		Class: "Frame", ResourceID: "root", Text: "hi", Enabled: true, Clickable: true,
+		Children: []*ui.Node{{Class: "Button", ResourceID: "ok", Text: "OK", Enabled: true}},
+	}}
+	ground := trace.Event{
+		Instance: 1, At: 2e9, Action: trace.Action{Kind: trace.ActionKind(2), Widget: "root/ok"},
+		From: 7, To: 9, Activity: "Main", Crashed: true, Enforced: true,
+	}
+	delivered := ground
+	delivered.At = 3e9
+	mix := &CommandMix{Allocate: 1, Deallocate: 2, BlockWidget: 3, BlockMember: 4, Kill: 5, Hang: 6}
+	transport := Transport{
+		Events: 1, Delivered: 2, Commands: 3, CommandFailures: 4, Dropped: 5, Delayed: 6,
+		Deaths: 7, Hangs: 8, AllocFailures: 9, LostCommands: 10, FailedInstances: 11, OrphansPending: 12,
+		CommandMix: mix,
+	}
+	want := []Record{
+		{Kind: KindReplay, Replay: &cfg},
+		{Kind: KindLease, At: 1e9, Lease: 1},
+		{Kind: KindEvent, Event: ground},
+		{Kind: KindTree, At: 2e9, Screen: Screen{Sig: 9}, Tree: tree},
+		{Kind: KindCommand, At: 2e9, Command: &Command{Kind: 2, Instance: 1, Screen: 9, Widget: "root/ok", Coord: true}},
+		{Kind: KindReply, At: 2e9, Reply: &Reply{Instance: 1, ErrClass: 3, Err: "farm busy"}},
+		{Kind: KindSample, Sample: Sample{WallNS: 3e9, MachineNS: 6e9, Covered: 4, Crashes: 1, AJS: 0.5}},
+		{Kind: KindDelivered, At: 3e9, Event: delivered},
+		{Kind: KindTick, At: 4e9},
+		{Kind: KindDecision, Decision: obs.Decision{
+			AtNS: 4e9, Kind: "accept", Instance: 1, Sub: 2, Entry: 9, Members: 3,
+			Score: 0.9, Overlap: 0.1, Purity: 0.8, Reason: "long", BackoffNS: 5, IdleNS: 6,
+		}},
+		{Kind: KindFate, At: 5e9, Command: &Command{Kind: 4, Instance: 1, Screen: 7, Widget: "root", Coord: false}},
+		{Kind: KindScreen, Screen: Screen{Sig: 7, Activity: "Main", Nodes: 2}},
+		{Kind: KindSubspace, Subspace: Subspace{ID: 1, Entry: 7, Owner: 1, FoundNS: 5e9, Members: []uint64{7, 9}}},
+		{Kind: KindAccounting, At: 9e9, Transport: transport},
+		{Kind: KindInstance, Summary: InstanceSummary{
+			ID: 1, AllocatedNS: 1e9, ReleasedNS: 9e9, Failed: true, Coverage: 4,
+			Crashes: []Crash{{Signature: "NPE@Main", AtNS: 2e9, Frames: []string{"Main.onClick"}}},
+		}},
+		{Kind: KindTransport, Transport: transport},
+		{Kind: KindMetric, Metric: obs.Metric{
+			Name: "observe.lat", Type: "histogram", Value: 42, Count: 7, Min: 1, Max: 12,
+			Bounds: []float64{1, 5}, Counts: []int64{2, 3, 2},
+			Points: []obs.SeriesPoint{{AtNS: 1e9, Value: 3}},
+		}},
+		{Kind: KindEnd, End: End{WallNS: 9e9, MachineNS: 27e9, Coverage: 4, UniqueCrashes: 1}},
+	}
+
+	var buf bytes.Buffer
+	w := NewReplayWriter(&buf, testHeader(), cfg)
+	for _, rec := range want[1:] {
+		switch rec.Kind {
+		case KindLease:
+			w.Lease(rec.At, rec.Lease)
+		case KindEvent:
+			w.Event(rec.Event)
+		case KindTree:
+			w.Tree(rec.At, rec.Screen.Sig, rec.Tree)
+		case KindCommand:
+			w.Command(rec.At, *rec.Command)
+		case KindReply:
+			w.Reply(rec.At, *rec.Reply)
+		case KindSample:
+			w.Sample(rec.Sample)
+		case KindDelivered:
+			w.Delivered(rec.At, rec.Event)
+		case KindTick:
+			w.Tick(rec.At)
+		case KindDecision:
+			w.Decision(rec.Decision)
+		case KindFate:
+			w.Fate(rec.At, *rec.Command)
+		case KindScreen:
+			w.Screen(rec.Screen)
+		case KindSubspace:
+			w.Subspace(rec.Subspace)
+		case KindAccounting:
+			w.Accounting(rec.At, rec.Transport)
+		case KindInstance:
+			w.Instance(rec.Summary)
+		case KindTransport:
+			w.Transport(rec.Transport)
+		case KindMetric:
+			w.Metric(rec.Metric)
+		case KindEnd:
+			w.End(rec.End)
+		default:
+			t.Fatalf("fixture has no writer for %v", rec.Kind)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	for i := range want {
+		rec, err := r.Next()
+		if err != nil {
+			t.Fatalf("record %d (%v): %v", i, want[i].Kind, err)
+		}
+		if !reflect.DeepEqual(*rec, want[i]) {
+			t.Errorf("record %d:\n got %+v\nwant %+v", i, *rec, want[i])
+		}
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("after the end record: got %v, want io.EOF", err)
+	}
+}

@@ -64,6 +64,9 @@ type Reader struct {
 	replayable  bool
 	lastProtoAt int64
 	ended       bool
+
+	// rec is the record Next decodes into and hands out.
+	rec Record
 }
 
 // instState is what the Reader tracks per instance: its last ground
@@ -111,11 +114,18 @@ func (r *Reader) Header() Header { return r.hdr }
 // boundary after the end record. Errors latch: after a failure every later
 // call returns it.
 //
+// The record is the Reader's own and is decoded in place: it stays valid
+// until the next call to Next, which overwrites it. A caller that keeps a
+// payload past that copies it out (the slices and pointers a payload holds
+// are freshly allocated per record, so a copy of the field is enough).
+// Every field outside the current kind's payload is zero, exactly as in a
+// fresh Record{Kind: k}.
+//
 //lint:hotpath
-func (r *Reader) Next() (Record, error) {
+func (r *Reader) Next() (*Record, error) {
 	for {
 		if r.err != nil {
-			return Record{}, r.err
+			return nil, r.err
 		}
 		if r.off == len(r.chunk) {
 			if err := r.loadChunk(); err != nil {
@@ -125,15 +135,17 @@ func (r *Reader) Next() (Record, error) {
 				if err != io.EOF {
 					r.err = err
 				}
-				return Record{}, err
+				return nil, err
 			}
 		}
 		kind := Kind(r.u8())
 		if r.ended {
 			r.corruptf("%v record after end", kind)
-			return Record{}, r.err
+			return nil, r.err
 		}
-		rec := Record{Kind: kind}
+		rec := &r.rec
+		r.clearPayload()
+		rec.Kind = kind
 		switch kind {
 		case KindStrDef:
 			r.strs = append(r.strs, r.rawstr())
@@ -179,7 +191,7 @@ func (r *Reader) Next() (Record, error) {
 			rec.Replay = r.replayConfig()
 		case KindTree:
 			rec.At = r.at()
-			rec.Screen.Sig = r.sig()
+			rec.Screen = Screen{Sig: r.sig()}
 			rec.Tree = r.tree()
 		case KindDelivered:
 			rec.At = r.at()
@@ -202,10 +214,56 @@ func (r *Reader) Next() (Record, error) {
 			r.corruptf("unknown record kind %d", byte(kind))
 		}
 		if r.err != nil {
-			return Record{}, r.err
+			return nil, r.err
 		}
 		r.n++
 		return rec, nil
+	}
+}
+
+// clearPayload zeroes the fields the previous record's kind set, so the
+// record Next decodes next holds nothing but its own payload. Zeroing one
+// payload, not the whole Record, is what keeps decoding in place cheap.
+func (r *Reader) clearPayload() {
+	rec := &r.rec
+	switch rec.Kind {
+	case KindHeader:
+		rec.Header = Header{}
+	case KindEvent:
+		rec.Event = trace.Event{}
+	case KindSample:
+		rec.Sample = Sample{}
+	case KindDecision:
+		rec.Decision = obs.Decision{}
+	case KindInstance:
+		rec.Summary = InstanceSummary{}
+	case KindSubspace:
+		rec.Subspace = Subspace{}
+	case KindScreen:
+		rec.Screen = Screen{}
+	case KindTransport:
+		rec.Transport = Transport{}
+	case KindMetric:
+		rec.Metric = obs.Metric{}
+	case KindReplay:
+		rec.Replay = nil
+	case KindTree:
+		rec.At, rec.Screen, rec.Tree = 0, Screen{}, nil
+	case KindDelivered:
+		rec.At, rec.Event = 0, trace.Event{}
+	case KindCommand, KindFate:
+		rec.At, rec.Command = 0, nil
+	case KindReply:
+		rec.At, rec.Reply = 0, nil
+	case KindLease:
+		rec.At, rec.Lease = 0, 0
+	case KindTick:
+		rec.At = 0
+	case KindAccounting:
+		rec.At, rec.Transport = 0, Transport{}
+	case KindEnd, KindStrDef, KindSigDef:
+		// No record follows the end record. An interning record sets no
+		// payload, and the one before it was cleared when it was read.
 	}
 }
 

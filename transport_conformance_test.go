@@ -330,7 +330,7 @@ func rewrite(t *testing.T, trace []byte, edit func(w *bin.Writer, rec *bin.Recor
 			w = bin.NewReplayWriter(&out, br.Header(), *rec.Replay)
 			continue
 		}
-		if edit != nil && !edit(w, &rec) {
+		if edit != nil && !edit(w, rec) {
 			continue
 		}
 		switch rec.Kind {
