@@ -5,10 +5,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // FileRepo is the append-friendly on-disk Repository under a data dir:
@@ -20,9 +22,10 @@ import (
 //	<dir>/cells/<hash>/trace.taoptb
 //
 // Every write goes through a temp name plus rename, so a crash mid-write
-// leaves either the old content or none; GetCell verifies each part against
-// the checksums in cell.json and reports tampering or truncation as
-// ErrCorrupt, which the service treats as a miss and recomputes over.
+// leaves either the old content or none; GetCell and CheckCell verify each
+// part against the checksums in cell.json and report tampering or
+// truncation as ErrCorrupt, which the service treats as a miss and
+// recomputes over.
 type FileRepo struct {
 	dir string
 }
@@ -227,8 +230,22 @@ func sortedPartNames(parts map[string][]byte) []string {
 
 // GetCell implements Repository, verifying every part against cell.json.
 func (f *FileRepo) GetCell(hash string) (Cell, error) {
+	var c Cell
+	err := f.readCell(hash, &c)
+	return c, err
+}
+
+// CheckCell implements Repository: the same verification as GetCell, with
+// the parts streamed through SHA-256 instead of read into memory.
+func (f *FileRepo) CheckCell(hash string) error { return f.readCell(hash, nil) }
+
+// readCell is the one integrity walk of a stored cell, behind both GetCell
+// and CheckCell: the manifest must exist, parse and name hash, and every
+// part it lists must match its checksum. It fills c, when c is non-nil,
+// only on success; with c nil it keeps nothing.
+func (f *FileRepo) readCell(hash string, c *Cell) error {
 	if !validKey(hash) {
-		return Cell{}, fmt.Errorf("%w: cell %q", ErrNotFound, hash)
+		return fmt.Errorf("%w: cell %q", ErrNotFound, hash)
 	}
 	dir := f.cellDir(hash)
 	mdata, err := os.ReadFile(filepath.Join(dir, "cell.json"))
@@ -237,47 +254,80 @@ func (f *FileRepo) GetCell(hash string) (Cell, error) {
 			if _, serr := os.Stat(dir); serr == nil {
 				// The directory exists without its manifest: an interrupted
 				// or tampered cell, not a clean miss.
-				return Cell{}, fmt.Errorf("%w: cell %s has no manifest", ErrCorrupt, hash)
+				return fmt.Errorf("%w: cell %s has no manifest", ErrCorrupt, hash)
 			}
-			return Cell{}, fmt.Errorf("%w: cell %s", ErrNotFound, hash)
+			return fmt.Errorf("%w: cell %s", ErrNotFound, hash)
 		}
-		return Cell{}, fmt.Errorf("service: reading cell %s: %w", hash, err)
+		return fmt.Errorf("service: reading cell %s: %w", hash, err)
 	}
 	var meta cellMeta
 	if err := json.Unmarshal(mdata, &meta); err != nil {
-		return Cell{}, fmt.Errorf("%w: cell %s manifest: %v", ErrCorrupt, hash, err)
+		return fmt.Errorf("%w: cell %s manifest: %v", ErrCorrupt, hash, err)
 	}
 	if meta.ConfigHash != hash {
-		return Cell{}, fmt.Errorf("%w: cell %s manifest names hash %q", ErrCorrupt, hash, meta.ConfigHash)
+		return fmt.Errorf("%w: cell %s manifest names hash %q", ErrCorrupt, hash, meta.ConfigHash)
 	}
-	c := Cell{
-		ConfigHash: meta.ConfigHash, App: meta.App, Tool: meta.Tool, Setting: meta.Setting,
-		Seed: meta.Seed, ScenarioHash: meta.ScenarioHash,
-	}
-	read := func(name string) ([]byte, error) {
+	var parts [3][]byte
+	for i, name := range [3]string{partExport, partTelemetry, partTrace} {
 		want, ok := meta.Parts[name]
 		if !ok {
-			return nil, nil
+			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		data, got, err := hashPart(filepath.Join(dir, name), c != nil)
 		if err != nil {
-			return nil, fmt.Errorf("%w: cell %s part %s: %v", ErrCorrupt, hash, name, err)
+			return fmt.Errorf("%w: cell %s part %s: %v", ErrCorrupt, hash, name, err)
 		}
-		if sum(data) != want {
-			return nil, fmt.Errorf("%w: cell %s part %s fails its checksum", ErrCorrupt, hash, name)
+		if got != want {
+			return fmt.Errorf("%w: cell %s part %s fails its checksum", ErrCorrupt, hash, name)
 		}
-		return data, nil
+		parts[i] = data
 	}
-	if c.Export, err = read(partExport); err != nil {
-		return Cell{}, err
+	if c != nil {
+		*c = Cell{
+			ConfigHash: meta.ConfigHash, App: meta.App, Tool: meta.Tool, Setting: meta.Setting,
+			Seed: meta.Seed, ScenarioHash: meta.ScenarioHash,
+			Export: parts[0], Telemetry: parts[1], Trace: parts[2],
+		}
 	}
-	if c.Telemetry, err = read(partTelemetry); err != nil {
-		return Cell{}, err
+	return nil
+}
+
+// partBufs holds the buffers hashPart streams parts through, so a check
+// allocates nothing in proportion to the cell's size.
+var partBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// hashPart returns the hex SHA-256 of the file at path, and its bytes when
+// keep is set; without keep the file streams through the hash one pooled
+// buffer at a time.
+func hashPart(path string, keep bool) ([]byte, string, error) {
+	if keep {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, "", err
+		}
+		return data, sum(data), nil
 	}
-	if c.Trace, err = read(partTrace); err != nil {
-		return Cell{}, err
+	file, err := os.Open(path)
+	if err != nil {
+		return nil, "", err
 	}
-	return c, nil
+	defer file.Close()
+	buf := partBufs.Get().(*[32 << 10]byte)
+	defer partBufs.Put(buf)
+	// A plain read loop: io.CopyBuffer would hand the copy to the file's
+	// WriteTo, which ignores buf and allocates its own.
+	h := sha256.New()
+	for {
+		n, err := file.Read(buf[:])
+		h.Write(buf[:n])
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, "", err
+		}
+	}
+	return nil, hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // CellHashes implements Repository.

@@ -192,10 +192,15 @@ func fetchCell(w http.ResponseWriter, s *Service, id string) (Cell, bool) {
 	return cell, true
 }
 
-// writeSubmitError maps a Submit failure onto the envelope: scenario
-// validation failures carry their located issues, everything else (malformed
-// JSON, wrong kind, unknown app or tool) is a plain invalid_scenario.
+// writeSubmitError maps a Submit failure onto the envelope: a store failure
+// is a 500 store_error, scenario validation failures carry their located
+// issues, and everything else (malformed JSON, wrong kind, unknown app or
+// tool) is a plain invalid_scenario.
 func writeSubmitError(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrStore) {
+		writeError(w, http.StatusInternalServerError, "store_error", err.Error(), nil)
+		return
+	}
 	var inv *scenario.InvalidError
 	if errors.As(err, &inv) {
 		issues := make([]apiIssue, 0, len(inv.Issues))

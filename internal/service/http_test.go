@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"taopt/internal/scenario"
 	"taopt/internal/service"
@@ -168,5 +169,80 @@ func TestAPINotReadyEnvelope(t *testing.T) {
 	var rec service.RunRecord
 	if err := json.Unmarshal(rw.Body.Bytes(), &rec); err != nil || rec.State != service.StateDone {
 		t.Fatalf("waited status = %+v, %v", rec, err)
+	}
+}
+
+// failingRepo fails CreateRun or UpdateRun with a plain store error, as a
+// full disk would.
+type failingRepo struct {
+	service.Repository
+	create, update error
+}
+
+func (r *failingRepo) CreateRun(rec service.RunRecord) error {
+	if r.create != nil {
+		return r.create
+	}
+	return r.Repository.CreateRun(rec)
+}
+
+func (r *failingRepo) UpdateRun(rec service.RunRecord) error {
+	if r.update != nil {
+		return r.update
+	}
+	return r.Repository.UpdateRun(rec)
+}
+
+// Store failures answer 500 store_error, promptly: a run record that cannot
+// be created fails the submit, and one that cannot be settled fails the wait
+// instead of spinning on it.
+func TestAPIStoreErrors(t *testing.T) {
+	diskFull := errors.New("disk full")
+	for _, tc := range []struct {
+		name   string
+		repo   *failingRepo
+		target string
+	}{
+		{"CreateRun fails", &failingRepo{create: diskFull}, "/v1/runs"},
+		{"UpdateRun fails", &failingRepo{update: diskFull}, "/v1/runs?wait=1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.repo.Repository = service.NewMemRepo()
+			svc, err := service.New(service.Config{Repo: tc.repo, Exec: goldenExec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			rw := httptest.NewRecorder()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				service.NewHandler(svc).ServeHTTP(rw, httptest.NewRequest("POST", tc.target, strings.NewReader(goldenDoc)))
+			}()
+			select {
+			case <-served:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the request did not finish within 10 s")
+			}
+			var env struct {
+				Error struct {
+					Code    string `json:"code"`
+					Message string `json:"message"`
+				} `json:"error"`
+			}
+			if err := json.Unmarshal(rw.Body.Bytes(), &env); err != nil {
+				t.Fatalf("envelope does not parse: %v\n%s", err, rw.Body.String())
+			}
+			if rw.Code != http.StatusInternalServerError || env.Error.Code != "store_error" {
+				t.Fatalf("status %d, envelope %+v; want 500 store_error", rw.Code, env.Error)
+			}
+			if tc.repo.update != nil {
+				if _, err := svc.WaitRun("r-000001"); !errors.Is(err, service.ErrStore) {
+					t.Fatalf("WaitRun(unsettled run) = %v, want errors.Is ErrStore", err)
+				}
+			} else if !strings.Contains(env.Error.Message, "disk full") {
+				t.Fatalf("message %q does not carry the store's error", env.Error.Message)
+			}
+		})
 	}
 }

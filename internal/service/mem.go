@@ -97,6 +97,16 @@ func (m *MemRepo) GetCell(hash string) (Cell, error) {
 	return c, nil
 }
 
+// CheckCell implements Repository.
+func (m *MemRepo) CheckCell(hash string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.cells[hash]; !ok {
+		return fmt.Errorf("%w: cell %s", ErrNotFound, hash)
+	}
+	return nil
+}
+
 // CellHashes implements Repository.
 func (m *MemRepo) CellHashes() ([]string, error) {
 	m.mu.Lock()

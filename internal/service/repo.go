@@ -98,6 +98,10 @@ type Repository interface {
 	// GetCell returns the cell for hash: ErrNotFound when absent, ErrCorrupt
 	// when present but failing its integrity check.
 	GetCell(hash string) (Cell, error)
+	// CheckCell answers whether GetCell(hash) would succeed, with the same
+	// sentinel on failure (ErrNotFound, ErrCorrupt), but keeps no bytes: it
+	// is the service's hit check, which needs the verdict, not the cell.
+	CheckCell(hash string) error
 	// CellHashes returns every stored cell key, sorted.
 	CellHashes() ([]string, error)
 	// Close releases the store.

@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -48,17 +49,22 @@ func storedCell(t *testing.T) (*service.FileRepo, string) {
 	return repo, filepath.Join(repo.Dir(), "cells", "deadbeef")
 }
 
-// wantCorrupt asserts a GetCell failure that is ErrCorrupt — and specifically
-// not a clean miss, because the service recomputes over corruption but must
-// never mistake it for "nothing stored".
+// wantCorrupt asserts GetCell and CheckCell failures that are ErrCorrupt —
+// and specifically not a clean miss, because the service recomputes over
+// corruption but must never mistake it for "nothing stored".
 func wantCorrupt(t *testing.T, repo *service.FileRepo, hash string) {
 	t.Helper()
-	_, err := repo.GetCell(hash)
-	if !errors.Is(err, service.ErrCorrupt) {
-		t.Fatalf("GetCell = %v, want errors.Is ErrCorrupt", err)
-	}
-	if errors.Is(err, service.ErrNotFound) {
-		t.Fatalf("corruption must not look like a miss: %v", err)
+	_, gerr := repo.GetCell(hash)
+	for _, c := range []struct {
+		op  string
+		err error
+	}{{"GetCell", gerr}, {"CheckCell", repo.CheckCell(hash)}} {
+		if !errors.Is(c.err, service.ErrCorrupt) {
+			t.Fatalf("%s = %v, want errors.Is ErrCorrupt", c.op, c.err)
+		}
+		if errors.Is(c.err, service.ErrNotFound) {
+			t.Fatalf("%s: corruption must not look like a miss: %v", c.op, c.err)
+		}
 	}
 }
 
@@ -117,6 +123,27 @@ func TestFileRepoDetectsRelocatedCell(t *testing.T) {
 	wantCorrupt(t, repo, "cafef00d")
 }
 
+// A part larger than CheckCell's read buffer is verified to its last byte.
+func TestFileRepoDetectsTamperedTailOfLargePart(t *testing.T) {
+	repo, err := service.NewFileRepo(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := bytes.Repeat([]byte("taoptb"), 50_000) // ~300 KB: many buffers
+	if err := repo.PutCell(service.Cell{ConfigHash: "deadbeef", Export: []byte("e"), Trace: trace}); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.CheckCell("deadbeef"); err != nil {
+		t.Fatalf("CheckCell(intact) = %v", err)
+	}
+	trace[len(trace)-1] ^= 1
+	path := filepath.Join(repo.Dir(), "cells", "deadbeef", "trace.taoptb")
+	if err := os.WriteFile(path, trace, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantCorrupt(t, repo, "deadbeef")
+}
+
 func TestFileRepoPutReplacesCorruptCell(t *testing.T) {
 	repo, dir := storedCell(t)
 	if err := os.WriteFile(filepath.Join(dir, "export.json"), []byte("garbage"), 0o644); err != nil {
@@ -135,6 +162,9 @@ func TestFileRepoPutReplacesCorruptCell(t *testing.T) {
 	got, err := repo.GetCell("deadbeef")
 	if err != nil {
 		t.Fatalf("GetCell after heal: %v", err)
+	}
+	if err := repo.CheckCell("deadbeef"); err != nil {
+		t.Fatalf("CheckCell after heal: %v", err)
 	}
 	if string(got.Export) != string(fresh.Export) {
 		t.Fatalf("healed export = %q", got.Export)
@@ -170,6 +200,9 @@ func TestFileRepoRejectsPathSyntaxKeys(t *testing.T) {
 		}
 		if _, err := repo.GetCell(id); !errors.Is(err, service.ErrNotFound) {
 			t.Fatalf("GetCell(%q) = %v, want errors.Is ErrNotFound", id, err)
+		}
+		if err := repo.CheckCell(id); !errors.Is(err, service.ErrNotFound) {
+			t.Fatalf("CheckCell(%q) = %v, want errors.Is ErrNotFound", id, err)
 		}
 		if err := repo.CreateRun(service.RunRecord{ID: id}); err == nil {
 			t.Fatalf("CreateRun(%q) accepted a path-syntax ID", id)

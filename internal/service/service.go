@@ -18,6 +18,10 @@ var (
 	ErrNotReady = errors.New("service: run not ready")
 	// ErrRunFailed reports a result fetch against a failed run.
 	ErrRunFailed = errors.New("service: run failed")
+	// ErrStore reports a repository failure the service cannot answer
+	// around: a submit whose run record could not be created, or a run
+	// whose record was never settled after its compute ended.
+	ErrStore = errors.New("service: store failure")
 )
 
 // Stats is the service's cache-and-flight accounting.
@@ -51,15 +55,22 @@ type Config struct {
 	Exec func(rs *scenario.RunSpec) (Cell, error)
 }
 
-// flight is one in-progress compute; identical submits attach their run IDs
-// and wait on done instead of computing again.
+// flight is one in-progress compute; identical submits attach their run
+// records and wait on done instead of computing again.
 type flight struct {
 	done chan struct{}
-	ids  []string
+	recs []RunRecord
 }
 
 // Service owns the run lifecycle: compile, de-duplicate, queue, execute,
 // persist. All methods are safe for concurrent use.
+//
+// mu guards the ID sequence, the stats and the flights, plus the store
+// writes that must agree with them: the run records of a coalesced or
+// missed submit (runFlight settles them) and runFlight's PutCell and record
+// updates. Store reads happen outside mu. A failed read is retried once
+// under it, where no PutCell can be half done, so a cell being healed never
+// shows as a spurious miss.
 type Service struct {
 	repo     Repository
 	exec     func(rs *scenario.RunSpec) (Cell, error)
@@ -171,8 +182,26 @@ func (s *Service) Submit(data []byte) (RunRecord, error) {
 		appLabel = rs.App.Spec.Name
 	}
 
+	hit := s.repo.CheckCell(rs.ConfigHash) == nil
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	rec, err := s.admit(rs, appLabel, hit)
+	s.mu.Unlock()
+	if err != nil || rec.State == StateQueued {
+		return rec, err
+	}
+	// A hit joins no flight, so its record is written outside the lock.
+	if err := s.repo.CreateRun(rec); err != nil {
+		return RunRecord{}, storeError(err)
+	}
+	return rec, nil
+}
+
+// admit resolves a submit under s.mu. An in-flight compute of the same hash
+// wins, and the submit joins it. Otherwise hit, the verdict of the unlocked
+// check, is re-checked if it failed: a hit comes back done, for the caller
+// to store, and a miss starts a compute. Queued records are created here,
+// before runFlight can settle them.
+func (s *Service) admit(rs *scenario.RunSpec, appLabel string, hit bool) (RunRecord, error) {
 	s.stats.Submitted++
 	s.nextID++
 	rec := RunRecord{
@@ -185,37 +214,34 @@ func (s *Service) Submit(data []byte) (RunRecord, error) {
 		Seed:       rs.Seed,
 		State:      StateQueued,
 	}
-
 	if fl, ok := s.flights[rs.ConfigHash]; ok {
-		// Coalesce: attach to the in-flight compute of the same hash.
 		s.stats.Coalesced++
 		if err := s.repo.CreateRun(rec); err != nil {
-			return RunRecord{}, err
+			return RunRecord{}, storeError(err)
 		}
-		fl.ids = append(fl.ids, rec.ID)
+		fl.recs = append(fl.recs, rec)
 		return rec, nil
 	}
-	if _, err := s.repo.GetCell(rs.ConfigHash); err == nil {
+	if hit || s.repo.CheckCell(rs.ConfigHash) == nil {
 		s.stats.CacheHits++
 		rec.State = StateDone
 		rec.CacheHit = true
-		if err := s.repo.CreateRun(rec); err != nil {
-			return RunRecord{}, err
-		}
 		return rec, nil
 	}
 	// ErrNotFound and ErrCorrupt both fall through to a fresh compute;
 	// PutCell replaces a corrupt cell, which is the recovery path.
-
 	if err := s.repo.CreateRun(rec); err != nil {
-		return RunRecord{}, err
+		return RunRecord{}, storeError(err)
 	}
-	fl := &flight{done: make(chan struct{}), ids: []string{rec.ID}}
+	fl := &flight{done: make(chan struct{}), recs: []RunRecord{rec}}
 	s.flights[rs.ConfigHash] = fl
 	s.active++
 	go s.runFlight(rs, fl)
 	return rec, nil
 }
+
+// storeError marks err as a repository failure, which the API answers 500.
+func storeError(err error) error { return fmt.Errorf("%w: %w", ErrStore, err) }
 
 // runFlight executes one compute and settles every attached run record.
 func (s *Service) runFlight(rs *scenario.RunSpec, fl *flight) {
@@ -240,11 +266,7 @@ func (s *Service) runFlight(rs *scenario.RunSpec, fl *flight) {
 	} else {
 		s.stats.Failures++
 	}
-	for i, id := range fl.ids {
-		rec, gerr := s.repo.GetRun(id)
-		if gerr != nil {
-			continue
-		}
+	for i, rec := range fl.recs {
 		if err != nil {
 			rec.State = StateFailed
 			rec.Error = err.Error()
@@ -254,53 +276,44 @@ func (s *Service) runFlight(rs *scenario.RunSpec, fl *flight) {
 			// coalesced onto it was served from that one compute.
 			rec.CacheHit = i > 0
 		}
-		if uerr := s.repo.UpdateRun(rec); uerr != nil && err == nil {
-			// A record we cannot settle would wait forever; the cell itself
-			// is stored, so surface the store failure on the record reader.
-			continue
-		}
+		// A record that fails to settle stays queued with no flight, which
+		// WaitRun reports as ErrStore.
+		_ = s.repo.UpdateRun(rec)
 	}
 }
 
 // Run returns the current record for id.
-func (s *Service) Run(id string) (RunRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.repo.GetRun(id)
-}
+func (s *Service) Run(id string) (RunRecord, error) { return s.repo.GetRun(id) }
 
 // WaitRun blocks until id leaves StateQueued and returns the settled record.
+// A record still queued once its flight has settled was never updated; that
+// is ErrStore, not a reason to wait longer.
 func (s *Service) WaitRun(id string) (RunRecord, error) {
-	for {
-		s.mu.Lock()
-		rec, err := s.repo.GetRun(id)
-		if err != nil || rec.State != StateQueued {
-			s.mu.Unlock()
-			return rec, err
-		}
-		fl := s.flights[rec.ConfigHash]
-		s.mu.Unlock()
-		if fl == nil {
-			// The flight settled between the read and the lookup; re-read.
-			continue
-		}
+	rec, err := s.repo.GetRun(id)
+	if err != nil || rec.State != StateQueued {
+		return rec, err
+	}
+	s.mu.Lock()
+	fl := s.flights[rec.ConfigHash]
+	s.mu.Unlock()
+	if fl != nil {
 		<-fl.done
 	}
+	// Re-read, whether we waited or the flight settled between the read and
+	// the lookup.
+	if rec, err = s.repo.GetRun(id); err == nil && rec.State == StateQueued {
+		return rec, fmt.Errorf("%w: run %s is still queued after its compute settled", ErrStore, id)
+	}
+	return rec, err
 }
 
 // Runs lists every record, sorted by ID.
-func (s *Service) Runs() ([]RunRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.repo.ListRuns()
-}
+func (s *Service) Runs() ([]RunRecord, error) { return s.repo.ListRuns() }
 
 // Cell returns the completed cell a settled run resolves to. A queued run is
 // ErrNotReady; a failed run reports its failure.
 func (s *Service) Cell(id string) (Cell, error) {
-	s.mu.Lock()
 	rec, err := s.repo.GetRun(id)
-	s.mu.Unlock()
 	if err != nil {
 		return Cell{}, err
 	}
@@ -309,6 +322,9 @@ func (s *Service) Cell(id string) (Cell, error) {
 		return Cell{}, fmt.Errorf("%w: run %s is still queued", ErrNotReady, id)
 	case StateFailed:
 		return Cell{}, fmt.Errorf("%w: run %s: %s", ErrRunFailed, id, rec.Error)
+	}
+	if c, err := s.repo.GetCell(rec.ConfigHash); err == nil {
+		return c, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -200,6 +200,210 @@ func TestServiceSingleFlight(t *testing.T) {
 	}
 }
 
+// docHash is the cache key doc resolves to.
+func docHash(t *testing.T, doc string) string {
+	t.Helper()
+	rs, err := scenario.CompileRun([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs.ConfigHash
+}
+
+// The single-flight guarantee over the file store, without holding flights
+// open: submits race the flight's PutCell, and one whose unlocked hit check
+// missed just before the cell landed must still not compute again. Each
+// round is a new configuration, so every round has its own race.
+func TestServiceSingleFlightOverFileRepo(t *testing.T) {
+	const n, rounds = 8, 8
+	repo, err := service.NewFileRepo(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	computes := make(map[string]int)
+	svc, err := service.New(service.Config{
+		Repo:    repo,
+		Workers: 2,
+		Exec: func(rs *scenario.RunSpec) (service.Cell, error) {
+			mu.Lock()
+			computes[rs.ConfigHash]++
+			mu.Unlock()
+			return service.Cell{Export: []byte(rs.ConfigHash), Trace: []byte("trace")}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	for round := 0; round < rounds; round++ {
+		doc := []byte(fmt.Sprintf(`{"kind": "run", "name": "flock", "run": {
+			"app": "Zedge", "tool": "monkey", "setting": "baseline", "seed": %d}}`, round))
+		start := make(chan struct{})
+		ids := make([]string, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				rec, err := svc.Submit(doc)
+				if err != nil {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+				ids[i] = rec.ID
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		fresh := 0
+		for _, id := range ids {
+			rec, err := svc.WaitRun(id)
+			if err != nil || rec.State != service.StateDone {
+				t.Fatalf("round %d: run %s settled as %+v, %v", round, id, rec, err)
+			}
+			if !rec.CacheHit {
+				fresh++
+			}
+		}
+		if fresh != 1 {
+			t.Fatalf("round %d: %d runs claim the fresh compute, want exactly 1", round, fresh)
+		}
+	}
+	svc.Drain()
+	if len(computes) != rounds {
+		t.Fatalf("%d configurations computed, want %d", len(computes), rounds)
+	}
+	for hash, c := range computes {
+		if c != 1 {
+			t.Fatalf("configuration %s computed %d times, want exactly 1", hash, c)
+		}
+	}
+	if st := svc.Stats(); st.Computed != rounds || st.Submitted != n*rounds ||
+		st.CacheHits+st.Coalesced != (n-1)*rounds || st.Failures != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// Concurrent cache hits and exports of one stored cell over the file store:
+// every submit is a hit and every export is byte-identical. Run under -race
+// this certifies the reads the service makes outside its lock.
+func TestServiceConcurrentHitsAndExports(t *testing.T) {
+	const clients, rounds = 8, 16
+	repo, err := service.NewFileRepo(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	export := bytes.Repeat([]byte("export "), 20_000)
+	var computes atomic.Int32
+	svc, err := service.New(service.Config{
+		Repo:    repo,
+		Workers: 2,
+		Exec: func(rs *scenario.RunSpec) (service.Cell, error) {
+			computes.Add(1)
+			return service.Cell{Export: export, Trace: []byte("trace")}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	doc := `{"kind": "run", "name": "warm", "run": {
+		"app": "Zedge", "tool": "monkey", "setting": "baseline", "seed": 5}}`
+	first := mustSubmitWait(t, svc, doc)
+
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				rec, err := svc.Submit([]byte(doc))
+				if err != nil || rec.State != service.StateDone || !rec.CacheHit {
+					t.Errorf("resubmit = %+v, %v; want a done cache hit", rec, err)
+					return
+				}
+				for _, id := range []string{rec.ID, first.ID} {
+					c, err := svc.Cell(id)
+					if err != nil || !bytes.Equal(c.Export, export) {
+						t.Errorf("Cell(%s) = %d export bytes, %v", id, len(c.Export), err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := svc.Stats(); computes.Load() != 1 || st.Computed != 1 || st.CacheHits != clients*rounds {
+		t.Fatalf("computes = %d, stats = %+v", computes.Load(), st)
+	}
+}
+
+// A cell read that fails outside the service lock is retried under it
+// before the service gives up on the cell: the submit is still a hit with
+// no compute, and the export is still served.
+func TestServiceRetriesFailedReadUnderLock(t *testing.T) {
+	doc := `{"kind": "run", "name": "flaky", "run": {
+		"app": "Zedge", "tool": "monkey", "setting": "baseline", "seed": 9}}`
+	mem := service.NewMemRepo()
+	stored := service.Cell{ConfigHash: docHash(t, doc), Export: []byte("export"), Trace: []byte("trace")}
+	if err := mem.PutCell(stored); err != nil {
+		t.Fatal(err)
+	}
+	repo := &flakyRepo{Repository: mem}
+	var computes atomic.Int32
+	svc, err := service.New(service.Config{
+		Repo: repo,
+		Exec: func(rs *scenario.RunSpec) (service.Cell, error) {
+			computes.Add(1)
+			return stored, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	rec, err := svc.Submit([]byte(doc))
+	if err != nil || rec.State != service.StateDone || !rec.CacheHit {
+		t.Fatalf("submit = %+v, %v; want a done cache hit", rec, err)
+	}
+	c, err := svc.Cell(rec.ID)
+	if err != nil || !bytes.Equal(c.Export, stored.Export) {
+		t.Fatalf("Cell = %q, %v", c.Export, err)
+	}
+	svc.Drain()
+	if computes.Load() != 0 || svc.Stats().CacheHits != 1 {
+		t.Fatalf("computes = %d, stats = %+v; want a hit and no compute", computes.Load(), svc.Stats())
+	}
+	if !repo.checkMissed.Load() || !repo.getMissed.Load() {
+		t.Fatal("the flaky reads were never made: the test exercised nothing")
+	}
+}
+
+// flakyRepo answers the first CheckCell and the first GetCell with
+// ErrNotFound, as an unlocked read racing a PutCell can.
+type flakyRepo struct {
+	service.Repository
+	checkMissed, getMissed atomic.Bool
+}
+
+func (r *flakyRepo) CheckCell(hash string) error {
+	if r.checkMissed.CompareAndSwap(false, true) {
+		return fmt.Errorf("%w: cell %s (flaky)", service.ErrNotFound, hash)
+	}
+	return r.Repository.CheckCell(hash)
+}
+
+func (r *flakyRepo) GetCell(hash string) (service.Cell, error) {
+	if r.getMissed.CompareAndSwap(false, true) {
+		return service.Cell{}, fmt.Errorf("%w: cell %s (flaky)", service.ErrNotFound, hash)
+	}
+	return r.Repository.GetCell(hash)
+}
+
 // A corrupt stored cell is a miss, not an error: the next submit of the same
 // configuration recomputes and heals the store.
 func TestServiceRecomputesOverCorruptCell(t *testing.T) {
@@ -224,7 +428,7 @@ func TestServiceRecomputesOverCorruptCell(t *testing.T) {
 		t.Fatalf("first run: %+v, computes=%d", rec, computes.Load())
 	}
 
-	repo.corrupt = true // every GetCell now reports ErrCorrupt
+	repo.corrupt = true // every CheckCell and GetCell now reports ErrCorrupt
 	rec2 := mustSubmitWait(t, svc, doc)
 	repo.corrupt = false
 	if rec2.State != service.StateDone || rec2.CacheHit {
@@ -238,8 +442,9 @@ func TestServiceRecomputesOverCorruptCell(t *testing.T) {
 	}
 }
 
-// corruptibleRepo wraps a Repository and, when armed, fails every GetCell
-// with ErrCorrupt — the in-memory stand-in for a damaged file store.
+// corruptibleRepo wraps a Repository and, when armed, fails every CheckCell
+// and GetCell with ErrCorrupt — the in-memory stand-in for a damaged file
+// store.
 type corruptibleRepo struct {
 	service.Repository
 	corrupt bool
@@ -250,6 +455,13 @@ func (r *corruptibleRepo) GetCell(hash string) (service.Cell, error) {
 		return service.Cell{}, fmt.Errorf("%w: armed for the test", service.ErrCorrupt)
 	}
 	return r.Repository.GetCell(hash)
+}
+
+func (r *corruptibleRepo) CheckCell(hash string) error {
+	if r.corrupt {
+		return fmt.Errorf("%w: armed for the test", service.ErrCorrupt)
+	}
+	return r.Repository.CheckCell(hash)
 }
 
 // A failing compute settles every attached run as failed, and the failure is

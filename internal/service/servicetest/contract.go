@@ -120,6 +120,9 @@ func testCellRoundTrip(t *testing.T, repo service.Repository) {
 	if err := repo.PutCell(c); err != nil {
 		t.Fatalf("PutCell: %v", err)
 	}
+	if err := repo.CheckCell(c.ConfigHash); err != nil {
+		t.Fatalf("CheckCell: %v", err)
+	}
 	got, err := repo.GetCell(c.ConfigHash)
 	if err != nil {
 		t.Fatalf("GetCell: %v", err)
@@ -140,6 +143,9 @@ func testCellRoundTrip(t *testing.T, repo service.Repository) {
 	}
 	if got, err = repo.GetCell(lean.ConfigHash); err != nil || len(got.Telemetry) != 0 {
 		t.Fatalf("telemetry-less cell: %v, telemetry=%q", err, got.Telemetry)
+	}
+	if err := repo.CheckCell(lean.ConfigHash); err != nil {
+		t.Fatalf("CheckCell(no telemetry): %v", err)
 	}
 }
 
@@ -180,6 +186,10 @@ func testCellSentinels(t *testing.T, repo service.Repository) {
 	}
 	if _, err := repo.GetCell("0000missing"); errors.Is(err, service.ErrCorrupt) {
 		t.Fatal("a clean miss must not match ErrCorrupt")
+	}
+	// CheckCell answers with GetCell's sentinel.
+	if err := repo.CheckCell("0000missing"); !errors.Is(err, service.ErrNotFound) || errors.Is(err, service.ErrCorrupt) {
+		t.Fatalf("CheckCell(missing) = %v, want errors.Is ErrNotFound only", err)
 	}
 }
 
