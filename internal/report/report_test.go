@@ -1,6 +1,8 @@
 package report
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -101,5 +103,38 @@ func TestChaosRenderer(t *testing.T) {
 	}
 	if again := render(); again != out {
 		t.Fatalf("chaos table not reproducible:\n--- first\n%s\n--- second\n%s", out, again)
+	}
+}
+
+// TestRenderGolden pins the bytes of every campaign renderer over the tiny
+// campaign: All, the default chaos grid and the two-seed multi-seed table.
+// Regenerate with: go test ./internal/report -run RenderGolden -update
+func TestRenderGolden(t *testing.T) {
+	c := tinyCampaign()
+	var sb strings.Builder
+	if err := All(&sb, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := ChaosGrid(&sb, c, DefaultChaosGrid()); err != nil {
+		t.Fatal(err)
+	}
+	ms := harness.NewMultiSeed(c.Config(), 2)
+	if err := ms.Render(&sb, []harness.Setting{harness.TaOPTDuration, harness.TaOPTResource}); err != nil {
+		t.Fatal(err)
+	}
+	got := sb.String()
+
+	path := filepath.Join("testdata", "tiny.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("rendered tables diverge from golden (regenerate with -update if intended):\n--- got\n%s\n--- want\n%s", got, want)
 	}
 }
