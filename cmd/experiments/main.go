@@ -34,15 +34,6 @@ import (
 	"taopt/internal/sim"
 )
 
-// gridExperiment averages coverage / crashes / UI overlap / savings over
-// several seeded campaigns and prints per-(tool, setting) deltas vs the
-// baseline. It is the calibration instrument behind EXPERIMENTS.md; the
-// paper tables come from the named experiments.
-func gridExperiment(w io.Writer, cfg harness.CampaignConfig, seeds int, settings []harness.Setting) error {
-	ms := harness.NewMultiSeed(cfg, seeds)
-	return ms.Render(w, settings)
-}
-
 // ablateExperiment quantifies the design choices DESIGN.md calls out by
 // re-running TaOPT's duration-constrained mode with each one disabled or
 // reverted, on every app of the campaign.
@@ -135,7 +126,7 @@ func main() {
 	fatalf := cli.Fatalf("experiments")
 	var (
 		exp       = flag.String("exp", "all", "experiment to regenerate: fig3|table1|table2|fig5|fig6|table4|table5|table6|single|preserve|chaos|ablate|all|grid")
-		seeds     = flag.Int("seeds", 1, "number of seeded campaigns for -exp grid")
+		seeds     = flag.Int("seeds", 1, "number of seeded campaigns for -exp grid (only grid accepts a value other than 1)")
 		scenFile  = flag.String("scenario", "", "campaign scenario file supplying the grid (apps, tools, budgets, fault plans); explicit flags override its fields")
 		appsFlag  = flag.String("apps", "", "comma-separated app subset (default: all 18)")
 		toolsFlag = flag.String("tools", "", "comma-separated tool subset (default: monkey,ape,wctester)")
@@ -166,6 +157,9 @@ func main() {
 	fn, ok := experiments[*exp]
 	if !ok && *exp != "grid" && *exp != "chaos" {
 		fatalf("unknown experiment %q", *exp)
+	}
+	if *seeds != 1 && *exp != "grid" {
+		fatalf("-seeds applies only to -exp grid (every other experiment runs one campaign)")
 	}
 
 	setFlags := make(map[string]bool)
@@ -257,7 +251,10 @@ func main() {
 	}
 
 	if *exp == "grid" {
-		if err := gridExperiment(os.Stdout, cfg, *seeds, settings); err != nil {
+		// The multi-seed table averages coverage, crashes, UI overlap and
+		// savings over the seeded campaigns: the calibration instrument behind
+		// EXPERIMENTS.md.
+		if err := report.MultiSeed(os.Stdout, harness.NewMultiSeed(cfg, *seeds), settings); err != nil {
 			fatalf("%v", err)
 		}
 		return

@@ -11,7 +11,6 @@ import (
 
 	"taopt/internal/app"
 	"taopt/internal/apps"
-	"taopt/internal/core"
 	"taopt/internal/coverage"
 	"taopt/internal/faults"
 	"taopt/internal/graph"
@@ -101,10 +100,6 @@ type CampaignConfig struct {
 	// every run of the campaign (chaos campaigns); each cell derives its
 	// own deterministic fault plan from its cell seed.
 	Faults *faults.Config
-	// CoreConfig optionally overrides TaOPT's coordinator configuration for
-	// every run of the campaign (the ablations); nil uses the mode's
-	// defaults.
-	CoreConfig *core.Config
 	// Workers bounds the goroutine pool Prefetch computes missing cells on.
 	// 0 or 1 runs serially; results are identical either way — each cell's
 	// seed derives from its key alone, and Prefetch merges in deterministic
@@ -233,7 +228,6 @@ func (c *Campaign) computeCell(key CellKey, aut *app.App) (*CellSummary, error) 
 		SampleEvery:  c.cfg.SampleEvery,
 		Seed:         c.cellSeed(key),
 		ScenarioHash: hash,
-		CoreConfig:   c.cfg.CoreConfig,
 		Faults:       c.cfg.Faults,
 	}
 	var binFile *os.File

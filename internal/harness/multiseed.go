@@ -1,18 +1,9 @@
 package harness
 
-import (
-	"fmt"
-	"io"
-
-	"taopt/internal/metrics"
-	"taopt/internal/sim"
-)
-
-// MultiSeed runs the same campaign grid under several derived seeds and
-// aggregates per-(tool, setting) deltas against the uncoordinated baseline.
-// Per-cell results are noisy (±10–20%); averaging across seeds is how the
+// MultiSeed is the same campaign grid under several derived seeds. Per-cell
+// results are noisy (±10–20%); averaging across seeds is how the
 // calibration in DESIGN.md §5 was validated, and how a downstream user
-// should compare configurations.
+// should compare configurations. internal/report aggregates and renders it.
 type MultiSeed struct {
 	campaigns []*Campaign
 }
@@ -32,91 +23,5 @@ func NewMultiSeed(cfg CampaignConfig, seeds int) *MultiSeed {
 	return ms
 }
 
-// Seeds returns the number of seeded campaigns.
-func (ms *MultiSeed) Seeds() int { return len(ms.campaigns) }
-
-// Delta summarises one (tool, setting) aggregate against the baseline.
-type Delta struct {
-	Tool    string
-	Setting Setting
-	// CoveragePct, CrashesPct and OverlapPct are percentage changes of the
-	// summed metric vs the summed baseline (negative overlap = reduction).
-	CoveragePct float64
-	CrashesPct  float64
-	OverlapPct  float64
-	// BaselineCoverage is the per-app average baseline coverage, for scale.
-	BaselineCoverage float64
-	// DurationSavedPct and ResourceSavedPct are the mean RQ3/RQ4 savings.
-	DurationSavedPct float64
-	ResourceSavedPct float64
-}
-
-// Aggregate computes the deltas for setting across all seeds and apps.
-func (ms *MultiSeed) Aggregate(tool string, setting Setting) (Delta, error) {
-	d := Delta{Tool: tool, Setting: setting}
-	var baseCov, cov, baseCr, cr, baseOv, ov float64
-	var durSaved, resSaved []float64
-	cells := 0
-	for _, c := range ms.campaigns {
-		lp := c.Config().Duration
-		budget := lp * sim.Duration(c.Config().Instances)
-		for _, app := range c.Apps() {
-			b, err := c.Cell(app, tool, BaselineParallel)
-			if err != nil {
-				return d, err
-			}
-			t, err := c.Cell(app, tool, setting)
-			if err != nil {
-				return d, err
-			}
-			baseCov += float64(b.Union)
-			cov += float64(t.Union)
-			baseCr += float64(b.UniqueCrashes)
-			cr += float64(t.UniqueCrashes)
-			baseOv += b.UIOccAverage
-			ov += t.UIOccAverage
-			durSaved = append(durSaved, 100*metrics.DurationSaved(t.Timeline, b.Union, lp))
-			resSaved = append(resSaved, 100*metrics.ResourceSaved(t.Timeline, b.Union, budget))
-			cells++
-		}
-	}
-	if cells == 0 || baseCov == 0 {
-		return d, fmt.Errorf("harness: no cells aggregated for %s/%s", tool, setting)
-	}
-	d.CoveragePct = 100 * (cov - baseCov) / baseCov
-	if baseCr > 0 {
-		d.CrashesPct = 100 * (cr - baseCr) / baseCr
-	}
-	if baseOv > 0 {
-		d.OverlapPct = 100 * (ov - baseOv) / baseOv
-	}
-	d.BaselineCoverage = baseCov / float64(cells)
-	d.DurationSavedPct = metrics.Summarize(durSaved).Mean
-	d.ResourceSavedPct = metrics.Summarize(resSaved).Mean
-	return d, nil
-}
-
-// Render prints the aggregate table for the given settings.
-func (ms *MultiSeed) Render(w io.Writer, settings []Setting) error {
-	for _, c := range ms.campaigns {
-		if err := c.Prefetch(nil, append([]Setting{BaselineParallel}, settings...)...); err != nil {
-			return err
-		}
-	}
-	cfg := ms.campaigns[0].Config()
-	fmt.Fprintf(w, "\nMulti-seed aggregates: %d seeds × %d apps\n", ms.Seeds(), len(cfg.Apps))
-	fmt.Fprintf(w, "%-10s%-18s%12s%12s%12s%12s%12s\n",
-		"tool", "setting", "coverageΔ", "crashesΔ", "overlapΔ", "dur.saved", "res.saved")
-	for _, tool := range cfg.Tools {
-		for _, setting := range settings {
-			d, err := ms.Aggregate(tool, setting)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%-10s%-18s%+11.1f%%%+11.1f%%%+11.1f%%%11.1f%%%11.1f%%\n",
-				tool, setting.String(), d.CoveragePct, d.CrashesPct, d.OverlapPct,
-				d.DurationSavedPct, d.ResourceSavedPct)
-		}
-	}
-	return nil
-}
+// Campaigns returns the seeded campaigns in seed order.
+func (ms *MultiSeed) Campaigns() []*Campaign { return ms.campaigns }

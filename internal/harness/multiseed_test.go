@@ -1,77 +1,10 @@
 package harness
 
-import (
-	"strings"
-	"testing"
-
-	"taopt/internal/sim"
-)
-
-func TestMultiSeedAggregate(t *testing.T) {
-	ms := NewMultiSeed(CampaignConfig{
-		Apps:     []string{"Filters For Selfie"},
-		Tools:    []string{"monkey"},
-		Duration: 6 * sim.Duration(60e9),
-		Seed:     5,
-	}, 2)
-	if ms.Seeds() != 2 {
-		t.Fatalf("Seeds = %d", ms.Seeds())
-	}
-	d, err := ms.Aggregate("monkey", TaOPTDuration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Tool != "monkey" || d.Setting != TaOPTDuration {
-		t.Fatalf("identity: %+v", d)
-	}
-	if d.BaselineCoverage <= 0 {
-		t.Fatal("baseline coverage not aggregated")
-	}
-	if d.CoveragePct < -100 || d.CoveragePct > 100 {
-		t.Fatalf("implausible coverage delta %v", d.CoveragePct)
-	}
-	// Re-aggregation hits the campaign caches: results must be identical.
-	d2, err := ms.Aggregate("monkey", TaOPTDuration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != d2 {
-		t.Fatal("re-aggregation differs (cache miss?)")
-	}
-}
-
-func TestMultiSeedRender(t *testing.T) {
-	ms := NewMultiSeed(CampaignConfig{
-		Apps:     []string{"Filters For Selfie"},
-		Tools:    []string{"monkey"},
-		Duration: 6 * sim.Duration(60e9),
-		Seed:     5,
-	}, 1)
-	var sb strings.Builder
-	if err := ms.Render(&sb, []Setting{TaOPTDuration}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"Multi-seed aggregates", "monkey", "taopt-duration", "coverageΔ"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestMultiSeedUnknownTool(t *testing.T) {
-	ms := NewMultiSeed(CampaignConfig{
-		Apps:     []string{"Filters For Selfie"},
-		Duration: 6 * sim.Duration(60e9),
-	}, 1)
-	if _, err := ms.Aggregate("nope", TaOPTDuration); err == nil {
-		t.Fatal("unknown tool must error")
-	}
-}
+import "testing"
 
 func TestMultiSeedClampsSeeds(t *testing.T) {
 	ms := NewMultiSeed(CampaignConfig{Apps: []string{"Filters For Selfie"}}, 0)
-	if ms.Seeds() != 1 {
-		t.Fatalf("Seeds = %d, want clamp to 1", ms.Seeds())
+	if len(ms.Campaigns()) != 1 {
+		t.Fatalf("Seeds = %d, want clamp to 1", len(ms.Campaigns()))
 	}
 }

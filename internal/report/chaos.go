@@ -45,24 +45,22 @@ func ChaosGrid(w io.Writer, c *harness.Campaign, grid []ChaosVariant) error {
 	}
 	header(w, "Chaos: TaOPT under injected device-farm failures")
 
-	campaigns := make([]*harness.Campaign, len(grid))
+	byVariant := make([]cellMap, len(grid))
 	for i, v := range grid {
-		if !v.Config.Enabled() {
-			campaigns[i] = c
-			continue
+		cc := c
+		if v.Config.Enabled() {
+			cfg := c.Config()
+			fc := v.Config
+			cfg.Faults = &fc
+			cc = harness.NewCampaign(cfg)
 		}
-		cfg := c.Config()
-		fc := v.Config
-		cfg.Faults = &fc
-		campaigns[i] = harness.NewCampaign(cfg)
-	}
-	for _, cc := range campaigns {
-		if err := cc.Prefetch(nil, harness.TaOPTDuration, harness.TaOPTResource); err != nil {
+		var err error
+		if byVariant[i], err = cells(cc, nil, taoptModes...); err != nil {
 			return err
 		}
 	}
 
-	for _, setting := range []harness.Setting{harness.TaOPTDuration, harness.TaOPTResource} {
+	for _, setting := range taoptModes {
 		fmt.Fprintf(w, "\n%s\n", setting)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "Tool\tFailure rate\tCoverage\tΔ cov.\tCrashes\tFailed inst.\tFaults\tOrphans\tJaccard vs fault-free")
@@ -72,20 +70,13 @@ func ChaosGrid(w io.Writer, c *harness.Campaign, grid []ChaosVariant) error {
 				var cov, crashes, failed, injected, orphans float64
 				var jacc float64
 				for _, appName := range c.Apps() {
-					cell, err := campaigns[i].Cell(appName, tool, setting)
-					if err != nil {
-						return err
-					}
+					cell := byVariant[i].at(appName, tool, setting)
 					cov += float64(cell.Union)
 					crashes += float64(cell.UniqueCrashes)
 					failed += float64(cell.FailedInstances)
 					injected += float64(cell.FaultsInjected)
 					orphans += float64(cell.OrphansPending)
-					clean, err := campaigns[0].Cell(appName, tool, setting)
-					if err != nil {
-						return err
-					}
-					jacc += metrics.Jaccard(clean.UnionSet, cell.UnionSet)
+					jacc += metrics.Jaccard(byVariant[0].at(appName, tool, setting).UnionSet, cell.UnionSet)
 				}
 				n := float64(len(c.Apps()))
 				if i == 0 {

@@ -45,11 +45,53 @@ func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("=", len(title)))
 }
 
+// taoptModes are TaOPT's two modes; compared adds the baseline they are
+// measured against, first.
+var (
+	taoptModes = []harness.Setting{harness.TaOPTDuration, harness.TaOPTResource}
+	compared   = append([]harness.Setting{harness.BaselineParallel}, taoptModes...)
+)
+
+// cellMap holds a campaign sub-grid's cells by key. Renderers index it and
+// never range over it, so no output depends on map order.
+type cellMap map[harness.CellKey]*harness.CellSummary
+
+func (m cellMap) at(app, tool string, setting harness.Setting) *harness.CellSummary {
+	return m[harness.CellKey{App: app, Tool: tool, Setting: setting}]
+}
+
+// cells computes the (apps × tools × settings) sub-grid of c on the
+// campaign's worker pool and returns its cells; nil tools means the
+// campaign's. It is the one place report reads campaign cells, so the one
+// place that handles a Cell error.
+func cells(c *harness.Campaign, tools []string, settings ...harness.Setting) (cellMap, error) {
+	if err := c.Prefetch(tools, settings...); err != nil {
+		return nil, err
+	}
+	if tools == nil {
+		tools = c.Tools()
+	}
+	m := make(cellMap)
+	for _, app := range c.Apps() {
+		for _, tool := range tools {
+			for _, setting := range settings {
+				cell, err := c.Cell(app, tool, setting)
+				if err != nil {
+					return nil, err
+				}
+				m[cell.Key] = cell
+			}
+		}
+	}
+	return m, nil
+}
+
 // Figure3 prints the AJS-over-time series for baseline parallelization, one
 // series per tool, averaged across the campaign's apps (the paper's Figure 3:
 // overlap rises over the hour; Ape highest).
 func Figure3(w io.Writer, c *harness.Campaign) error {
-	if err := c.Prefetch(nil, harness.BaselineParallel); err != nil {
+	m, err := cells(c, nil, harness.BaselineParallel)
+	if err != nil {
 		return err
 	}
 	header(w, "Figure 3: Overlaps of methods covered by different testing instances (baseline)")
@@ -69,11 +111,7 @@ func Figure3(w io.Writer, c *harness.Campaign) error {
 			var sum float64
 			var n int
 			for _, app := range c.Apps() {
-				cell, err := c.Cell(app, tool, harness.BaselineParallel)
-				if err != nil {
-					return err
-				}
-				if v, ok := ajsAt(cell.Timeline, at); ok {
+				if v, ok := ajsAt(m.at(app, tool, harness.BaselineParallel).Timeline, at); ok {
 					sum += v
 					n++
 				}
@@ -106,7 +144,8 @@ func ajsAt(tl metrics.Timeline, t sim.Duration) (float64, bool) {
 // Table1 prints the UI-subspace exploration overlap histogram aggregated
 // over all (app, tool) baseline runs.
 func Table1(w io.Writer, c *harness.Campaign) error {
-	if err := c.Prefetch(nil, harness.BaselineParallel); err != nil {
+	m, err := cells(c, nil, harness.BaselineParallel)
+	if err != nil {
 		return err
 	}
 	header(w, "Table 1: Overlaps of UI subspace exploration (baseline)")
@@ -115,11 +154,7 @@ func Table1(w io.Writer, c *harness.Campaign) error {
 	total := 0
 	for _, tool := range c.Tools() {
 		for _, app := range c.Apps() {
-			cell, err := c.Cell(app, tool, harness.BaselineParallel)
-			if err != nil {
-				return err
-			}
-			for i, v := range cell.OverlapHist {
+			for i, v := range m.at(app, tool, harness.BaselineParallel).OverlapHist {
 				if i < n {
 					hist[i] += v
 					total += v
@@ -160,7 +195,8 @@ func pct(a, b int) float64 {
 // Table2 prints WCTester's method coverage under activity-based
 // parallelization vs baseline, per app (the paper's Table 2: −28.5% average).
 func Table2(w io.Writer, c *harness.Campaign) error {
-	if err := c.Prefetch([]string{"wctester"}, harness.BaselineParallel, harness.ActivityPartition); err != nil {
+	m, err := cells(c, []string{"wctester"}, harness.BaselineParallel, harness.ActivityPartition)
+	if err != nil {
 		return err
 	}
 	header(w, "Table 2: Method coverage of WCTester under activity-based parallelization")
@@ -168,14 +204,7 @@ func Table2(w io.Writer, c *harness.Campaign) error {
 	fmt.Fprintln(tw, "App Name\tBaseline\tParallel\tRel. Improve.")
 	var sumBase, sumPar int
 	for _, app := range c.Apps() {
-		base, err := c.Cell(app, "wctester", harness.BaselineParallel)
-		if err != nil {
-			return err
-		}
-		par, err := c.Cell(app, "wctester", harness.ActivityPartition)
-		if err != nil {
-			return err
-		}
+		base, par := m.at(app, "wctester", harness.BaselineParallel), m.at(app, "wctester", harness.ActivityPartition)
 		sumBase += base.Union
 		sumPar += par.Union
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%+.1f%%\n", app, base.Union, par.Union, relDelta(base.Union, par.Union))
@@ -207,7 +236,8 @@ func Figure6(w io.Writer, c *harness.Campaign) error {
 }
 
 func savingsFigure(w io.Writer, c *harness.Campaign, duration bool) error {
-	if err := c.Prefetch(nil, harness.BaselineParallel, harness.TaOPTDuration, harness.TaOPTResource); err != nil {
+	m, err := cells(c, nil, compared...)
+	if err != nil {
 		return err
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -215,17 +245,10 @@ func savingsFigure(w io.Writer, c *harness.Campaign, duration bool) error {
 	lp := c.Config().Duration
 	budget := sim.Duration(c.Config().Instances) * lp
 	for _, tool := range c.Tools() {
-		for _, setting := range []harness.Setting{harness.TaOPTDuration, harness.TaOPTResource} {
+		for _, setting := range taoptModes {
 			var vals []float64
 			for _, app := range c.Apps() {
-				base, err := c.Cell(app, tool, harness.BaselineParallel)
-				if err != nil {
-					return err
-				}
-				cell, err := c.Cell(app, tool, setting)
-				if err != nil {
-					return err
-				}
+				base, cell := m.at(app, tool, harness.BaselineParallel), m.at(app, tool, setting)
 				var saved float64
 				if duration {
 					saved = metrics.DurationSaved(cell.Timeline, base.Union, lp)
@@ -246,71 +269,63 @@ func savingsFigure(w io.Writer, c *harness.Campaign, duration bool) error {
 // paper's Δ annotations.
 func Table4(w io.Writer, c *harness.Campaign) error {
 	header(w, "Table 4: Statistics of cumulative code coverage")
-	return perAppTable(w, c, func(cell *harness.CellSummary) float64 { return float64(cell.Union) }, "%d")
+	return perAppTable(w, c, func(cell *harness.CellSummary) float64 { return float64(cell.Union) }, countCell, countFooter)
 }
 
 // Table5 prints distinct crashes per app × tool × setting.
 func Table5(w io.Writer, c *harness.Campaign) error {
 	header(w, "Table 5: Statistics of distinct crashes")
-	return perAppTable(w, c, func(cell *harness.CellSummary) float64 { return float64(cell.UniqueCrashes) }, "%d")
+	return perAppTable(w, c, func(cell *harness.CellSummary) float64 { return float64(cell.UniqueCrashes) }, countCell, countFooter)
 }
 
 // Table6 prints the UI overlap (average occurrences of distinct abstract
 // UIs) per app × tool × setting, with the paper's Δ reduction row.
 func Table6(w io.Writer, c *harness.Campaign) error {
 	header(w, "Table 6: UI overlap measured by the average # of occurrences of distinct UIs")
-	if err := c.Prefetch(nil, harness.BaselineParallel, harness.TaOPTDuration, harness.TaOPTResource); err != nil {
-		return err
+	return perAppTable(w, c, func(cell *harness.CellSummary) float64 { return cell.UIOccAverage },
+		func(v, _ float64) string { return fmt.Sprintf("%.1f", v) }, overlapFooter)
+}
+
+// countCell formats a Table 4/5 count with its change against the app's
+// baseline value, when that is positive.
+func countCell(v, base float64) string {
+	if base > 0 {
+		return fmt.Sprintf("%d (%+.0f%%)", int(v), 100*(v-base)/base)
 	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	settings := []harness.Setting{harness.BaselineParallel, harness.TaOPTDuration, harness.TaOPTResource}
-	fmt.Fprint(tw, "App Name")
-	for _, s := range settings {
-		for _, tool := range c.Tools() {
-			fmt.Fprintf(tw, "\t%s %s", shortSetting(s), toolLabel(tool))
+	return fmt.Sprintf("%d", int(v))
+}
+
+// countFooter prints Tables 4/5's average row, each TaOPT column with its
+// change against the summed baseline of its tool.
+func countFooter(tw io.Writer, sums []float64, nt int, nApps float64) {
+	fmt.Fprint(tw, "Average")
+	for i, s := range sums {
+		if base := sums[i%nt]; i >= nt && base > 0 {
+			fmt.Fprintf(tw, "\t%.0f (%+.1f%%)", s/nApps, 100*(s-base)/base)
+		} else {
+			fmt.Fprintf(tw, "\t%.0f", s/nApps)
 		}
 	}
 	fmt.Fprintln(tw)
-	sums := make([]float64, len(settings)*len(c.Tools()))
-	for _, app := range c.Apps() {
-		fmt.Fprint(tw, app)
-		i := 0
-		for _, s := range settings {
-			for _, tool := range c.Tools() {
-				cell, err := c.Cell(app, tool, s)
-				if err != nil {
-					return err
-				}
-				sums[i] += cell.UIOccAverage
-				fmt.Fprintf(tw, "\t%.1f", cell.UIOccAverage)
-				i++
-			}
-		}
-		fmt.Fprintln(tw)
-	}
-	nApps := float64(len(c.Apps()))
+}
+
+// overlapFooter prints Table 6's average row, then the Δ row: each TaOPT
+// column's overlap reduction against the baseline of its tool.
+func overlapFooter(tw io.Writer, sums []float64, nt int, nApps float64) {
 	fmt.Fprint(tw, "Average")
 	for _, s := range sums {
 		fmt.Fprintf(tw, "\t%.1f", s/nApps)
 	}
 	fmt.Fprintln(tw)
-	// Δ rows: relative overlap reduction vs baseline per tool and mode.
-	nt := len(c.Tools())
 	fmt.Fprint(tw, "Δ vs baseline")
-	for i := range sums {
-		if i < nt {
+	for i, s := range sums {
+		if base := sums[i%nt]; i >= nt && base != 0 {
+			fmt.Fprintf(tw, "\t%.1f%%", 100*(base-s)/base)
+		} else {
 			fmt.Fprint(tw, "\t-")
-			continue
 		}
-		base := sums[i%nt]
-		if base == 0 {
-			fmt.Fprint(tw, "\t-")
-			continue
-		}
-		fmt.Fprintf(tw, "\t%.1f%%", 100*(base-sums[i])/base)
 	}
 	fmt.Fprintln(tw)
-	return tw.Flush()
 }
 
 func shortSetting(s harness.Setting) string {
@@ -329,16 +344,19 @@ func shortSetting(s harness.Setting) string {
 	}
 }
 
-// perAppTable renders the Table 4/5 layout: baseline and both TaOPT modes
-// per tool, with per-cell Δ percentages and the average Δ footer.
-func perAppTable(w io.Writer, c *harness.Campaign, value func(*harness.CellSummary) float64, format string) error {
-	if err := c.Prefetch(nil, harness.BaselineParallel, harness.TaOPTDuration, harness.TaOPTResource); err != nil {
+// perAppTable renders the layout Tables 4–6 share: a column per setting ×
+// tool (the baseline, then both TaOPT modes), a row per app and the rows
+// footer prints from the column sums. cell formats a value given the app's
+// baseline value for the column's tool, which is 0 in the baseline columns.
+func perAppTable(w io.Writer, c *harness.Campaign, value func(*harness.CellSummary) float64,
+	cell func(v, base float64) string, footer func(tw io.Writer, sums []float64, nt int, nApps float64)) error {
+	m, err := cells(c, nil, compared...)
+	if err != nil {
 		return err
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	settings := []harness.Setting{harness.BaselineParallel, harness.TaOPTDuration, harness.TaOPTResource}
 	fmt.Fprint(tw, "App Name")
-	for _, s := range settings {
+	for _, s := range compared {
 		for _, tool := range c.Tools() {
 			fmt.Fprintf(tw, "\t%s %s", shortSetting(s), toolLabel(tool))
 		}
@@ -346,89 +364,48 @@ func perAppTable(w io.Writer, c *harness.Campaign, value func(*harness.CellSumma
 	fmt.Fprintln(tw)
 
 	nt := len(c.Tools())
-	sums := make([]float64, len(settings)*nt)
+	sums := make([]float64, len(compared)*nt)
 	for _, app := range c.Apps() {
 		fmt.Fprint(tw, app)
-		var baseVals []float64
 		i := 0
-		for _, s := range settings {
+		for _, s := range compared {
 			for _, tool := range c.Tools() {
-				cell, err := c.Cell(app, tool, s)
-				if err != nil {
-					return err
+				v, base := value(m.at(app, tool, s)), 0.0
+				if s != harness.BaselineParallel {
+					base = value(m.at(app, tool, harness.BaselineParallel))
 				}
-				v := value(cell)
 				sums[i] += v
-				if s == harness.BaselineParallel {
-					baseVals = append(baseVals, v)
-					fmt.Fprintf(tw, "\t"+format, int(v))
-				} else {
-					base := baseVals[i%nt]
-					if base > 0 {
-						fmt.Fprintf(tw, "\t"+format+" (%+.0f%%)", int(v), 100*(v-base)/base)
-					} else {
-						fmt.Fprintf(tw, "\t"+format, int(v))
-					}
-				}
+				fmt.Fprint(tw, "\t"+cell(v, base))
 				i++
 			}
 		}
 		fmt.Fprintln(tw)
 	}
-	nApps := float64(len(c.Apps()))
-	fmt.Fprint(tw, "Average")
-	for i, s := range sums {
-		avg := s / nApps
-		if i < nt {
-			fmt.Fprintf(tw, "\t%.0f", avg)
-		} else {
-			base := sums[i%nt]
-			if base > 0 {
-				fmt.Fprintf(tw, "\t%.0f (%+.1f%%)", avg, 100*(s-base)/base)
-			} else {
-				fmt.Fprintf(tw, "\t%.0f", avg)
-			}
-		}
-	}
-	fmt.Fprintln(tw)
+	footer(tw, sums, nt, float64(len(c.Apps())))
 	return tw.Flush()
 }
 
 // SingleLong prints the RQ4 aside: one 5-hour instance vs the parallel
 // settings, averaged over apps.
 func SingleLong(w io.Writer, c *harness.Campaign) error {
-	if err := c.Prefetch(nil, harness.SingleLong, harness.BaselineParallel, harness.TaOPTDuration, harness.TaOPTResource); err != nil {
+	settings := append([]harness.Setting{harness.SingleLong}, compared...)
+	m, err := cells(c, nil, settings...)
+	if err != nil {
 		return err
 	}
 	header(w, "RQ4 aside: 5-hour non-parallel runs vs parallel runs (average coverage)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Tool\tSingle 5h\tBaseline 5×1h\tTaOPT(D)\tTaOPT(R)")
 	for _, tool := range c.Tools() {
-		var single, base, dur, res float64
-		for _, app := range c.Apps() {
-			s, err := c.Cell(app, tool, harness.SingleLong)
-			if err != nil {
-				return err
+		fmt.Fprint(tw, toolLabel(tool))
+		for _, s := range settings {
+			var sum float64
+			for _, app := range c.Apps() {
+				sum += float64(m.at(app, tool, s).Union)
 			}
-			b, err := c.Cell(app, tool, harness.BaselineParallel)
-			if err != nil {
-				return err
-			}
-			d, err := c.Cell(app, tool, harness.TaOPTDuration)
-			if err != nil {
-				return err
-			}
-			r, err := c.Cell(app, tool, harness.TaOPTResource)
-			if err != nil {
-				return err
-			}
-			single += float64(s.Union)
-			base += float64(b.Union)
-			dur += float64(d.Union)
-			res += float64(r.Union)
+			fmt.Fprintf(tw, "\t%.0f", sum/float64(len(c.Apps())))
 		}
-		n := float64(len(c.Apps()))
-		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%.0f\t%.0f\n", toolLabel(tool), single/n, base/n, dur/n, res/n)
+		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
 }
@@ -437,27 +414,21 @@ func SingleLong(w io.Writer, c *harness.Campaign) error {
 // similarity between baseline and TaOPT covered-method sets, and the
 // fraction of baseline methods TaOPT misses.
 func Preservation(w io.Writer, c *harness.Campaign) error {
-	if err := c.Prefetch(nil, harness.BaselineParallel, harness.TaOPTDuration, harness.TaOPTResource); err != nil {
+	m, err := cells(c, nil, compared...)
+	if err != nil {
 		return err
 	}
 	header(w, "RQ5 aside: behaviour preservation (TaOPT vs baseline covered methods)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Tool\tMode\tJaccard\tBaseline methods missed")
 	for _, tool := range c.Tools() {
-		for _, setting := range []harness.Setting{harness.TaOPTDuration, harness.TaOPTResource} {
+		for _, setting := range taoptModes {
 			var sumJ, sumM float64
 			for _, app := range c.Apps() {
-				base, err := c.Cell(app, tool, harness.BaselineParallel)
-				if err != nil {
-					return err
-				}
-				cell, err := c.Cell(app, tool, setting)
-				if err != nil {
-					return err
-				}
-				j, m := metrics.BehaviorPreservation(base.UnionSet, cell.UnionSet)
+				base, cell := m.at(app, tool, harness.BaselineParallel), m.at(app, tool, setting)
+				j, missed := metrics.BehaviorPreservation(base.UnionSet, cell.UnionSet)
 				sumJ += j
-				sumM += m
+				sumM += missed
 			}
 			n := float64(len(c.Apps()))
 			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.1f%%\n", toolLabel(tool), setting, sumJ/n, 100*sumM/n)

@@ -118,8 +118,7 @@ func TestRenderGolden(t *testing.T) {
 	if err := ChaosGrid(&sb, c, DefaultChaosGrid()); err != nil {
 		t.Fatal(err)
 	}
-	ms := harness.NewMultiSeed(c.Config(), 2)
-	if err := ms.Render(&sb, []harness.Setting{harness.TaOPTDuration, harness.TaOPTResource}); err != nil {
+	if err := MultiSeed(&sb, harness.NewMultiSeed(c.Config(), 2), taoptModes); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()

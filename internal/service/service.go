@@ -65,12 +65,12 @@ type flight struct {
 // Service owns the run lifecycle: compile, de-duplicate, queue, execute,
 // persist. All methods are safe for concurrent use.
 //
-// mu guards the ID sequence, the stats and the flights, plus the store
-// writes that must agree with them: the run records of a coalesced or
-// missed submit (runFlight settles them) and runFlight's PutCell and record
-// updates. Store reads happen outside mu. A failed read is retried once
-// under it, where no PutCell can be half done, so a cell being healed never
-// shows as a spurious miss.
+// mu guards the ID sequence, the stats, the flights and the unsettled
+// causes, plus the store writes that must agree with them: the run records
+// of a coalesced or missed submit (runFlight settles them) and runFlight's
+// PutCell and record updates. Store reads happen outside mu. A failed read
+// is retried once under it, where no PutCell can be half done, so a cell
+// being healed never shows as a spurious miss.
 type Service struct {
 	repo     Repository
 	exec     func(rs *scenario.RunSpec) (Cell, error)
@@ -80,9 +80,12 @@ type Service struct {
 	mu      sync.Mutex
 	nextID  int
 	flights map[string]*flight
-	stats   Stats
-	idle    *sync.Cond
-	active  int
+	// unsettled keeps, by run ID, the store error that left a finished
+	// run's record queued, for WaitRun to report.
+	unsettled map[string]error
+	stats     Stats
+	idle      *sync.Cond
+	active    int
 }
 
 // New builds a Service over cfg. With a file-backed repository the ID
@@ -95,10 +98,11 @@ func New(cfg Config) (*Service, error) {
 		cfg.Workers = 1
 	}
 	s := &Service{
-		repo:    cfg.Repo,
-		exec:    cfg.Exec,
-		sem:     make(chan struct{}, cfg.Workers),
-		flights: make(map[string]*flight),
+		repo:      cfg.Repo,
+		exec:      cfg.Exec,
+		sem:       make(chan struct{}, cfg.Workers),
+		flights:   make(map[string]*flight),
+		unsettled: make(map[string]error),
 	}
 	if s.exec == nil {
 		s.exec = computeCell
@@ -276,9 +280,11 @@ func (s *Service) runFlight(rs *scenario.RunSpec, fl *flight) {
 			// coalesced onto it was served from that one compute.
 			rec.CacheHit = i > 0
 		}
-		// A record that fails to settle stays queued with no flight, which
-		// WaitRun reports as ErrStore.
-		_ = s.repo.UpdateRun(rec)
+		// A record that fails to settle stays queued with no flight; WaitRun
+		// reports it as ErrStore with this cause.
+		if uerr := s.repo.UpdateRun(rec); uerr != nil {
+			s.unsettled[rec.ID] = uerr
+		}
 	}
 }
 
@@ -287,7 +293,8 @@ func (s *Service) Run(id string) (RunRecord, error) { return s.repo.GetRun(id) }
 
 // WaitRun blocks until id leaves StateQueued and returns the settled record.
 // A record still queued once its flight has settled was never updated; that
-// is ErrStore, not a reason to wait longer.
+// is ErrStore, wrapping the store's error when runFlight saw one, not a
+// reason to wait longer.
 func (s *Service) WaitRun(id string) (RunRecord, error) {
 	rec, err := s.repo.GetRun(id)
 	if err != nil || rec.State != StateQueued {
@@ -301,10 +308,16 @@ func (s *Service) WaitRun(id string) (RunRecord, error) {
 	}
 	// Re-read, whether we waited or the flight settled between the read and
 	// the lookup.
-	if rec, err = s.repo.GetRun(id); err == nil && rec.State == StateQueued {
-		return rec, fmt.Errorf("%w: run %s is still queued after its compute settled", ErrStore, id)
+	if rec, err = s.repo.GetRun(id); err != nil || rec.State != StateQueued {
+		return rec, err
 	}
-	return rec, err
+	s.mu.Lock()
+	cause := s.unsettled[id]
+	s.mu.Unlock()
+	if cause != nil {
+		return rec, storeError(fmt.Errorf("run %s is still queued after its compute settled: %w", id, cause))
+	}
+	return rec, fmt.Errorf("%w: run %s is still queued after its compute settled", ErrStore, id)
 }
 
 // Runs lists every record, sorted by ID.
