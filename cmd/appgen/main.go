@@ -18,8 +18,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"text/tabwriter"
 
 	"taopt/internal/app"
@@ -86,7 +86,7 @@ func main() {
 		aut = app.MotivatingExample()
 	}
 
-	inspect(aut)
+	inspect(os.Stdout, aut)
 }
 
 // compileScenario reads and compiles one scenario file.
@@ -166,85 +166,65 @@ func emitCmd(name string) {
 	os.Stdout.Write(out)
 }
 
-func inspect(a *app.App) {
-	fmt.Printf("app:        %s %s\n", a.Name, a.Version)
-	fmt.Printf("screens:    %d in %d functionalities (incl. hub)\n", len(a.Screens), a.Subspaces)
-	fmt.Printf("methods:    %d (UI-reachable: %d)\n", a.MethodCount(), len(a.ReachableMethods()))
-	fmt.Printf("activities: %d\n", len(a.Activities()))
-	fmt.Printf("crashes:    %d planted sites\n", len(a.CrashSites))
-	fmt.Printf("login:      %v\n", a.LoginRequired)
+// inspect writes a's structure report: sizes, shared activities, crash
+// sites with their depth, and the GS-LD check.
+func inspect(w io.Writer, a *app.App) {
+	fmt.Fprintf(w, "app:        %s %s\n", a.Name, a.Version)
+	fmt.Fprintf(w, "screens:    %d in %d functionalities (incl. hub)\n", len(a.Screens), a.Subspaces)
+	fmt.Fprintf(w, "methods:    %d (UI-reachable: %d)\n", a.MethodCount(), len(a.ReachableMethods()))
+	fmt.Fprintf(w, "activities: %d\n", len(a.Activities()))
+	fmt.Fprintf(w, "crashes:    %d planted sites\n", len(a.CrashSites))
+	fmt.Fprintf(w, "login:      %v\n", a.LoginRequired)
 
-	// Screens per functionality and per activity.
-	bySub := make(map[int]int)
-	byAct := make(map[string]int)
-	for _, s := range a.Screens {
-		bySub[s.Subspace]++
-		byAct[s.Activity]++
-	}
-	subs := make([]int, 0, len(bySub))
-	for k := range bySub {
-		subs = append(subs, k)
-	}
-	sort.Ints(subs)
-	fmt.Println("\nfunctionality sizes:")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	for _, k := range subs {
+	fmt.Fprintln(w, "\nfunctionality sizes:")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	for k, blk := range a.Functionalities() {
 		label := fmt.Sprintf("functionality %d", k)
 		if k == 0 {
 			label = "hub"
 		}
-		fmt.Fprintf(tw, "  %s\t%d screens\n", label, bySub[k])
+		fmt.Fprintf(tw, "  %s\t%d screens\n", label, len(blk))
 	}
 	tw.Flush()
 
 	// Activities shared across functionalities (what breaks ParaAim).
-	actSubs := make(map[string]map[int]bool)
+	firstSub := make(map[string]int)
+	shared := make(map[string]bool)
 	for _, s := range a.Screens {
-		if actSubs[s.Activity] == nil {
-			actSubs[s.Activity] = make(map[int]bool)
-		}
-		actSubs[s.Activity][s.Subspace] = true
-	}
-	shared := 0
-	for _, set := range actSubs {
-		if len(set) > 1 {
-			shared++
+		if k, seen := firstSub[s.Activity]; !seen {
+			firstSub[s.Activity] = s.Subspace
+		} else if k != s.Subspace {
+			shared[s.Activity] = true
 		}
 	}
-	fmt.Printf("\nactivities spanning >1 functionality: %d of %d\n", shared, len(actSubs))
+	fmt.Fprintf(w, "\nactivities spanning >1 functionality: %d of %d\n", len(shared), len(firstSub))
 
 	// Crash sites with their depth position — shallow sites fall to heavy
 	// repetition, deep ones only to sustained exploration.
-	fmt.Println("\ncrash sites:")
-	blockOf := make(map[int][]int)
+	fmt.Fprintln(w, "\ncrash sites:")
+	depths := a.Depths()
 	for _, s := range a.Screens {
-		blockOf[s.Subspace] = append(blockOf[s.Subspace], int(s.ID))
-	}
-	for _, s := range a.Screens {
-		for w := range s.Widgets {
-			if s.Widgets[w].CrashSite < 0 {
-				continue
+		for _, wd := range s.Widgets {
+			if wd.CrashSite >= 0 {
+				fmt.Fprintf(w, "  site %-3d functionality %-2d depth %3.0f%%  trigger %.2f\n",
+					wd.CrashSite, s.Subspace, 100*depths[s.ID], wd.CrashProb)
 			}
-			blk := blockOf[s.Subspace]
-			pos := 0
-			for p, id := range blk {
-				if id == int(s.ID) {
-					pos = p
-				}
-			}
-			fmt.Printf("  site %-3d functionality %-2d depth %3.0f%%  trigger %.2f\n",
-				s.Widgets[w].CrashSite, s.Subspace,
-				100*float64(pos)/float64(len(blk)), s.Widgets[w].CrashProb)
 		}
 	}
 
-	gsld(a)
+	if c := gsld(a); c.Pairs > 0 {
+		fmt.Fprintf(w, "\nGS-LD check (ground-truth graph, uniform action probabilities):\n")
+		fmt.Fprintf(w, "  cross-functionality conductance: mean %.4f, max %.4f over %d ordered pairs\n",
+			c.Mean, c.Max, c.Pairs)
+		fmt.Fprintf(w, "  (loosely coupled subspaces need these ≈ 0; Section 4.1)\n")
+	}
 }
 
 // gsld builds the ground-truth stochastic transition graph (uniform action
-// choice) and reports internal vs cross-functionality conductance — the
-// GS-LD property of Section 4.2.
-func gsld(a *app.App) {
+// choice) and measures the conductance between its functionalities — the
+// GS-LD property of Section 4.2. The hub couples to everything by design,
+// so it is left out.
+func gsld(a *app.App) graph.Coupling {
 	b := graph.NewBuilder()
 	sigOf := make([]ui.Signature, len(a.Screens))
 	for i := range a.Screens {
@@ -258,34 +238,14 @@ func gsld(a *app.App) {
 		}
 	}
 	g := b.Graph()
-
-	// Membership per functionality.
-	members := make(map[int][]int)
-	for i, s := range a.Screens {
-		if v, ok := g.VertexOf(sigOf[i]); ok {
-			members[s.Subspace] = append(members[s.Subspace], v)
-		}
-	}
-
-	var maxCross, sumCross float64
-	pairs := 0
-	for s1, m1 := range members {
-		for s2, m2 := range members {
-			if s1 == 0 || s2 == 0 || s1 == s2 {
-				continue // the hub couples to everything by design
-			}
-			c := g.ConductanceSets(m1, m2)
-			sumCross += c
-			pairs++
-			if c > maxCross {
-				maxCross = c
+	blocks := a.Functionalities()[1:]
+	groups := make([][]int, len(blocks))
+	for k, blk := range blocks {
+		for _, id := range blk {
+			if v, ok := g.VertexOf(sigOf[id]); ok {
+				groups[k] = append(groups[k], v)
 			}
 		}
 	}
-	if pairs > 0 {
-		fmt.Printf("\nGS-LD check (ground-truth graph, uniform action probabilities):\n")
-		fmt.Printf("  cross-functionality conductance: mean %.4f, max %.4f over %d ordered pairs\n",
-			sumCross/float64(pairs), maxCross, pairs)
-		fmt.Printf("  (loosely coupled subspaces need these ≈ 0; Section 4.1)\n")
-	}
+	return graph.PairwiseConductance(g, groups)
 }

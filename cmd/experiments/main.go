@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"strings"
 
-	"taopt/internal/apps"
 	"taopt/internal/cli"
 	"taopt/internal/core"
 	"taopt/internal/faults"
@@ -57,7 +56,7 @@ func ablateExperiment(w io.Writer, c *harness.Campaign) error {
 		var cov float64
 		subs := 0
 		for _, appName := range c.Apps() {
-			aut, err := apps.Load(appName)
+			aut, err := c.LoadApp(appName)
 			if err != nil {
 				return err
 			}

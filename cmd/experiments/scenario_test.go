@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"taopt/internal/harness"
@@ -98,5 +100,43 @@ func TestScenarioCampaignLowering(t *testing.T) {
 	}
 	if cfg.Instances != 4 || cfg.Seed != 7 || cfg.Duration != 10*sim.Duration(60e9) {
 		t.Fatalf("lowered config %+v diverges from the file", cfg)
+	}
+}
+
+// TestAblateResolvesInlineApps runs the ablation experiment on the smoke
+// campaign's inline app: it must resolve like a campaign cell, from the
+// scenario spec, and run the default row on exactly that app.
+func TestAblateResolvesInlineApps(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "smoke-campaign.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.CompileCampaign(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := harness.FromScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Apps = []string{"Pocket Forecast"}
+	cfg.Duration = 4 * sim.Duration(60e9)
+	var out bytes.Buffer
+	if err := ablateExperiment(&out, harness.NewCampaign(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := harness.Run(harness.RunConfig{
+		App:       sc.InlineApps[0].Generate(),
+		Tool:      "monkey",
+		Setting:   harness.TaOPTDuration,
+		Instances: cfg.Instances,
+		Duration:  cfg.Duration,
+		Seed:      cfg.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("default (calibrated)%22d", res.Union.Count()); !strings.Contains(out.String(), want) {
+		t.Fatalf("ablation output lacks the inline app's default row %q:\n%s", want, out.String())
 	}
 }

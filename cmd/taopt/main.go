@@ -50,7 +50,7 @@ func main() {
 		scenFile   = flag.String("scenario", "", "run the app defined by this scenario file (kind app) instead of -app")
 		planFile   = flag.String("faultplan", "", "inject the fault plan defined by this scenario file (kind fault-plan)")
 		tool       = flag.String("tool", "monkey", "testing tool: "+strings.Join(tools.Names(), ", "))
-		setting    = flag.String("setting", "baseline", "baseline | taopt-duration | taopt-resource | activity-partition | pats | single-long")
+		setting    = flag.String("setting", "baseline", strings.Join(scenario.SettingNames(), " | "))
 		instances  = flag.Int("instances", harness.DefaultInstances, "concurrent testing instances (d_max)")
 		duration   = flag.Int("duration", 60, "wall-clock budget l_p in minutes")
 		budget     = flag.Int("budget", 0, "machine-time budget in minutes (default instances × duration)")
@@ -198,61 +198,7 @@ func main() {
 	}
 
 	if *verbose {
-		fmt.Println()
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "INSTANCE\tALLOCATED\tRELEASED\tMETHODS\tCRASHES\tTRANSITIONS")
-		for _, inst := range res.Instances {
-			fmt.Fprintf(w, "%d\t%v\t%v\t%d\t%d\t%d\n",
-				inst.ID, inst.Allocated, inst.Released, inst.Methods.Count(), inst.Crashes.Unique(), inst.Trace.Len())
-		}
-		w.Flush()
-		// Ground-truth mapping: which true functionality does each member
-		// screen belong to? (Evaluation aid only; TaOPT never sees this.)
-		truth := make(map[ui.Signature]int)
-		depthOf := make(map[ui.Signature]float64) // position fraction within its functionality
-		bySub := make(map[int][]int)
-		for _, sc := range aut.Screens {
-			bySub[sc.Subspace] = append(bySub[sc.Subspace], int(sc.ID))
-		}
-		for _, sc := range aut.Screens {
-			sig := aut.Signature(sc.ID)
-			truth[sig] = sc.Subspace
-			if sc.Subspace != 0 {
-				blk := bySub[sc.Subspace]
-				for pos, id := range blk {
-					if id == int(sc.ID) {
-						depthOf[sig] = float64(pos) / float64(len(blk))
-					}
-				}
-			}
-		}
-		// Visit mass by depth decile (functionality screens only): shows
-		// how deep each setting's exploration actually gets.
-		var visits [10]int
-		for sig, n := range res.UIOccurrences {
-			d, ok := depthOf[sig]
-			if !ok {
-				continue
-			}
-			b := int(d * 10)
-			if b > 9 {
-				b = 9
-			}
-			visits[b] += n
-		}
-		fmt.Printf("depth decile visits:  %v\n", visits)
-		for _, sub := range res.Subspaces {
-			span := make(map[int]int)
-			for m := range sub.Members {
-				if gt, ok := truth[m]; ok {
-					span[gt]++
-				} else {
-					span[-1]++
-				}
-			}
-			fmt.Printf("subspace %d: entry=%v members=%d (initial %d) owner=%d found=%v span=%v\n",
-				sub.ID, sub.Entry, len(sub.Members), sub.InitialMembers, sub.Owner, sub.FoundAt, span)
-		}
+		printVerbose(os.Stdout, aut, res)
 	}
 }
 
@@ -289,5 +235,46 @@ func printSummary(w io.Writer, aut *app.App, tool string, st harness.Setting, re
 		fmt.Fprintf(w, "transport:      %+v\n", res.Transport)
 		fmt.Fprintf(w, "failed leases:  %d (orphaned subspaces pending: %d)\n",
 			res.FailedInstances, res.OrphansPending)
+	}
+}
+
+// printVerbose writes -v's per-instance table and the ground-truth block: the
+// visit mass by functionality depth decile, which shows how deep a setting's
+// exploration gets, and each identified subspace's span over the planted
+// functionalities (-1 for a member no screen renders as). An evaluation aid
+// only; TaOPT never sees the truth.
+func printVerbose(w io.Writer, aut *app.App, res *harness.RunResult) {
+	fmt.Fprintln(w)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "INSTANCE\tALLOCATED\tRELEASED\tMETHODS\tCRASHES\tTRANSITIONS")
+	for _, inst := range res.Instances {
+		fmt.Fprintf(tw, "%d\t%v\t%v\t%d\t%d\t%d\n",
+			inst.ID, inst.Allocated, inst.Released, inst.Methods.Count(), inst.Crashes.Unique(), inst.Trace.Len())
+	}
+	tw.Flush()
+
+	screenOf := make(map[ui.Signature]*app.ScreenState, len(aut.Screens))
+	for _, sc := range aut.Screens {
+		screenOf[aut.Signature(sc.ID)] = sc
+	}
+	depths := aut.Depths()
+	var visits [10]int
+	for sig, n := range res.UIOccurrences {
+		if sc, ok := screenOf[sig]; ok && sc.Subspace != 0 {
+			visits[min(int(depths[sc.ID]*10), 9)] += n
+		}
+	}
+	fmt.Fprintf(w, "depth decile visits:  %v\n", visits)
+	for _, sub := range res.Subspaces {
+		span := make(map[int]int)
+		for m := range sub.Members {
+			gt := -1
+			if sc, ok := screenOf[m]; ok {
+				gt = sc.Subspace
+			}
+			span[gt]++
+		}
+		fmt.Fprintf(w, "subspace %d: entry=%v members=%d (initial %d) owner=%d found=%v span=%v\n",
+			sub.ID, sub.Entry, len(sub.Members), sub.InitialMembers, sub.Owner, sub.FoundAt, span)
 	}
 }

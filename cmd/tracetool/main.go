@@ -203,7 +203,7 @@ func analyse(run *export.Run, opts graph.PartitionOptions) {
 
 	explored := part.ExploredBy(g, logs)
 	fmt.Printf("\noffline UI-subspace partition (%d subspaces, MC-GPP objective %.4f):\n",
-		part.GroupCount(), graph.MaxPairwiseConductance(g, part))
+		part.GroupCount(), graph.PairwiseConductance(g, part.Groups).Max)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  SUBSPACE\tSCREENS\tEXPLORED BY\tDOMINANT ACTIVITY")
 	for gi, grp := range part.Groups {

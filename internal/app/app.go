@@ -123,6 +123,9 @@ func (a *App) Validate() error {
 		if s.ID != ScreenID(i) {
 			return fmt.Errorf("app %s: screen %d has ID %d", a.Name, i, s.ID)
 		}
+		if s.Subspace < 0 || s.Subspace >= a.Subspaces {
+			return fmt.Errorf("app %s: screen %d in functionality %d (have %d)", a.Name, i, s.Subspace, a.Subspaces)
+		}
 		for j, w := range s.Widgets {
 			if w.Target >= 0 && int(w.Target) >= len(a.Screens) {
 				return fmt.Errorf("app %s: screen %d widget %d targets %d (out of range)", a.Name, i, j, w.Target)
@@ -143,6 +146,30 @@ func (a *App) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Functionalities returns the screens of each ground-truth functionality in
+// ID order, indexed by Subspace: index 0 is the hub, and the login screen
+// counts there. Evaluation only, like Subspace itself.
+func (a *App) Functionalities() [][]ScreenID {
+	blocks := make([][]ScreenID, a.Subspaces)
+	for _, s := range a.Screens {
+		blocks[s.Subspace] = append(blocks[s.Subspace], s.ID)
+	}
+	return blocks
+}
+
+// Depths returns each screen's depth in its functionality, indexed by
+// ScreenID: its position in its Functionalities block over the block's
+// length, so a block's first screen is at 0 and none reaches 1.
+func (a *App) Depths() []float64 {
+	depths := make([]float64, len(a.Screens))
+	for _, blk := range a.Functionalities() {
+		for pos, id := range blk {
+			depths[id] = float64(pos) / float64(len(blk))
+		}
+	}
+	return depths
 }
 
 // MethodCount returns the size of the app's method universe.

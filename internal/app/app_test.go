@@ -277,6 +277,46 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := a.Validate(); err == nil {
 		t.Fatal("Validate missed an out-of-range target")
 	}
+	b := Generate(DefaultSpec("Bad", 15))
+	b.Screens[1].Subspace = b.Subspaces
+	if err := b.Validate(); err == nil {
+		t.Fatal("Validate missed an out-of-range functionality")
+	}
+}
+
+// TestFunctionalitiesAndDepths checks the ground-truth reader: every
+// screen sits in exactly one block, in ID order, with the login screen in
+// the hub's; a block's screens step from depth 0 by 1/len and never reach 1.
+func TestFunctionalitiesAndDepths(t *testing.T) {
+	login := DefaultSpec("Walled", 4)
+	login.LoginRequired = true
+	for _, a := range []*App{MotivatingExample(), Generate(DefaultSpec("Open", 3)), Generate(login)} {
+		blocks, depths := a.Functionalities(), a.Depths()
+		if len(blocks) != a.Subspaces || len(depths) != len(a.Screens) {
+			t.Fatalf("%s: %d blocks and %d depths, want %d and %d", a.Name, len(blocks), len(depths), a.Subspaces, len(a.Screens))
+		}
+		seen := 0
+		for k, blk := range blocks {
+			if len(blk) == 0 {
+				t.Fatalf("%s: functionality %d is empty", a.Name, k)
+			}
+			for pos, id := range blk {
+				if a.Screens[id].Subspace != k || pos > 0 && id <= blk[pos-1] {
+					t.Fatalf("%s: block %d = %v is not functionality %d in ID order", a.Name, k, blk, k)
+				}
+				if want := float64(pos) / float64(len(blk)); depths[id] != want {
+					t.Fatalf("%s: screen %d depth %v, want %v", a.Name, id, depths[id], want)
+				}
+			}
+			seen += len(blk)
+		}
+		if seen != len(a.Screens) {
+			t.Fatalf("%s: blocks hold %d screens, app has %d", a.Name, seen, len(a.Screens))
+		}
+		if a.LoginRequired && a.Screens[a.Login].Subspace != 0 {
+			t.Fatalf("%s: login screen outside the hub", a.Name)
+		}
+	}
 }
 
 func TestMotivatingExample(t *testing.T) {

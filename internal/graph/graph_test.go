@@ -185,10 +185,19 @@ func TestOfflinePartitionDeterminism(t *testing.T) {
 func TestMaxPairwiseConductance(t *testing.T) {
 	g, g1, g2 := twoCliques(6, 10, 1)
 	p := Partition{Groups: [][]int{g1, g2}, Assign: make([]int, g.N())}
-	got := MaxPairwiseConductance(g, p)
-	want := g.ConductanceSets(g1, g2)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MaxPairwiseConductance = %v, want %v", got, want)
+	got := PairwiseConductance(g, p.Groups)
+	fwd, back := g.ConductanceSets(g1, g2), g.ConductanceSets(g2, g1)
+	if got.Pairs != 2 {
+		t.Fatalf("pairs = %d, want 2 ordered pairs", got.Pairs)
+	}
+	if want := math.Max(fwd, back); math.Abs(got.Max-want) > 1e-12 {
+		t.Fatalf("max = %v, want %v", got.Max, want)
+	}
+	if want := (fwd + back) / 2; math.Abs(got.Mean-want) > 1e-12 {
+		t.Fatalf("mean = %v, want %v", got.Mean, want)
+	}
+	if empty := PairwiseConductance(g, p.Groups[:1]); empty != (Coupling{}) {
+		t.Fatalf("one group has no pairs, got %+v", empty)
 	}
 }
 

@@ -355,19 +355,34 @@ func (p Partition) ExploredBy(g *Graph, logs []*trace.Log) []map[int]bool {
 	return explored
 }
 
-// MaxPairwiseConductance returns the maximum φ(Gi, Gj) over all ordered pairs
-// of the partition's groups — the MC-GPP objective of Eq. 3.
-func MaxPairwiseConductance(g *Graph, p Partition) float64 {
-	best := 0.0
-	for i := range p.Groups {
-		for j := range p.Groups {
+// Coupling summarises φ(Gi, Gj) over the ordered pairs of distinct groups.
+type Coupling struct {
+	Mean, Max float64
+	Pairs     int
+}
+
+// PairwiseConductance returns the mean and the maximum φ(Gi, Gj) over every
+// ordered pair of distinct groups, summed in group order, and the pair
+// count. Over a partition's groups the maximum is the MC-GPP objective of
+// Eq. 3; over an app's functionalities it measures global sparsity.
+func PairwiseConductance(g *Graph, groups [][]int) Coupling {
+	var c Coupling
+	sum := 0.0
+	for i := range groups {
+		for j := range groups {
 			if i == j {
 				continue
 			}
-			if c := g.ConductanceSets(p.Groups[i], p.Groups[j]); c > best {
-				best = c
+			phi := g.ConductanceSets(groups[i], groups[j])
+			sum += phi
+			if phi > c.Max {
+				c.Max = phi
 			}
+			c.Pairs++
 		}
 	}
-	return best
+	if c.Pairs > 0 {
+		c.Mean = sum / float64(c.Pairs)
+	}
+	return c
 }

@@ -16,6 +16,7 @@ import (
 	"taopt/internal/graph"
 	"taopt/internal/harness/fleet"
 	"taopt/internal/metrics"
+	"taopt/internal/scenario"
 	"taopt/internal/sim"
 )
 
@@ -95,7 +96,7 @@ type CampaignConfig struct {
 	// scenario document. A name present here resolves to its scenario spec
 	// instead of the catalog; cells generate the app from the spec on
 	// demand, exactly like catalog loads.
-	ScenarioApps map[string]ScenarioApp
+	ScenarioApps map[string]scenario.App
 	// Faults, when non-nil and enabled, injects device-farm failures into
 	// every run of the campaign (chaos campaigns); each cell derives its
 	// own deterministic fault plan from its cell seed.
@@ -192,7 +193,7 @@ func (c *Campaign) Cell(appName, tool string, setting Setting) (*CellSummary, er
 		c.stats.CacheHits++
 		return s, nil
 	}
-	aut, err := c.loadApp(key.App)
+	aut, err := c.LoadApp(key.App)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +301,7 @@ func (c *Campaign) Prefetch(tools []string, settings ...Setting) error {
 	loads := make(map[string]func() (*app.App, error))
 	for _, key := range keys {
 		if loads[key.App] == nil {
-			loads[key.App] = sync.OnceValues(func() (*app.App, error) { return c.loadApp(key.App) })
+			loads[key.App] = sync.OnceValues(func() (*app.App, error) { return c.LoadApp(key.App) })
 		}
 	}
 	results, pool := fleet.MapTracked(workers, len(keys), func(i int) (*CellSummary, error) {

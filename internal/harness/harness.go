@@ -7,6 +7,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"taopt/internal/app"
 	"taopt/internal/bus"
@@ -18,6 +19,7 @@ import (
 	"taopt/internal/faults"
 	"taopt/internal/metrics"
 	"taopt/internal/obs"
+	"taopt/internal/scenario"
 	"taopt/internal/sim"
 	"taopt/internal/toller"
 	"taopt/internal/tools"
@@ -58,7 +60,7 @@ func ParseSetting(name string) (Setting, error) {
 			return s, nil
 		}
 	}
-	return 0, fmt.Errorf("harness: unknown setting %q (want baseline, taopt-duration, taopt-resource, activity-partition, single-long, or pats)", name)
+	return 0, fmt.Errorf("harness: unknown setting %q (want one of: %s)", name, strings.Join(scenario.SettingNames(), ", "))
 }
 
 func (s Setting) String() string {

@@ -127,3 +127,20 @@ func TestCellSummaryCarriesScenarioHash(t *testing.T) {
 		t.Fatalf("progress line missing the scenario hash prefix: %q", line)
 	}
 }
+
+// TestSettingNamesMatchStrings pins scenario.SettingNames, the vocabulary
+// scenario documents, the -setting flag and ParseSetting's error share,
+// against Setting.String: every setting exactly once, in declaration order.
+func TestSettingNamesMatchStrings(t *testing.T) {
+	var want []string
+	for s := BaselineParallel; s <= PATSMasterSlave; s++ {
+		want = append(want, s.String())
+	}
+	if got := scenario.SettingNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("scenario.SettingNames() = %v, want %v", got, want)
+	}
+	_, err := ParseSetting("warp")
+	if err == nil || !strings.Contains(err.Error(), strings.Join(want, ", ")) {
+		t.Fatalf("ParseSetting error %v does not list %v", err, want)
+	}
+}

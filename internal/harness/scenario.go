@@ -9,18 +9,11 @@ import (
 	"taopt/internal/tools"
 )
 
-// ScenarioApp is an app defined inline by a campaign scenario document: the
-// fully resolved spec plus the canonical hash of the defining document.
-type ScenarioApp struct {
-	Spec app.Spec
-	Hash string
-}
-
-// loadApp generates one campaign app: an inline scenario app if the
+// LoadApp generates one campaign app: an inline scenario app if the
 // campaign carries one under that name, the catalog app otherwise.
-func (c *Campaign) loadApp(name string) (*app.App, error) {
+func (c *Campaign) LoadApp(name string) (*app.App, error) {
 	if sa, ok := c.cfg.ScenarioApps[name]; ok {
-		return app.Generate(sa.Spec), nil
+		return sa.Generate(), nil
 	}
 	return apps.Load(name)
 }
@@ -49,13 +42,13 @@ func FromScenario(sc *scenario.Campaign) (CampaignConfig, error) {
 		Seed:        sc.Seed,
 	}
 	if len(sc.InlineApps) > 0 {
-		cfg.ScenarioApps = make(map[string]ScenarioApp, len(sc.InlineApps))
+		cfg.ScenarioApps = make(map[string]scenario.App, len(sc.InlineApps))
 		for _, a := range sc.InlineApps {
 			name := a.Spec.Name
 			if _, dup := cfg.ScenarioApps[name]; dup {
 				return CampaignConfig{}, fmt.Errorf("harness: scenario %q defines app %q twice", sc.Name, name)
 			}
-			cfg.ScenarioApps[name] = ScenarioApp{Spec: a.Spec, Hash: a.Hash}
+			cfg.ScenarioApps[name] = a
 			cfg.Apps = append(cfg.Apps, name)
 		}
 	}
@@ -105,7 +98,7 @@ func FromRunScenario(rs *scenario.RunSpec) (RunConfig, error) {
 		Telemetry:     rs.Telemetry,
 	}
 	if rs.App != nil {
-		cfg.App = app.Generate(rs.App.Spec)
+		cfg.App = rs.App.Generate()
 		cfg.ScenarioHash = rs.App.Hash
 	} else {
 		cfg.App = apps.MustLoad(rs.AppName)

@@ -37,7 +37,8 @@ func DefaultChaosGrid() []ChaosVariant {
 // ChaosGrid prints the fault-injection experiment over an explicit variant
 // grid: the campaign re-run under each variant, with coverage, crash and
 // behaviour-preservation deltas against the first variant (the baseline row
-// — by convention fault-free). A disabled variant config reuses the caller's
+// — by convention fault-free). Each variant replaces the caller's fault
+// config; only when both are fault-free does the variant reuse the caller's
 // campaign and its cache.
 func ChaosGrid(w io.Writer, c *harness.Campaign, grid []ChaosVariant) error {
 	if len(grid) == 0 {
@@ -48,8 +49,7 @@ func ChaosGrid(w io.Writer, c *harness.Campaign, grid []ChaosVariant) error {
 	byVariant := make([]cellMap, len(grid))
 	for i, v := range grid {
 		cc := c
-		if v.Config.Enabled() {
-			cfg := c.Config()
+		if cfg := c.Config(); v.Config.Enabled() || cfg.Faults != nil && cfg.Faults.Enabled() {
 			fc := v.Config
 			cfg.Faults = &fc
 			cc = harness.NewCampaign(cfg)

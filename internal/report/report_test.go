@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"taopt/internal/faults"
 	"taopt/internal/harness"
 	"taopt/internal/sim"
 )
@@ -103,6 +104,44 @@ func TestChaosRenderer(t *testing.T) {
 	}
 	if again := render(); again != out {
 		t.Fatalf("chaos table not reproducible:\n--- first\n%s\n--- second\n%s", out, again)
+	}
+}
+
+// TestChaosGridIgnoresCallerFaults renders the chaos grid from a campaign
+// that injects faults of its own: every variant replaces them, so the 0% row
+// reports no faults and the table matches the fault-free caller's byte for
+// byte.
+func TestChaosGridIgnoresCallerFaults(t *testing.T) {
+	render := func(fc *faults.Config) string {
+		c := harness.NewCampaign(harness.CampaignConfig{
+			Apps:     []string{"Filters For Selfie"},
+			Tools:    []string{"monkey"},
+			Duration: 8 * sim.Duration(60e9),
+			Seed:     3,
+			Faults:   fc,
+		})
+		var sb strings.Builder
+		if err := ChaosGrid(&sb, c, DefaultChaosGrid()); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	fc := faults.DefaultConfig(0.3)
+	faulty := render(&fc)
+	rows := 0
+	for _, line := range strings.Split(faulty, "\n") {
+		if f := strings.Fields(line); len(f) > 6 && f[1] == "0%" {
+			rows++
+			if f[6] != "0.0" {
+				t.Errorf("0%% row reports %s faults: %q", f[6], line)
+			}
+		}
+	}
+	if rows != len(taoptModes) {
+		t.Fatalf("found %d 0%% rows, want %d:\n%s", rows, len(taoptModes), faulty)
+	}
+	if clean := render(nil); faulty != clean {
+		t.Fatalf("caller's faults leak into the chaos grid:\n--- faulty caller\n%s\n--- fault-free caller\n%s", faulty, clean)
 	}
 }
 
