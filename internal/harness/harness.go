@@ -82,6 +82,35 @@ func (s Setting) String() string {
 	}
 }
 
+// Label is the setting's column label in Tables 4–6: TaOPT's modes and the
+// baseline they are measured against are abbreviated, the comparison
+// baselines print their name.
+func (s Setting) Label() string {
+	switch s {
+	case BaselineParallel:
+		return "Base"
+	case TaOPTDuration:
+		return "TaOPT(D)"
+	case TaOPTResource:
+		return "TaOPT(R)"
+	default:
+		return s.String()
+	}
+}
+
+// Mode is the coordinator mode of a TaOPT setting; ok is false for the
+// uncoordinated settings.
+func (s Setting) Mode() (mode core.Mode, ok bool) {
+	switch s {
+	case TaOPTDuration:
+		return core.DurationConstrained, true
+	case TaOPTResource:
+		return core.ResourceConstrained, true
+	default:
+		return 0, false
+	}
+}
+
 // Defaults matching the paper's setup (Section 6.1).
 const (
 	DefaultInstances   = 5

@@ -328,22 +328,6 @@ func overlapFooter(tw io.Writer, sums []float64, nt int, nApps float64) {
 	fmt.Fprintln(tw)
 }
 
-func shortSetting(s harness.Setting) string {
-	switch s {
-	case harness.BaselineParallel:
-		return "Base"
-	case harness.TaOPTDuration:
-		return "TaOPT(D)"
-	case harness.TaOPTResource:
-		return "TaOPT(R)"
-	case harness.SingleLong, harness.ActivityPartition, harness.PATSMasterSlave:
-		// The comparison baselines have no abbreviated form.
-		return s.String()
-	default:
-		return s.String()
-	}
-}
-
 // perAppTable renders the layout Tables 4–6 share: a column per setting ×
 // tool (the baseline, then both TaOPT modes), a row per app and the rows
 // footer prints from the column sums. cell formats a value given the app's
@@ -358,7 +342,7 @@ func perAppTable(w io.Writer, c *harness.Campaign, value func(*harness.CellSumma
 	fmt.Fprint(tw, "App Name")
 	for _, s := range compared {
 		for _, tool := range c.Tools() {
-			fmt.Fprintf(tw, "\t%s %s", shortSetting(s), toolLabel(tool))
+			fmt.Fprintf(tw, "\t%s %s", s.Label(), toolLabel(tool))
 		}
 	}
 	fmt.Fprintln(tw)

@@ -15,6 +15,7 @@ import (
 
 	"taopt/internal/corpus"
 	"taopt/internal/export"
+	"taopt/internal/harness"
 	"taopt/internal/obs"
 	"taopt/internal/trace/bin"
 )
@@ -67,6 +68,8 @@ func conformanceCells(short bool) []conformanceCell {
 			conformanceCell{"taopt-resource/chaos", "Marvel Comics", "wctester", TaOPTResource, chaosFaults(0.2), false},
 			conformanceCell{"baseline/chaos", "Sketch", "monkey", Baseline, chaosFaults(0.2), false},
 			conformanceCell{"activity-partition/cmdloss", "Sketch", "ape", ActivityPartition, chaosFaults(0.35), false},
+			conformanceCell{"single-long/fault-free", "Sketch", "monkey", SingleLong, nil, false},
+			conformanceCell{"pats/cmdloss", "Filters For Selfie", "ape", harness.PATSMasterSlave, chaosFaults(0.35), false},
 		)
 	}
 	return cells
