@@ -171,10 +171,8 @@ func main() {
 		cfg.BinTrace = btrace
 	}
 	if *stagMin > 0 {
-		mode := core.DurationConstrained
-		if st == harness.TaOPTResource {
-			mode = core.ResourceConstrained
-		}
+		// Only the TaOPT settings read the coordinator config.
+		mode, _ := st.Mode()
 		cc := core.DefaultConfig(mode)
 		cc.Stagnation = sim.Duration(*stagMin * 60e9)
 		cfg.CoreConfig = &cc

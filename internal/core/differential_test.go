@@ -63,12 +63,12 @@ func candidateSeq(log *trace.Log, book *trace.Book, rescan bool) analysis {
 		a = newRescanAnalyzer(cfg, book)
 	}
 	var out analysis
-	log.Replay(func(ev trace.Event) {
+	for _, ev := range log.Events() {
 		if c, ok := a.Observe(ev); ok {
 			out.Candidates = append(out.Candidates, c)
 			a.ResetInstance(ev.Instance)
 		}
-	})
+	}
 	out.Decisions = cfg.Obs.Decisions()
 	return out
 }

@@ -81,11 +81,11 @@ func Replay(rd io.Reader) (*Run, *obs.Log, error) {
 		summaries: make(map[int]bin.InstanceSummary),
 		decisions: &obs.Log{},
 	}
-	switch h.Setting {
-	case "taopt-duration":
-		e.buildCoordinator(core.DurationConstrained)
-	case "taopt-resource":
-		e.buildCoordinator(core.ResourceConstrained)
+	// A setting the harness does not know replays without a coordinator.
+	if s, err := harness.ParseSetting(h.Setting); err == nil {
+		if mode, ok := s.Mode(); ok {
+			e.buildCoordinator(mode)
+		}
 	}
 	if e.coord != nil {
 		e.coord.Start()

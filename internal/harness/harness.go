@@ -7,7 +7,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"taopt/internal/app"
 	"taopt/internal/bus"
@@ -19,7 +18,6 @@ import (
 	"taopt/internal/faults"
 	"taopt/internal/metrics"
 	"taopt/internal/obs"
-	"taopt/internal/scenario"
 	"taopt/internal/sim"
 	"taopt/internal/toller"
 	"taopt/internal/tools"
@@ -27,89 +25,6 @@ import (
 	"taopt/internal/trace/bin"
 	"taopt/internal/ui"
 )
-
-// Setting selects the parallelization setting of a run (Section 6.1 plus the
-// preliminary-study baselines).
-type Setting int
-
-// Run settings.
-const (
-	// BaselineParallel runs d_max uncoordinated instances for l_p each,
-	// differing only in random seeds (the paper's baseline).
-	BaselineParallel Setting = iota
-	// TaOPTDuration is TaOPT's duration-constrained mode.
-	TaOPTDuration
-	// TaOPTResource is TaOPT's resource-constrained mode.
-	TaOPTResource
-	// ActivityPartition is the ParaAim-style activity-granularity baseline
-	// of RQ2.
-	ActivityPartition
-	// SingleLong runs one instance for the whole machine-time budget
-	// (the RQ4 non-parallel comparison).
-	SingleLong
-	// PATSMasterSlave is the PATS-style master–slave baseline of Wen et
-	// al. [67] (Section 9's other related-work comparison).
-	PATSMasterSlave
-)
-
-// ParseSetting resolves a setting name as printed by Setting.String —
-// the vocabulary scenario campaign files and the -setting flag share.
-func ParseSetting(name string) (Setting, error) {
-	for s := BaselineParallel; s <= PATSMasterSlave; s++ {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("harness: unknown setting %q (want one of: %s)", name, strings.Join(scenario.SettingNames(), ", "))
-}
-
-func (s Setting) String() string {
-	switch s {
-	case BaselineParallel:
-		return "baseline"
-	case TaOPTDuration:
-		return "taopt-duration"
-	case TaOPTResource:
-		return "taopt-resource"
-	case ActivityPartition:
-		return "activity-partition"
-	case SingleLong:
-		return "single-long"
-	case PATSMasterSlave:
-		return "pats"
-	default:
-		return "unknown-setting"
-	}
-}
-
-// Label is the setting's column label in Tables 4–6: TaOPT's modes and the
-// baseline they are measured against are abbreviated, the comparison
-// baselines print their name.
-func (s Setting) Label() string {
-	switch s {
-	case BaselineParallel:
-		return "Base"
-	case TaOPTDuration:
-		return "TaOPT(D)"
-	case TaOPTResource:
-		return "TaOPT(R)"
-	default:
-		return s.String()
-	}
-}
-
-// Mode is the coordinator mode of a TaOPT setting; ok is false for the
-// uncoordinated settings.
-func (s Setting) Mode() (mode core.Mode, ok bool) {
-	switch s {
-	case TaOPTDuration:
-		return core.DurationConstrained, true
-	case TaOPTResource:
-		return core.ResourceConstrained, true
-	default:
-		return 0, false
-	}
-}
 
 // Defaults matching the paper's setup (Section 6.1).
 const (
@@ -265,6 +180,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if _, err := tools.New(cfg.Tool, 0); err != nil {
 		return nil, err
 	}
+	if !cfg.Setting.valid() {
+		return nil, fmt.Errorf("harness: unknown setting %d (want 0..%d)", cfg.Setting, len(settingTable)-1)
+	}
 	if cfg.Replayable && cfg.BinTrace == nil {
 		return nil, fmt.Errorf("harness: RunConfig.Replayable needs a BinTrace to record into")
 	}
@@ -300,6 +218,7 @@ type actor struct {
 
 type runner struct {
 	cfg   RunConfig
+	row   *settingRow
 	sched *sim.Scheduler
 	farm  *device.Farm
 	book  *trace.Book
@@ -340,6 +259,7 @@ type runner struct {
 func newRunner(cfg RunConfig) *runner {
 	r := &runner{
 		cfg:         cfg,
+		row:         &settingTable[cfg.Setting],
 		sched:       sim.NewScheduler(),
 		book:        trace.NewBook(),
 		rng:         sim.NewRNG(cfg.Seed),
@@ -350,22 +270,8 @@ func newRunner(cfg RunConfig) *runner {
 		r.tel = obs.NewTelemetry()
 	}
 
-	maxDevices := cfg.Instances
-	switch cfg.Setting {
-	case BaselineParallel, ActivityPartition, PATSMasterSlave:
-		r.wallDeadline = cfg.Duration
-	case TaOPTDuration:
-		r.wallDeadline = cfg.Duration
-	case TaOPTResource:
-		r.machineBudget = cfg.MachineBudget
-		// Safety cap so a degenerate run cannot spin forever: with at least
-		// one instance active, wall time can never exceed the machine
-		// budget, and idle gaps only ever shorten the run.
-		r.wallDeadline = 2 * cfg.MachineBudget
-	case SingleLong:
-		maxDevices = 1
-		r.wallDeadline = cfg.MachineBudget
-	}
+	wall, machine, maxDevices := r.row.limits(cfg)
+	r.wallDeadline, r.machineBudget = wall, machine
 	switch {
 	case cfg.Replayable:
 		r.bin = bin.NewReplayWriter(cfg.BinTrace, cfg.recordHeader(), bin.ReplayConfig{
@@ -403,7 +309,7 @@ func newRunner(cfg RunConfig) *runner {
 		r.port = r.rec.Outer(r.port)
 	}
 	r.port.Bind(r)
-	r.strategy = newStrategy(r)
+	r.strategy = r.row.strategy(r)
 	r.port.Subscribe(func(ev trace.Event) {
 		if !r.ended {
 			r.strategy.onEvent(ev)

@@ -38,7 +38,7 @@ type pats struct {
 
 const patsDispatchEvery = 40
 
-func newPATS(r *runner) *pats {
+func newPATS(r *runner) strategy {
 	return &pats{
 		r:        r,
 		master:   -1,

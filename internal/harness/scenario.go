@@ -112,7 +112,7 @@ func FromRunScenario(rs *scenario.RunSpec) (RunConfig, error) {
 }
 
 // ScenarioSettings parses a campaign scenario's setting names into harness
-// settings (the two vocabularies are pinned against each other by test).
+// settings.
 func ScenarioSettings(sc *scenario.Campaign) ([]Setting, error) {
 	out := make([]Setting, 0, len(sc.Settings))
 	for _, name := range sc.Settings {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"taopt/internal/app"
@@ -69,5 +70,16 @@ func TestSettingTable(t *testing.T) {
 	}
 	if last := rows[len(rows)-1].setting; Setting(int(last)+1).String() != "unknown-setting" {
 		t.Errorf("setting %d past the table has a name", last+1)
+	}
+}
+
+// TestRunRejectsUnknownSetting: a Setting outside the table is an error
+// from Run, like an unknown tool, not a panic mid-setup.
+func TestRunRejectsUnknownSetting(t *testing.T) {
+	for _, s := range []Setting{-1, PATSMasterSlave + 1, 42} {
+		_, err := Run(RunConfig{App: app.MotivatingExample(), Tool: "monkey", Setting: s})
+		if err == nil || !strings.Contains(err.Error(), "unknown setting") {
+			t.Errorf("Run(Setting(%d)) error = %v, want an unknown-setting error", s, err)
+		}
 	}
 }

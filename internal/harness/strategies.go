@@ -23,35 +23,17 @@ type strategy interface {
 	tick(now sim.Duration)
 }
 
-func newStrategy(r *runner) strategy {
-	switch r.cfg.Setting {
-	case BaselineParallel:
-		return &uncoordinated{r: r, n: r.cfg.Instances}
-	case SingleLong:
-		return &uncoordinated{r: r, n: 1}
-	case ActivityPartition:
-		return &activityPartition{r: r}
-	case PATSMasterSlave:
-		return newPATS(r)
-	case TaOPTDuration:
-		return newTaOPT(r, core.DurationConstrained)
-	case TaOPTResource:
-		return newTaOPT(r, core.ResourceConstrained)
-	default:
-		panic("harness: unknown setting")
-	}
-}
-
-// uncoordinated launches n instances and never intervenes: parallelization
-// by intrinsic randomness only (RQ1's baseline, and the 5-hour single run
-// with n = 1).
+// uncoordinated launches one instance per farm device and never
+// intervenes: parallelization by intrinsic randomness only (RQ1's baseline,
+// and the 5-hour single run on a one-device farm).
 type uncoordinated struct {
 	r *runner
-	n int
 }
 
+func newUncoordinated(r *runner) strategy { return &uncoordinated{r: r} }
+
 func (s *uncoordinated) start() {
-	for i := 0; i < s.n; i++ {
+	for i := 0; i < s.r.farm.MaxDevices(); i++ {
 		s.r.Allocate()
 	}
 }
@@ -68,6 +50,8 @@ func (s *uncoordinated) tick(sim.Duration) {}
 type activityPartition struct {
 	r *runner
 }
+
+func newActivityPartition(r *runner) strategy { return &activityPartition{r: r} }
 
 func (s *activityPartition) start() {
 	r := s.r
@@ -106,11 +90,11 @@ type taopt struct {
 	coord *core.Coordinator
 }
 
-func newTaOPT(r *runner, mode core.Mode) *taopt {
-	cfg := core.DefaultConfig(mode)
+func newTaOPT(r *runner) strategy {
+	cfg := core.DefaultConfig(r.row.mode)
 	if r.cfg.CoreConfig != nil {
 		cfg = *r.cfg.CoreConfig
-		cfg.Mode = mode
+		cfg.Mode = r.row.mode
 	}
 	// Nil when telemetry is off: the coordinator's decision-log emits are
 	// nil-safe no-ops.

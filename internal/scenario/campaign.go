@@ -52,10 +52,9 @@ type campaignJSON struct {
 }
 
 // SettingNames lists the parallelization settings a campaign document may
-// name, matching harness.Setting.String. The list lives here (not imported
-// from the harness) because scenario sits below the harness in the layer
-// order; the harness's FromScenario parses the names back and a test pins
-// the two lists against each other.
+// name, in harness.Setting order. The list lives here because scenario sits
+// below the harness in the layer order; the harness names its settings from
+// it (harness.Setting.String, harness.ParseSetting).
 func SettingNames() []string {
 	return []string{"baseline", "taopt-duration", "taopt-resource", "activity-partition", "single-long", "pats"}
 }

@@ -60,58 +60,44 @@ func compileFaultBody(name string, body map[string]json.RawMessage, path string)
 	var j faultSpecJSON
 	issues := decodeFields(path, body, &j)
 
-	checkRate := func(field string, v *float64) {
-		if v != nil && (*v < 0 || *v > 1) {
-			issues = append(issues, Issue{path + "." + field, fmt.Sprintf("must be in [0, 1], got %g", *v)})
-		}
-	}
-	checkSec := func(field string, v *float64) {
-		if v != nil && *v < 0 {
-			issues = append(issues, Issue{path + "." + field, fmt.Sprintf("must be >= 0 seconds, got %g", *v)})
-		}
-	}
-	checkRate("failureRate", j.FailureRate)
-	checkRate("hangFraction", j.HangFraction)
-	checkSec("minLifeSec", j.MinLifeSec)
-	checkSec("maxLifeSec", j.MaxLifeSec)
-	checkRate("allocFailRate", j.AllocFailRate)
-	checkSec("allocOutageSec", j.AllocOutageSec)
-	checkRate("traceDropRate", j.TraceDropRate)
-	checkRate("traceDelayRate", j.TraceDelayRate)
-	checkSec("traceDelayMaxSec", j.TraceDelayMaxSec)
-	checkRate("cmdLossRate", j.CmdLossRate)
-
 	rate := 0.0
 	if j.FailureRate != nil {
 		rate = *j.FailureRate
 	}
 	cfg := faults.DefaultConfig(rate)
-	if j.HangFraction != nil {
-		cfg.HangFraction = *j.HangFraction
-	}
-	if j.MinLifeSec != nil {
-		cfg.MinLife = seconds(*j.MinLifeSec)
-	}
-	if j.MaxLifeSec != nil {
-		cfg.MaxLife = seconds(*j.MaxLifeSec)
-	}
-	if j.AllocFailRate != nil {
-		cfg.AllocFailRate = *j.AllocFailRate
-	}
-	if j.AllocOutageSec != nil {
-		cfg.AllocOutage = seconds(*j.AllocOutageSec)
-	}
-	if j.TraceDropRate != nil {
-		cfg.TraceDropRate = *j.TraceDropRate
-	}
-	if j.TraceDelayRate != nil {
-		cfg.TraceDelayRate = *j.TraceDelayRate
-	}
-	if j.TraceDelayMaxSec != nil {
-		cfg.TraceDelayMax = seconds(*j.TraceDelayMaxSec)
-	}
-	if j.CmdLossRate != nil {
-		cfg.CmdLossRate = *j.CmdLossRate
+	// One row per knob, in field order: a rate lands in a [0, 1] field, a
+	// seconds count in a sim.Duration one. Out-of-range values land too, so
+	// the min/max check below sees what the document said.
+	for _, k := range []struct {
+		tag  string
+		v    *float64
+		rate *float64
+		sec  *sim.Duration
+	}{
+		{"failureRate", j.FailureRate, &cfg.FailureRate, nil},
+		{"hangFraction", j.HangFraction, &cfg.HangFraction, nil},
+		{"minLifeSec", j.MinLifeSec, nil, &cfg.MinLife},
+		{"maxLifeSec", j.MaxLifeSec, nil, &cfg.MaxLife},
+		{"allocFailRate", j.AllocFailRate, &cfg.AllocFailRate, nil},
+		{"allocOutageSec", j.AllocOutageSec, nil, &cfg.AllocOutage},
+		{"traceDropRate", j.TraceDropRate, &cfg.TraceDropRate, nil},
+		{"traceDelayRate", j.TraceDelayRate, &cfg.TraceDelayRate, nil},
+		{"traceDelayMaxSec", j.TraceDelayMaxSec, nil, &cfg.TraceDelayMax},
+		{"cmdLossRate", j.CmdLossRate, &cfg.CmdLossRate, nil},
+	} {
+		switch {
+		case k.v == nil: // absent: the default stands
+		case k.sec != nil:
+			if *k.v < 0 {
+				issues = append(issues, Issue{path + "." + k.tag, fmt.Sprintf("must be >= 0 seconds, got %g", *k.v)})
+			}
+			*k.sec = seconds(*k.v)
+		default:
+			if *k.v < 0 || *k.v > 1 {
+				issues = append(issues, Issue{path + "." + k.tag, fmt.Sprintf("must be in [0, 1], got %g", *k.v)})
+			}
+			*k.rate = *k.v
+		}
 	}
 	if cfg.MinLife > cfg.MaxLife {
 		issues = append(issues, Issue{path + ".minLifeSec", fmt.Sprintf("minLifeSec (%v) exceeds maxLifeSec (%v)", cfg.MinLife, cfg.MaxLife)})

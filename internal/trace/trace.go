@@ -79,15 +79,6 @@ func (l *Log) Events() []Event { return l.events }
 // Len returns the number of events.
 func (l *Log) Len() int { return len(l.events) }
 
-// Replay invokes fn for every recorded event in order. It is how offline
-// consumers (the differential analysis suite, the benchmark harness) feed a
-// captured trace back through an analyzer without copying the log.
-func (l *Log) Replay(fn func(Event)) {
-	for _, e := range l.events {
-		fn(e)
-	}
-}
-
 // Book is a registry of canonical concrete screens per abstract signature.
 // Retaining one exemplar hierarchy per signature lets the analyzer compute
 // tree similarities (CountIn) without storing every rendered screen.

@@ -3,7 +3,6 @@ package trace
 import (
 	"testing"
 
-	"taopt/internal/sim"
 	"taopt/internal/ui"
 )
 
@@ -96,23 +95,4 @@ func TestBookRendersOnlyOnFirstSight(t *testing.T) {
 	if got := b.Signatures(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("Signatures = %v, want first-seen order [1 2]", got)
 	}
-}
-
-func TestLogReplay(t *testing.T) {
-	var l Log
-	for i := 1; i <= 4; i++ {
-		l.Append(Event{At: sim.Duration(i), To: ui.Signature(i)})
-	}
-	var got []ui.Signature
-	l.Replay(func(e Event) { got = append(got, e.To) })
-	if len(got) != 4 {
-		t.Fatalf("Replay visited %d events", len(got))
-	}
-	for i, sig := range got {
-		if sig != ui.Signature(i+1) {
-			t.Fatalf("Replay out of order: %v", got)
-		}
-	}
-	var empty Log
-	empty.Replay(func(Event) { t.Fatal("empty log must not invoke fn") })
 }
