@@ -171,11 +171,11 @@ func main() {
 		cfg.BinTrace = btrace
 	}
 	if *stagMin > 0 {
-		// Only the TaOPT settings read the coordinator config.
-		mode, _ := st.Mode()
-		cc := core.DefaultConfig(mode)
-		cc.Stagnation = sim.Duration(*stagMin * 60e9)
-		cfg.CoreConfig = &cc
+		cc, err := stagnationConfig(st, *stagMin)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		cfg.CoreConfig = cc
 	}
 	res, err := harness.Run(cfg)
 	if err != nil {
@@ -201,6 +201,21 @@ func main() {
 }
 
 var fatalf = cli.Fatalf("taopt")
+
+// stagnationConfig is the coordinator config the -stagnation override
+// passes to a run: the setting's mode defaults with a stagnation window of
+// minutes. Only the TaOPT settings run a coordinator, so any other setting
+// is a usage error rather than an override that silently does nothing.
+func stagnationConfig(st harness.Setting, minutes float64) (*core.Config, error) {
+	mode, ok := st.Mode()
+	if !ok {
+		return nil, fmt.Errorf("-stagnation applies only to the TaOPT settings (%s, %s); -setting %s runs no coordinator",
+			harness.TaOPTDuration, harness.TaOPTResource, st)
+	}
+	cc := core.DefaultConfig(mode)
+	cc.Stagnation = sim.Duration(minutes * 60e9)
+	return &cc, nil
+}
 
 // printSummary writes the run's headline block. The scenario hash line
 // repeats export v5's scenario_hash (and the service cache key's app

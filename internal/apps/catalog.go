@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"taopt/internal/app"
 	"taopt/internal/scenario"
@@ -94,14 +95,60 @@ func Hash(name string) string {
 	return ""
 }
 
-// Load generates the named evaluation app. Generation is deterministic, so
-// repeated loads return structurally identical apps.
+// Load generates the named evaluation app, a fresh copy the caller owns
+// (Share hands out one copy to overlapping holders instead). Generation is
+// deterministic, so repeated loads return structurally identical apps.
 func Load(name string) (*app.App, error) {
 	e, err := Lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	return app.Generate(e.Spec), nil
+}
+
+// shared is the share-while-in-use registry behind Share: one entry per
+// catalog app that at least one holder has not released yet.
+var shared = struct {
+	sync.Mutex
+	m map[string]*sharedApp
+}{m: make(map[string]*sharedApp)}
+
+type sharedApp struct {
+	once  sync.Once
+	app   *app.App
+	users int
+}
+
+// Share returns the named evaluation app shared with every other holder
+// whose share overlaps this one, and the func that releases the share. The
+// first holder generates the app (outside the registry lock, so different
+// apps generate in parallel); the last release drops it, so no app outlives
+// its holders and a later Share generates it afresh. Holders must only read
+// the app. Releasing twice is a no-op. An unknown name registers nothing.
+func Share(name string) (*app.App, func(), error) {
+	e, err := Lookup(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	shared.Lock()
+	s := shared.m[name]
+	if s == nil {
+		s = &sharedApp{}
+		shared.m[name] = s
+	}
+	s.users++
+	shared.Unlock()
+	s.once.Do(func() { s.app = app.Generate(e.Spec) })
+	var released sync.Once
+	return s.app, func() {
+		released.Do(func() {
+			shared.Lock()
+			defer shared.Unlock()
+			if s.users--; s.users == 0 {
+				delete(shared.m, name)
+			}
+		})
+	}, nil
 }
 
 // MustLoad is Load for static names.

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"taopt/internal/app"
@@ -157,6 +158,103 @@ func TestFleetSharedAppRace(t *testing.T) {
 	}
 	if st := par.FleetStats(); st.CellsComputed != 6 || st.CacheHits != 6 {
 		t.Fatalf("parallel campaign: CellsComputed = %d, CacheHits = %d, want 6 and 6", st.CellsComputed, st.CacheHits)
+	}
+}
+
+// TestFleetCrossCampaignSharedApp runs single-cell campaigns of one app on
+// two goroutines, the way the benchmark's grid decomposes a pass, so their
+// runs overlap on the app apps.Share hands out. Each summary must equal the
+// serial campaign's, and the shared app must still equal a freshly generated
+// one afterwards: runs only read the app, so sharing it across campaigns
+// cannot change a result.
+func TestFleetCrossCampaignSharedApp(t *testing.T) {
+	const name = "Filters For Selfie"
+	settings := []Setting{BaselineParallel, TaOPTDuration}
+	serial := NewCampaign(tinyConfig())
+	var keys []CellKey
+	for _, tool := range []string{"monkey", "ape", "wctester"} {
+		for _, setting := range settings {
+			keys = append(keys, CellKey{App: name, Tool: tool, Setting: setting})
+		}
+	}
+
+	held, release, err := apps.Share(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	got := make([]*CellSummary, len(keys))
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(keys); i += 2 {
+				cfg := tinyConfig()
+				cfg.Tools = []string{keys[i].Tool}
+				c := NewCampaign(cfg)
+				if err := c.Prefetch(nil, keys[i].Setting); err != nil {
+					t.Error(err)
+					return
+				}
+				s, err := c.Cell(name, keys[i].Tool, keys[i].Setting)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = s
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, key := range keys {
+		want := mustCellT(t, serial, name, key.Tool, key.Setting)
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("cell %s: cross-campaign summary differs from the serial one:\n%+v\nvs\n%+v", key, got[i], want)
+		}
+	}
+	if !reflect.DeepEqual(held, mustLoad(t, name)) {
+		t.Fatal("the shared app changed while campaigns ran on it")
+	}
+}
+
+// TestCampaignReleasesAppShares checks that a campaign gives back its app
+// share whether its cells succeed or fail: once the test drops its own share
+// too, a new Share must generate the app afresh rather than hand back the
+// one a leaked share kept registered.
+func TestCampaignReleasesAppShares(t *testing.T) {
+	const name = "Filters For Selfie"
+	cfg := tinyConfig()
+	cfg.Tools = []string{"monkey", "no-such-tool"}
+	cfg.Workers = 2
+	for _, tc := range []struct {
+		what    string
+		run     func(c *Campaign) error
+		wantErr bool
+	}{
+		{"failing Prefetch", func(c *Campaign) error { return c.Prefetch(nil, BaselineParallel) }, true},
+		{"failing Cell", func(c *Campaign) error { _, err := c.Cell(name, "no-such-tool", BaselineParallel); return err }, true},
+		{"Cell", func(c *Campaign) error { _, err := c.Cell(name, "monkey", BaselineParallel); return err }, false},
+	} {
+		held, release, err := apps.Share(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.run(NewCampaign(cfg)); (err != nil) != tc.wantErr {
+			t.Fatalf("%s: error %v, want error: %v", tc.what, err, tc.wantErr)
+		}
+		release()
+		again, release, err := apps.Share(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		if again == held {
+			t.Fatalf("%s kept its share of the app", tc.what)
+		}
 	}
 }
 

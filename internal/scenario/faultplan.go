@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"taopt/internal/faults"
 	"taopt/internal/sim"
@@ -59,6 +60,11 @@ func compileFaultPlanV1(doc *Document) (*FaultPlan, []Issue) {
 func compileFaultBody(name string, body map[string]json.RawMessage, path string) (*FaultPlan, []Issue) {
 	var j faultSpecJSON
 	issues := decodeFields(path, body, &j)
+	// A mistyped knob decodes as 0 beside its issue, so the min/max check
+	// below skips it rather than compare a value the document never stated.
+	lifeMistyped := slices.ContainsFunc(issues, func(is Issue) bool {
+		return is.Path == path+".minLifeSec" || is.Path == path+".maxLifeSec"
+	})
 
 	rate := 0.0
 	if j.FailureRate != nil {
@@ -99,7 +105,7 @@ func compileFaultBody(name string, body map[string]json.RawMessage, path string)
 			*k.rate = *k.v
 		}
 	}
-	if cfg.MinLife > cfg.MaxLife {
+	if cfg.MinLife > cfg.MaxLife && !lifeMistyped {
 		issues = append(issues, Issue{path + ".minLifeSec", fmt.Sprintf("minLifeSec (%v) exceeds maxLifeSec (%v)", cfg.MinLife, cfg.MaxLife)})
 	}
 
