@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -76,6 +78,66 @@ func TestFromRunScenarioRejectsUnknowns(t *testing.T) {
 		"app": "Zedge", "tool": "hypermonkey", "setting": "baseline"}}`)
 	if _, err := FromRunScenario(rs); err == nil {
 		t.Fatal("unknown tool accepted")
+	}
+}
+
+// ShareRunScenario lowers like FromRunScenario, but overlapping lowerings of
+// one catalog app hand out one shared app, and the last release drops it. An
+// inline app is generated per lowering, with a no-op release.
+func TestShareRunScenario(t *testing.T) {
+	const doc = `{"kind": "run", "name": "cell", "run": {
+		"app": "Marvel Comics", "tool": "monkey", "setting": "taopt-duration",
+		"durationMin": 8, "seed": %d, "faults": {"failureRate": 0.2}}}`
+	a, releaseA, err := ShareRunScenario(mustCompileRunT(t, fmt.Sprintf(doc, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, releaseB, err := ShareRunScenario(mustCompileRunT(t, fmt.Sprintf(doc, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.App != b.App {
+		t.Fatal("overlapping lowerings of one catalog app hold different apps")
+	}
+	owned, err := FromRunScenario(mustCompileRunT(t, fmt.Sprintf(doc, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, owned) {
+		t.Fatalf("shared lowering differs from FromRunScenario:\n%+v\nvs\n%+v", a, owned)
+	}
+	releaseA()
+	releaseB()
+	c, releaseC, err := ShareRunScenario(mustCompileRunT(t, fmt.Sprintf(doc, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	releaseC()
+	if c.App == a.App {
+		t.Fatal("a lowering after the last release got the dropped app")
+	}
+
+	inline := mustCompileRunT(t, `{"kind": "run", "name": "inline", "run": {
+		"inlineApp": {"name": "Tiny", "app": {"subspaces": 4}},
+		"tool": "monkey", "setting": "baseline"}}`)
+	x, releaseX, err := ShareRunScenario(inline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, releaseY, err := ShareRunScenario(inline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	releaseX()
+	releaseY()
+	if x.App == y.App || x.ScenarioHash != inline.App.Hash {
+		t.Fatalf("inline lowerings: shared app %v, hash %s; want separate apps and hash %s",
+			x.App == y.App, x.ScenarioHash, inline.App.Hash)
+	}
+
+	if _, _, err := ShareRunScenario(mustCompileRunT(t, `{"kind": "run", "name": "x", "run": {
+		"app": "NopeApp", "tool": "monkey", "setting": "baseline"}}`)); err == nil {
+		t.Fatal("unknown catalog app accepted")
 	}
 }
 

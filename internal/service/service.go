@@ -135,13 +135,16 @@ func New(cfg Config) (*Service, error) {
 }
 
 // computeCell is the real execution backend: one deterministic harness run,
-// reduced to the byte payloads the API serves. The binary trace is always
-// captured; the telemetry digest only when the document asked for it.
+// reduced to the byte payloads the API serves. Computes of one catalog app
+// that overlap on the worker pool run on one shared copy of it
+// (harness.ShareRunScenario). The binary trace is always captured; the
+// telemetry digest only when the document asked for it.
 func computeCell(rs *scenario.RunSpec) (Cell, error) {
-	cfg, err := harness.FromRunScenario(rs)
+	cfg, release, err := harness.ShareRunScenario(rs)
 	if err != nil {
 		return Cell{}, err
 	}
+	defer release()
 	var trace bytes.Buffer
 	cfg.BinTrace = &trace
 	res, err := harness.Run(cfg)

@@ -136,6 +136,83 @@ func TestServiceCacheEquivalenceOracle(t *testing.T) {
 	}
 }
 
+// TestServiceSharedAppComputes sweeps seeds over one catalog app on two
+// workers while the test holds a share of it, so every compute runs on that
+// one app: each served export must still equal the offline compute of its
+// own document, and no compute may keep its share once it is done.
+func TestServiceSharedAppComputes(t *testing.T) {
+	const name = "Filters For Selfie"
+	const doc = `{"kind": "run", "name": "sweep %d", "run": {
+		"app": "Filters For Selfie", "tool": "monkey", "setting": "taopt-duration",
+		"durationMin": 2, "seed": %d}}`
+	held, release, err := apps.Share(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	svc, err := service.New(service.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	recs := make([]service.RunRecord, 4)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec, err := svc.Submit([]byte(fmt.Sprintf(doc, i, i)))
+			if err == nil {
+				recs[i], err = svc.WaitRun(rec.ID)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, rec := range recs {
+		cell, err := svc.Cell(rec.ID)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		rs, err := scenario.CompileRun([]byte(fmt.Sprintf(doc, i, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := harness.FromRunScenario(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := harness.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var offline bytes.Buffer
+		if err := export.FromResult(res).Write(&offline); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cell.Export, offline.Bytes()) {
+			t.Fatalf("seed %d: served export diverges from the offline compute", i)
+		}
+	}
+	if st := svc.Stats(); st.Computed != len(recs) {
+		t.Fatalf("stats = %+v, want %d computes", st, len(recs))
+	}
+	release()
+	again, releaseAgain, err := apps.Share(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	releaseAgain()
+	if again == held {
+		t.Fatal("a finished compute kept its share of the app")
+	}
+}
+
 // N concurrent identical submits compute exactly one cell. Run under -race
 // this is also the service's data-race certificate.
 func TestServiceSingleFlight(t *testing.T) {
