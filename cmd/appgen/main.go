@@ -122,12 +122,8 @@ func compileCmd(path string) {
 			len(cc.Apps), len(cc.InlineApps), len(cc.Tools), len(cc.Settings), len(cc.FaultGrid))
 	case c.Run != nil:
 		rs := c.Run
-		appLabel := rs.AppName
-		if rs.App != nil {
-			appLabel = rs.App.Spec.Name + " (inline)"
-		}
 		fmt.Printf("run:    %s × %s × %s, seed %d, faults %v\n",
-			appLabel, rs.Tool, rs.Setting, rs.Seed, rs.Faults != nil)
+			rs.AppName, rs.Tool, rs.Setting, rs.Seed, rs.Faults != nil)
 		fmt.Printf("key:    %s\n", rs.ConfigHash)
 	}
 }

@@ -51,15 +51,17 @@ func ablateExperiment(w io.Writer, c *harness.Campaign) error {
 	}
 	fmt.Fprintf(w, "\nAblations (TaOPT duration-constrained, monkey, %d apps)\n", len(c.Apps()))
 	fmt.Fprintf(w, "%-30s%12s%12s%12s\n", "variant", "coverage", "Δ vs def.", "subspaces")
-	var defCov float64
-	for _, v := range variants {
-		var cov float64
-		subs := 0
-		for _, appName := range c.Apps() {
-			aut, err := c.LoadApp(appName)
-			if err != nil {
-				return err
-			}
+	// Apps outer, variants inner: each app is generated once and held only
+	// for its own runs; every variant still sums its apps in the same order.
+	cov := make([]float64, len(variants))
+	subs := make([]int, len(variants))
+	for _, appName := range c.Apps() {
+		sa, err := c.App(appName)
+		if err != nil {
+			return err
+		}
+		aut := sa.Generate()
+		for i, v := range variants {
 			rc := harness.RunConfig{
 				App:       aut,
 				Tool:      "monkey",
@@ -77,17 +79,16 @@ func ablateExperiment(w io.Writer, c *harness.Campaign) error {
 			if err != nil {
 				return err
 			}
-			cov += float64(res.Union.Count())
-			subs += len(res.Subspaces)
+			cov[i] += float64(res.Union.Count())
+			subs[i] += len(res.Subspaces)
 		}
-		if v.mutate == nil {
-			defCov = cov
-		}
+	}
+	for i, v := range variants {
 		delta := "-"
-		if v.mutate != nil && defCov > 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(cov-defCov)/defCov)
+		if v.mutate != nil && cov[0] > 0 {
+			delta = fmt.Sprintf("%+.1f%%", 100*(cov[i]-cov[0])/cov[0])
 		}
-		fmt.Fprintf(w, "%-30s%12.0f%12s%12d\n", v.name, cov/float64(len(c.Apps())), delta, subs)
+		fmt.Fprintf(w, "%-30s%12.0f%12s%12d\n", v.name, cov[i]/float64(len(c.Apps())), delta, subs[i])
 	}
 	return nil
 }

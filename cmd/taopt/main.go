@@ -92,8 +92,11 @@ func main() {
 		return
 	}
 
+	// A scenario file and a catalog name both resolve to a scenario app;
+	// only the hand-built demo has no document hash.
 	var (
 		aut      *app.App
+		sa       *scenario.App
 		scenHash string
 	)
 	switch {
@@ -102,21 +105,21 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		sa, err := scenario.CompileApp(raw)
-		if err != nil {
+		if sa, err = scenario.CompileApp(raw); err != nil {
 			fatalf("%s: %v", *scenFile, err)
 		}
-		aut = sa.Generate()
-		scenHash = sa.Hash
 	case *appName == "demo":
 		aut = app.MotivatingExample()
 	default:
-		var err error
-		aut, err = apps.Load(*appName)
+		e, err := apps.Lookup(*appName)
 		if err != nil {
 			fatalf("%v (use -list to see available apps)", err)
 		}
-		scenHash = apps.Hash(*appName)
+		sa = &e
+	}
+	if sa != nil {
+		aut = sa.Generate()
+		scenHash = sa.Hash
 	}
 
 	st, err := harness.ParseSetting(*setting)

@@ -7,8 +7,18 @@ import (
 	"taopt/internal/app"
 	"taopt/internal/apps"
 	"taopt/internal/harness"
+	"taopt/internal/scenario"
 	"taopt/internal/sim"
 )
+
+func mustLookup(t *testing.T, name string) scenario.App {
+	t.Helper()
+	e, err := apps.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 // The stdout summary must surface the scenario hash export v5 stamps, so a
 // terminal run correlates with exported results and taoptd cache keys.
@@ -20,7 +30,7 @@ func TestSummarySurfacesScenarioHash(t *testing.T) {
 		Setting:      harness.TaOPTDuration,
 		Duration:     6 * sim.Duration(60e9),
 		Seed:         2,
-		ScenarioHash: apps.Hash("Filters For Selfie"),
+		ScenarioHash: mustLookup(t, "Filters For Selfie").Hash,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +42,7 @@ func TestSummarySurfacesScenarioHash(t *testing.T) {
 		"app:            Filters For Selfie",
 		"tool:           monkey",
 		"setting:        taopt-duration",
-		"scenario hash:  " + apps.Hash("Filters For Selfie"),
+		"scenario hash:  " + mustLookup(t, "Filters For Selfie").Hash,
 		"unique crashes:",
 	} {
 		if !strings.Contains(out, want) {

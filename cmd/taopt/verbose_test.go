@@ -29,7 +29,7 @@ func TestVerboseGolden(t *testing.T) {
 		Instances:    harness.DefaultInstances,
 		Duration:     8 * sim.Duration(60e9),
 		Seed:         3,
-		ScenarioHash: apps.Hash("Filters For Selfie"),
+		ScenarioHash: mustLookup(t, "Filters For Selfie").Hash,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@
 // The entries live as embedded scenario documents under scenarios/ — one
 // versioned JSON file per app, compiled at init through internal/scenario.
 // A differential test pins the compiled catalog byte-identical to the
-// hard-coded table the files were generated from, and each entry carries its
+// hard-coded table the files were generated from, and each app carries its
 // document's canonical hash, which the harness stamps into run exports.
 package apps
 
@@ -26,17 +26,9 @@ import (
 //go:embed scenarios/*.json
 var scenarioFS embed.FS
 
-// Entry describes one evaluation app.
-type Entry struct {
-	// Spec is the entry's generator spec; Spec.LoginRequired is Table 3's
-	// login asterisk.
-	Spec app.Spec
-	// Hash is the canonical content hash of the entry's scenario document.
-	Hash string
-}
-
-// catalog holds the compiled entries in embedded-file (alphabetical) order.
-var catalog []Entry
+// catalog holds the compiled apps in embedded-file (alphabetical) order;
+// each Spec.LoginRequired is Table 3's login asterisk.
+var catalog []scenario.App
 
 func init() {
 	files, err := scenarioFS.ReadDir("scenarios")
@@ -53,7 +45,7 @@ func init() {
 		if err != nil {
 			panic(fmt.Sprintf("apps: compiling %s: %v", f.Name(), err))
 		}
-		catalog = append(catalog, Entry{Spec: a.Spec, Hash: a.Hash})
+		catalog = append(catalog, *a)
 	}
 }
 
@@ -68,31 +60,21 @@ func Names() []string {
 }
 
 // Entries returns the catalog in alphabetical order.
-func Entries() []Entry {
-	out := append([]Entry(nil), catalog...)
+func Entries() []scenario.App {
+	out := append([]scenario.App(nil), catalog...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
 	return out
 }
 
-// Lookup returns the named catalog entry without generating the app.
-func Lookup(name string) (Entry, error) {
+// Lookup returns the named catalog app's spec and document hash without
+// generating the app.
+func Lookup(name string) (scenario.App, error) {
 	for _, e := range catalog {
 		if e.Spec.Name == name {
 			return e, nil
 		}
 	}
-	return Entry{}, fmt.Errorf("apps: unknown app %q (available: %s)", name, strings.Join(Names(), ", "))
-}
-
-// Hash returns the canonical scenario hash of the named catalog app ("" for
-// an unknown name).
-func Hash(name string) string {
-	for _, e := range catalog {
-		if e.Spec.Name == name {
-			return e.Hash
-		}
-	}
-	return ""
+	return scenario.App{}, fmt.Errorf("apps: unknown app %q (available: %s)", name, strings.Join(Names(), ", "))
 }
 
 // Load generates the named evaluation app, a fresh copy the caller owns
@@ -107,11 +89,11 @@ func Load(name string) (*app.App, error) {
 }
 
 // shared is the share-while-in-use registry behind Share: one entry per
-// catalog app that at least one holder has not released yet.
+// spec that at least one holder has not released yet.
 var shared = struct {
 	sync.Mutex
-	m map[string]*sharedApp
-}{m: make(map[string]*sharedApp)}
+	m map[app.Spec]*sharedApp
+}{m: make(map[app.Spec]*sharedApp)}
 
 type sharedApp struct {
 	once  sync.Once
@@ -119,36 +101,34 @@ type sharedApp struct {
 	users int
 }
 
-// Share returns the named evaluation app shared with every other holder
-// whose share overlaps this one, and the func that releases the share. The
-// first holder generates the app (outside the registry lock, so different
-// apps generate in parallel); the last release drops it, so no app outlives
-// its holders and a later Share generates it afresh. Holders must only read
-// the app. Releasing twice is a no-op. An unknown name registers nothing.
-func Share(name string) (*app.App, func(), error) {
-	e, err := Lookup(name)
-	if err != nil {
-		return nil, nil, err
-	}
+// Share returns the app generated from spec, shared with every other holder
+// whose share of an equal spec overlaps this one, and the func that releases
+// the share. Specs compare by value, so a catalog app and an inline app with
+// every field equal are one app, and two specs that share a name but differ
+// in any knob are two. The first holder generates the app (outside the
+// registry lock, so different apps generate in parallel); the last release
+// drops it, so no app outlives its holders and a later Share generates it
+// afresh. Holders must only read the app. Releasing twice is a no-op.
+func Share(spec app.Spec) (*app.App, func()) {
 	shared.Lock()
-	s := shared.m[name]
+	s := shared.m[spec]
 	if s == nil {
 		s = &sharedApp{}
-		shared.m[name] = s
+		shared.m[spec] = s
 	}
 	s.users++
 	shared.Unlock()
-	s.once.Do(func() { s.app = app.Generate(e.Spec) })
+	s.once.Do(func() { s.app = app.Generate(spec) })
 	var released sync.Once
 	return s.app, func() {
 		released.Do(func() {
 			shared.Lock()
 			defer shared.Unlock()
 			if s.users--; s.users == 0 {
-				delete(shared.m, name)
+				delete(shared.m, spec)
 			}
 		})
-	}, nil
+	}
 }
 
 // MustLoad is Load for static names.

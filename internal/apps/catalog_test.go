@@ -2,6 +2,8 @@ package apps
 
 import (
 	"testing"
+
+	"taopt/internal/scenario"
 )
 
 func TestCatalogHas18Apps(t *testing.T) {
@@ -28,7 +30,7 @@ func TestCatalogMatchesTable3(t *testing.T) {
 		"WEBTOON":     {"2.4.3", true},
 		"AbsWorkout":  {"4.2.0", false},
 	}
-	byName := make(map[string]Entry)
+	byName := make(map[string]scenario.App)
 	for _, e := range Entries() {
 		byName[e.Spec.Name] = e
 	}

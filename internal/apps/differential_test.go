@@ -15,7 +15,7 @@ import (
 // byte-identical to the pre-refactor one: same specs, same seeds, same
 // generated apps, same golden exports.
 func legacySpec(name, version, category, downloads string, login bool,
-	k, scrMin, scrMax, vmMin, vmMax, wmMin, wmMax, extra, crashes int) Entry {
+	k, scrMin, scrMax, vmMin, vmMax, wmMin, wmMax, extra, crashes int) scenario.App {
 	s := app.DefaultSpec(name, app.SeedFor(name))
 	s.Version = version
 	s.Category = category
@@ -27,13 +27,13 @@ func legacySpec(name, version, category, downloads string, login bool,
 	s.ExtraMethods = extra
 	s.CrashSites = crashes
 	s.LoginRequired = login
-	return Entry{Spec: s}
+	return scenario.App{Spec: s}
 }
 
 // legacyCatalog is the pre-refactor table, in its original (alphabetical)
 // order.
-func legacyCatalog() []Entry {
-	return []Entry{
+func legacyCatalog() []scenario.App {
+	return []scenario.App{
 		legacySpec("AbsWorkout", "4.2.0", "Health & Fitness", "10m+", false, 6, 75, 110, 4, 10, 2, 5, 1200, 16),
 		legacySpec("AccuWeather", "7.4.1-5", "Weather", "100m+", false, 8, 87, 130, 6, 13, 4, 7, 2500, 12),
 		legacySpec("AutoScout24", "9.8.6", "Auto & Vehicles", "10m+", false, 10, 97, 152, 8, 16, 5, 9, 4000, 10),
@@ -56,7 +56,7 @@ func legacyCatalog() []Entry {
 }
 
 // TestCatalogMatchesLegacyTable is the catalog-wide differential: every
-// embedded scenario file must compile to exactly the Entry the hard-coded
+// embedded scenario file must compile to exactly the app the hard-coded
 // table produced — field for field, including the derived seed — so every
 // downstream golden (exports, fleet reports, decision logs) is unchanged by
 // the data-file refactor.
@@ -113,12 +113,9 @@ func TestCatalogHashesDistinct(t *testing.T) {
 			t.Fatalf("hash collision between %s and %s", prev, e.Spec.Name)
 		}
 		seen[e.Hash] = e.Spec.Name
-		if Hash(e.Spec.Name) != e.Hash {
-			t.Fatalf("Hash(%q) disagrees with the entry", e.Spec.Name)
+		if l, err := Lookup(e.Spec.Name); err != nil || l != e {
+			t.Fatalf("Lookup(%q) = %+v, %v; disagrees with the entry", e.Spec.Name, l, err)
 		}
-	}
-	if Hash("NopeApp") != "" {
-		t.Fatal("Hash of unknown app must be empty")
 	}
 }
 

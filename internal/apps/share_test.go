@@ -9,47 +9,48 @@ import (
 )
 
 // registered reports how many apps the Share registry holds and how many
-// holders the named one has.
-func registered(name string) (apps, users int) {
+// holders spec's app has.
+func registered(spec app.Spec) (apps, users int) {
 	shared.Lock()
 	defer shared.Unlock()
-	if s := shared.m[name]; s != nil {
+	if s := shared.m[spec]; s != nil {
 		users = s.users
 	}
 	return len(shared.m), users
 }
 
-func mustShare(t *testing.T, name string) (*app.App, func()) {
+func catalogSpec(t *testing.T, name string) app.Spec {
 	t.Helper()
-	a, release, err := Share(name)
+	e, err := Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, release
+	return e.Spec
 }
 
 func TestShareOverlappingHoldersGetOneApp(t *testing.T) {
 	const name = "Filters For Selfie"
-	a, releaseA := mustShare(t, name)
-	b, releaseB := mustShare(t, name)
+	spec := catalogSpec(t, name)
+	a, releaseA := Share(spec)
+	b, releaseB := Share(spec)
 	if a != b {
 		t.Fatal("overlapping Share calls returned different apps")
 	}
-	if n, users := registered(name); n != 1 || users != 2 {
+	if n, users := registered(spec); n != 1 || users != 2 {
 		t.Fatalf("registry holds %d apps, %q has %d users; want 1 and 2", n, name, users)
 	}
 	if !reflect.DeepEqual(a, MustLoad(name)) {
 		t.Fatal("shared app differs from a fresh Load")
 	}
 	releaseA()
-	if _, users := registered(name); users != 1 {
+	if _, users := registered(spec); users != 1 {
 		t.Fatalf("after one release %q has %d users, want 1", name, users)
 	}
 	releaseB()
-	if n, _ := registered(name); n != 0 {
+	if n, _ := registered(spec); n != 0 {
 		t.Fatalf("registry holds %d apps after the last release, want 0", n)
 	}
-	c, releaseC := mustShare(t, name)
+	c, releaseC := Share(spec)
 	defer releaseC()
 	if c == a {
 		t.Fatal("Share after the last release returned the dropped app")
@@ -58,31 +59,39 @@ func TestShareOverlappingHoldersGetOneApp(t *testing.T) {
 
 func TestShareSecondReleaseIsNoOp(t *testing.T) {
 	const name = "Marvel Comics"
-	_, releaseA := mustShare(t, name)
-	_, releaseB := mustShare(t, name)
+	spec := catalogSpec(t, name)
+	_, releaseA := Share(spec)
+	_, releaseB := Share(spec)
 	releaseA()
 	releaseA()
-	if _, users := registered(name); users != 1 {
+	if _, users := registered(spec); users != 1 {
 		t.Fatalf("a repeated release dropped another holder: %q has %d users, want 1", name, users)
 	}
 	releaseB()
 	releaseB()
-	if n, _ := registered(name); n != 0 {
+	if n, _ := registered(spec); n != 0 {
 		t.Fatalf("registry holds %d apps after the last release, want 0", n)
 	}
 }
 
-func TestShareUnknownNameRegistersNothing(t *testing.T) {
-	before, _ := registered("NopeApp")
-	a, release, err := Share("NopeApp")
-	if err == nil || a != nil || release != nil {
-		t.Fatalf("Share(unknown) = %v, %v, %v; want nil, nil and an error", a, release != nil, err)
+// Specs compare by value: two specs with one name but different knobs are
+// two apps, each with its own holder.
+func TestShareKeysBySpecNotName(t *testing.T) {
+	spec := catalogSpec(t, "Filters For Selfie")
+	other := spec
+	other.CrashSites++
+	a, releaseA := Share(spec)
+	defer releaseA()
+	b, releaseB := Share(other)
+	defer releaseB()
+	if a == b {
+		t.Fatal("specs that differ in a knob share one app")
 	}
-	if _, lerr := Lookup("NopeApp"); err.Error() != lerr.Error() {
-		t.Fatalf("Share error %q, want Lookup's %q", err, lerr)
+	if _, users := registered(spec); users != 1 {
+		t.Fatalf("the catalog spec has %d users, want 1", users)
 	}
-	if n, _ := registered("NopeApp"); n != before {
-		t.Fatalf("registry holds %d apps after an unknown name, want %d", n, before)
+	if !reflect.DeepEqual(b, app.Generate(other)) {
+		t.Fatal("the second spec's app is not generated from it")
 	}
 }
 
@@ -92,8 +101,10 @@ func TestShareUnknownNameRegistersNothing(t *testing.T) {
 func TestShareConcurrentHolders(t *testing.T) {
 	names := []string{"Filters For Selfie", "Marvel Comics"}
 	want := make(map[string]int)
+	specs := make(map[string]app.Spec)
 	for _, name := range names {
 		want[name] = MustLoad(name).MethodCount()
+		specs[name] = catalogSpec(t, name)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -102,11 +113,7 @@ func TestShareConcurrentHolders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				name := names[(g+i)%len(names)]
-				a, release, err := Share(name)
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				a, release := Share(specs[name])
 				if got := a.MethodCount(); got != want[name] {
 					t.Errorf("%s: shared app has %d methods, want %d", name, got, want[name])
 				}
@@ -116,7 +123,7 @@ func TestShareConcurrentHolders(t *testing.T) {
 	}
 	wg.Wait()
 	for _, name := range names {
-		if _, users := registered(name); users != 0 {
+		if _, users := registered(specs[name]); users != 0 {
 			t.Fatalf("%s has %d users after every holder released, want 0", name, users)
 		}
 	}

@@ -94,8 +94,8 @@ type CampaignConfig struct {
 	Seed int64
 	// ScenarioApps maps app names to inline definitions from a campaign
 	// scenario document. A name present here resolves to its scenario spec
-	// instead of the catalog; cells generate the app from the spec on
-	// demand, exactly like catalog loads.
+	// instead of the catalog (Campaign.App); cells share the app by spec,
+	// exactly like catalog apps.
 	ScenarioApps map[string]scenario.App
 	// Faults, when non-nil and enabled, injects device-farm failures into
 	// every run of the campaign (chaos campaigns); each cell derives its
@@ -193,19 +193,10 @@ func (c *Campaign) Cell(appName, tool string, setting Setting) (*CellSummary, er
 		c.stats.CacheHits++
 		return s, nil
 	}
-	aut, release, err := c.shareApp(key.App)
-	if err != nil {
+	if _, err := c.compute([]CellKey{key}); err != nil {
 		return nil, err
 	}
-	defer release()
-	s, err := c.computeCell(key, aut)
-	if err != nil {
-		return nil, err
-	}
-	c.stats.CellsComputed++
-	c.cells[key] = s
-	c.logProgress(s)
-	return s, nil
+	return c.cells[key], nil
 }
 
 // FleetStats returns the campaign's cache and worker-pool accounting so far.
@@ -215,12 +206,11 @@ func (c *Campaign) FleetStats() FleetStats {
 	return st
 }
 
-// computeCell executes one cell on aut without touching the cache or the
-// progress writer, so fleet workers can run it concurrently: a cell is one
-// self-contained simulation whose seed derives from its key alone, and it
-// only reads the app.
-func (c *Campaign) computeCell(key CellKey, aut *app.App) (*CellSummary, error) {
-	hash := c.appHash(key.App)
+// computeCell executes one cell on aut, whose scenario hash is hash,
+// without touching the cache or the progress writer, so fleet workers can
+// run it concurrently: a cell is one self-contained simulation whose seed
+// derives from its key alone, and it only reads the app.
+func (c *Campaign) computeCell(key CellKey, aut *app.App, hash string) (*CellSummary, error) {
 	cfg := RunConfig{
 		App:          aut,
 		Tool:         key.Tool,
@@ -277,10 +267,7 @@ func (c *Campaign) logProgress(s *CellSummary) {
 // logging happen on the calling goroutine in deterministic key order
 // (sorted apps, then tools and settings as given), so a parallel campaign's
 // cache, summaries and progress stream are byte-identical to a serial one;
-// the first cell error is returned after the whole batch settles. Each
-// catalog app is shared read-only across overlapping runs (apps.Share): the
-// batch takes one share per app, every cell of the batch runs on that app,
-// and so does any other campaign holding the same app at the same time.
+// the first cell error is returned after the whole batch settles.
 func (c *Campaign) Prefetch(tools []string, settings ...Setting) error {
 	if tools == nil {
 		tools = c.cfg.Tools
@@ -296,11 +283,22 @@ func (c *Campaign) Prefetch(tools []string, settings ...Setting) error {
 			}
 		}
 	}
-	workers := c.cfg.Workers
-	if workers < 1 {
-		workers = 1
+	pool, err := c.compute(keys)
+	if pool.Workers > 0 {
+		c.stats.Workers = pool.Workers
+		c.stats.JobsPerWorker = pool.JobsPerWorker
 	}
-	// Shares are released once every cell of the batch has settled.
+	return err
+}
+
+// compute runs a batch of cells on the worker pool and merges them into the
+// cache in key order, returning the first cell error once the batch settles.
+// Each app is shared read-only across overlapping runs (apps.Share): the
+// batch takes one share per app, every cell of the batch runs on that app,
+// and so does any other holder of the same spec at the same time. The shares
+// are released once the batch settles, on error paths too.
+func (c *Campaign) compute(keys []CellKey) (fleet.PoolStats, error) {
+	workers := max(c.cfg.Workers, 1)
 	var (
 		mu       sync.Mutex
 		releases []func()
@@ -310,31 +308,33 @@ func (c *Campaign) Prefetch(tools []string, settings ...Setting) error {
 			release()
 		}
 	}()
-	loads := make(map[string]func() (*app.App, error))
+	type held struct {
+		app  *app.App
+		hash string
+	}
+	loads := make(map[string]func() (held, error))
 	for _, key := range keys {
 		if loads[key.App] == nil {
-			loads[key.App] = sync.OnceValues(func() (*app.App, error) {
-				aut, release, err := c.shareApp(key.App)
-				if err == nil {
-					mu.Lock()
-					releases = append(releases, release)
-					mu.Unlock()
+			loads[key.App] = sync.OnceValues(func() (held, error) {
+				sa, err := c.App(key.App)
+				if err != nil {
+					return held{}, err
 				}
-				return aut, err
+				aut, release := apps.Share(sa.Spec)
+				mu.Lock()
+				releases = append(releases, release)
+				mu.Unlock()
+				return held{aut, sa.Hash}, nil
 			})
 		}
 	}
 	results, pool := fleet.MapTracked(workers, len(keys), func(i int) (*CellSummary, error) {
-		aut, err := loads[keys[i].App]()
+		a, err := loads[keys[i].App]()
 		if err != nil {
 			return nil, err
 		}
-		return c.computeCell(keys[i], aut)
+		return c.computeCell(keys[i], a.app, a.hash)
 	})
-	if pool.Workers > 0 {
-		c.stats.Workers = pool.Workers
-		c.stats.JobsPerWorker = pool.JobsPerWorker
-	}
 	var firstErr error
 	for _, r := range results {
 		if r.Err != nil {
@@ -347,7 +347,7 @@ func (c *Campaign) Prefetch(tools []string, settings ...Setting) error {
 		c.cells[r.Value.Key] = r.Value
 		c.logProgress(r.Value)
 	}
-	return firstErr
+	return pool, firstErr
 }
 
 // summarize reduces a RunResult to the digest the renderers need, computing

@@ -178,10 +178,7 @@ func TestFleetCrossCampaignSharedApp(t *testing.T) {
 		}
 	}
 
-	held, release, err := apps.Share(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	held, release := apps.Share(mustLookup(t, name).Spec)
 	defer release()
 	got := make([]*CellSummary, len(keys))
 	var wg sync.WaitGroup
@@ -239,18 +236,12 @@ func TestCampaignReleasesAppShares(t *testing.T) {
 		{"failing Cell", func(c *Campaign) error { _, err := c.Cell(name, "no-such-tool", BaselineParallel); return err }, true},
 		{"Cell", func(c *Campaign) error { _, err := c.Cell(name, "monkey", BaselineParallel); return err }, false},
 	} {
-		held, release, err := apps.Share(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		held, release := apps.Share(mustLookup(t, name).Spec)
 		if err := tc.run(NewCampaign(cfg)); (err != nil) != tc.wantErr {
 			t.Fatalf("%s: error %v, want error: %v", tc.what, err, tc.wantErr)
 		}
 		release()
-		again, release, err := apps.Share(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		again, release := apps.Share(mustLookup(t, name).Spec)
 		release()
 		if again == held {
 			t.Fatalf("%s kept its share of the app", tc.what)

@@ -21,6 +21,15 @@ func mustCompileRunT(t *testing.T, src string) *scenario.RunSpec {
 	return rs
 }
 
+func mustLookup(t *testing.T, name string) scenario.App {
+	t.Helper()
+	e, err := apps.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestFromRunScenarioCatalog(t *testing.T) {
 	rs := mustCompileRunT(t, `{"kind": "run", "name": "cell", "run": {
 		"app": "Filters For Selfie", "tool": "monkey", "setting": "taopt-duration",
@@ -33,7 +42,7 @@ func TestFromRunScenarioCatalog(t *testing.T) {
 	if cfg.App == nil || cfg.App.Name != "Filters For Selfie" {
 		t.Fatalf("app not resolved: %+v", cfg.App)
 	}
-	if cfg.ScenarioHash != apps.Hash("Filters For Selfie") {
+	if cfg.ScenarioHash != mustLookup(t, "Filters For Selfie").Hash {
 		t.Fatalf("ScenarioHash = %s, want the catalog document hash", cfg.ScenarioHash)
 	}
 	if cfg.Tool != "monkey" || cfg.Setting != TaOPTDuration {
@@ -82,8 +91,8 @@ func TestFromRunScenarioRejectsUnknowns(t *testing.T) {
 }
 
 // ShareRunScenario lowers like FromRunScenario, but overlapping lowerings of
-// one catalog app hand out one shared app, and the last release drops it. An
-// inline app is generated per lowering, with a no-op release.
+// one app spec, catalog or inline, hand out one shared app, and the last
+// release drops it.
 func TestShareRunScenario(t *testing.T) {
 	const doc = `{"kind": "run", "name": "cell", "run": {
 		"app": "Marvel Comics", "tool": "monkey", "setting": "taopt-duration",
@@ -117,22 +126,30 @@ func TestShareRunScenario(t *testing.T) {
 		t.Fatal("a lowering after the last release got the dropped app")
 	}
 
-	inline := mustCompileRunT(t, `{"kind": "run", "name": "inline", "run": {
-		"inlineApp": {"name": "Tiny", "app": {"subspaces": 4}},
-		"tool": "monkey", "setting": "baseline"}}`)
-	x, releaseX, err := ShareRunScenario(inline)
+	// Two inline documents that spell one spec differently (the second
+	// writes out a default) hash apart but share one app, and each lowering
+	// keeps its own document's hash.
+	const inline = `{"kind": "run", "name": "inline", "run": {
+		"inlineApp": {"name": "Tiny", "app": {"subspaces": 4%s}},
+		"tool": "monkey", "setting": "baseline"}}`
+	xs := mustCompileRunT(t, fmt.Sprintf(inline, ""))
+	ys := mustCompileRunT(t, fmt.Sprintf(inline, `, "version": "1.0.0"`))
+	x, releaseX, err := ShareRunScenario(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, releaseY, err := ShareRunScenario(inline)
+	y, releaseY, err := ShareRunScenario(ys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	releaseX()
 	releaseY()
-	if x.App == y.App || x.ScenarioHash != inline.App.Hash {
-		t.Fatalf("inline lowerings: shared app %v, hash %s; want separate apps and hash %s",
-			x.App == y.App, x.ScenarioHash, inline.App.Hash)
+	if xs.App.Spec != ys.App.Spec || xs.App.Hash == ys.App.Hash {
+		t.Fatal("the inline documents must share a spec and differ in hash")
+	}
+	if x.App != y.App || x.ScenarioHash != xs.App.Hash || y.ScenarioHash != ys.App.Hash {
+		t.Fatalf("inline lowerings: shared app %v, hashes %s and %s; want one app and hashes %s and %s",
+			x.App == y.App, x.ScenarioHash, y.ScenarioHash, xs.App.Hash, ys.App.Hash)
 	}
 
 	if _, _, err := ShareRunScenario(mustCompileRunT(t, `{"kind": "run", "name": "x", "run": {
@@ -162,7 +179,7 @@ func TestFromRunScenarioMatchesDirectConfig(t *testing.T) {
 		Setting:      TaOPTDuration,
 		Duration:     6 * sim.Duration(60e9),
 		Seed:         7,
-		ScenarioHash: apps.Hash("Filters For Selfie"),
+		ScenarioHash: mustLookup(t, "Filters For Selfie").Hash,
 	}
 	b, err := Run(direct)
 	if err != nil {
@@ -180,7 +197,7 @@ func TestCellSummaryCarriesScenarioHash(t *testing.T) {
 	cfg.Progress = &progress
 	c := NewCampaign(cfg)
 	cell := mustCellT(t, c, "Filters For Selfie", "monkey", BaselineParallel)
-	want := apps.Hash("Filters For Selfie")
+	want := mustLookup(t, "Filters For Selfie").Hash
 	if cell.Hash != want {
 		t.Fatalf("cell hash = %q, want catalog hash %q", cell.Hash, want)
 	}

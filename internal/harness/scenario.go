@@ -9,33 +9,14 @@ import (
 	"taopt/internal/tools"
 )
 
-// LoadApp generates one campaign app: an inline scenario app if the
-// campaign carries one under that name, the catalog app otherwise.
-func (c *Campaign) LoadApp(name string) (*app.App, error) {
+// App resolves one campaign app name to its spec and document hash: the
+// campaign's inline scenario app of that name if it has one, the catalog app
+// otherwise. It generates nothing.
+func (c *Campaign) App(name string) (scenario.App, error) {
 	if sa, ok := c.cfg.ScenarioApps[name]; ok {
-		return sa.Generate(), nil
+		return sa, nil
 	}
-	return apps.Load(name)
-}
-
-// shareApp is LoadApp for the campaign's own cells: a catalog app comes
-// from apps.Share, so overlapping runs of it (in this campaign or any other)
-// read one generated copy, and the caller must call release once its runs
-// are done. An inline scenario app's name is no catalog identity, so it is
-// generated afresh and its release is a no-op.
-func (c *Campaign) shareApp(name string) (aut *app.App, release func(), err error) {
-	if sa, ok := c.cfg.ScenarioApps[name]; ok {
-		return sa.Generate(), func() {}, nil
-	}
-	return apps.Share(name)
-}
-
-// appHash is the scenario hash stamped into the exports of name's cells.
-func (c *Campaign) appHash(name string) string {
-	if sa, ok := c.cfg.ScenarioApps[name]; ok {
-		return sa.Hash
-	}
-	return apps.Hash(name)
+	return apps.Lookup(name)
 }
 
 // FromScenario lowers a compiled campaign scenario onto a CampaignConfig.
@@ -71,14 +52,21 @@ func FromScenario(sc *scenario.Campaign) (CampaignConfig, error) {
 	return cfg, nil
 }
 
+// runApp resolves a run document's app: its inline app, or the catalog app
+// it names.
+func runApp(rs *scenario.RunSpec) (scenario.App, error) {
+	if rs.App != nil {
+		return *rs.App, nil
+	}
+	return apps.Lookup(rs.AppName)
+}
+
 // CheckRunScenario reports why the harness cannot run rs — an unknown
 // catalog app, tool or setting — without generating the app, so the
 // campaign service can reject a bad submit before it is queued.
 func CheckRunScenario(rs *scenario.RunSpec) error {
-	if rs.App == nil {
-		if _, err := apps.Lookup(rs.AppName); err != nil {
-			return err
-		}
+	if _, err := runApp(rs); err != nil {
+		return err
 	}
 	if _, err := tools.New(rs.Tool, 0); err != nil {
 		return err
@@ -88,33 +76,41 @@ func CheckRunScenario(rs *scenario.RunSpec) error {
 }
 
 // FromRunScenario lowers a compiled run scenario onto a RunConfig whose app
-// the caller owns. The app resolves like a campaign cell — generated from
-// the inline spec, or loaded from the catalog — and the export's
-// scenario_hash names the app document either way, so a lowered run is
-// indistinguishable from the equivalent `taopt -scenario` invocation.
-// Absent scenario fields stay zero for the usual Run defaults; anything
-// CheckRunScenario rejects is an error.
+// the caller owns. The app resolves like a campaign cell — the inline spec,
+// or the catalog app — and the export's scenario_hash names the app document
+// either way, so a lowered run is indistinguishable from the equivalent
+// `taopt -scenario` invocation. Absent scenario fields stay zero for the
+// usual Run defaults; anything CheckRunScenario rejects is an error.
 func FromRunScenario(rs *scenario.RunSpec) (RunConfig, error) {
-	cfg, _, err := lowerRunScenario(rs, func(name string) (*app.App, func(), error) {
-		aut, err := apps.Load(name)
-		return aut, func() {}, err
-	})
-	return cfg, err
+	cfg, spec, err := lowerRunScenario(rs)
+	if err != nil {
+		return RunConfig{}, err
+	}
+	cfg.App = app.Generate(spec)
+	return cfg, nil
 }
 
 // ShareRunScenario is FromRunScenario for the campaign service's computes,
-// which overlap: a catalog app comes from apps.Share, so concurrent runs of
-// one app read one generated copy, and the caller calls release once it is
-// done with the RunConfig and the run's result. An inline app is generated
-// afresh and its release is a no-op.
+// which overlap: the app comes from apps.Share, so concurrent runs of one
+// spec read one generated copy, and the caller calls release once it is
+// done with the RunConfig and the run's result.
 func ShareRunScenario(rs *scenario.RunSpec) (RunConfig, func(), error) {
-	return lowerRunScenario(rs, apps.Share)
-}
-
-func lowerRunScenario(rs *scenario.RunSpec, catalog func(string) (*app.App, func(), error)) (RunConfig, func(), error) {
-	if err := CheckRunScenario(rs); err != nil {
+	cfg, spec, err := lowerRunScenario(rs)
+	if err != nil {
 		return RunConfig{}, nil, err
 	}
+	aut, release := apps.Share(spec)
+	cfg.App = aut
+	return cfg, release, nil
+}
+
+// lowerRunScenario lowers everything of rs but the app itself, and returns
+// the spec to generate or share it from.
+func lowerRunScenario(rs *scenario.RunSpec) (RunConfig, app.Spec, error) {
+	if err := CheckRunScenario(rs); err != nil {
+		return RunConfig{}, app.Spec{}, err
+	}
+	sa, _ := runApp(rs)                    // checked above
 	setting, _ := ParseSetting(rs.Setting) // checked above
 	cfg := RunConfig{
 		Tool:          rs.Tool,
@@ -124,24 +120,14 @@ func lowerRunScenario(rs *scenario.RunSpec, catalog func(string) (*app.App, func
 		MachineBudget: rs.MachineBudget,
 		SampleEvery:   rs.SampleEvery,
 		Seed:          rs.Seed,
+		ScenarioHash:  sa.Hash,
 		Telemetry:     rs.Telemetry,
 	}
 	if rs.Faults != nil {
 		f := *rs.Faults
 		cfg.Faults = &f
 	}
-	if rs.App != nil {
-		cfg.App = rs.App.Generate()
-		cfg.ScenarioHash = rs.App.Hash
-		return cfg, func() {}, nil
-	}
-	aut, release, err := catalog(rs.AppName)
-	if err != nil {
-		return RunConfig{}, nil, err
-	}
-	cfg.App = aut
-	cfg.ScenarioHash = apps.Hash(rs.AppName)
-	return cfg, release, nil
+	return cfg, sa.Spec, nil
 }
 
 // ScenarioSettings parses a campaign scenario's setting names into harness

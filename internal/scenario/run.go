@@ -15,8 +15,9 @@ import (
 // the harness lowers it onto a RunConfig (harness.FromRunScenario).
 type RunSpec struct {
 	Name string
-	// AppName is a catalog reference; App is an inline app spec. Exactly one
-	// is set (the compiler enforces the XOR).
+	// AppName names the run's app: the catalog app it references, or the
+	// inline app's own name. App is set for an inline app only, so App != nil
+	// marks one (the compiler enforces the document's app/inlineApp XOR).
 	AppName string
 	App     *App
 	Tool    string
@@ -97,6 +98,7 @@ func compileRunV1(doc *Document) (*RunSpec, []Issue) {
 		}
 		a.Hash = hash
 		rs.App = a
+		rs.AppName = a.Spec.Name
 	default:
 		issues = append(issues, Issue{path + ".app", "required (name a catalog app, or define one under inlineApp)"})
 	}

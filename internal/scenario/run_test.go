@@ -74,8 +74,8 @@ func TestCompileRunInlineAppHashMatchesStandalone(t *testing.T) {
 	rs := mustCompileRun(t, `{"kind": "run", "name": "inline", "run": {
 		"inlineApp": {"name": "Tiny", "app": {"subspaces": 4, "login": true}},
 		"tool": "monkey", "setting": "baseline"}}`)
-	if rs.App == nil || rs.AppName != "" {
-		t.Fatalf("inline app not compiled: %+v", rs)
+	if rs.App == nil || rs.AppName != "Tiny" {
+		t.Fatalf("inline app not compiled under its own name: %+v", rs)
 	}
 	standalone := mustCompileApp(t, `{"schemaVersion": 1, "kind": "app", "name": "Tiny", "app": {"subspaces": 4, "login": true}}`)
 	if rs.App.Spec != standalone.Spec {

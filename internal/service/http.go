@@ -70,8 +70,13 @@ func NewHandler(s *Service) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds 1 MiB", nil)
+			return
+		}
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "invalid_scenario", err.Error(), nil)
 			return
 		}
 		rec, err := s.Submit(data)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"taopt/internal/scenario"
@@ -112,6 +113,32 @@ func TestAPIGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("API responses diverge from golden (rerun with -update and inspect the diff):\ngot:\n%s", got)
+	}
+}
+
+// A body that fails to read for any reason but its size is a 400
+// invalid_scenario carrying the read error; only an oversized body is a 413
+// (pinned in the golden).
+func TestAPIBodyReadError(t *testing.T) {
+	svc, err := service.New(service.Config{Exec: goldenExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	rw := httptest.NewRecorder()
+	body := iotest.ErrReader(errors.New("connection reset"))
+	service.NewHandler(svc).ServeHTTP(rw, httptest.NewRequest("POST", "/v1/runs", body))
+	var env struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(rw.Body.Bytes(), &env); err != nil {
+		t.Fatalf("envelope does not parse: %v\n%s", err, rw.Body.String())
+	}
+	if rw.Code != http.StatusBadRequest || env.Error.Code != "invalid_scenario" || env.Error.Message != "connection reset" {
+		t.Fatalf("status %d, envelope %+v; want 400 invalid_scenario with the read error", rw.Code, env.Error)
 	}
 }
 

@@ -135,7 +135,7 @@ func New(cfg Config) (*Service, error) {
 }
 
 // computeCell is the real execution backend: one deterministic harness run,
-// reduced to the byte payloads the API serves. Computes of one catalog app
+// reduced to the byte payloads the API serves. Computes of one app spec
 // that overlap on the worker pool run on one shared copy of it
 // (harness.ShareRunScenario). The binary trace is always captured; the
 // telemetry digest only when the document asked for it.
@@ -184,14 +184,10 @@ func (s *Service) Submit(data []byte) (RunRecord, error) {
 			return RunRecord{}, err
 		}
 	}
-	appLabel := rs.AppName
-	if rs.App != nil {
-		appLabel = rs.App.Spec.Name
-	}
 
 	hit := s.repo.CheckCell(rs.ConfigHash) == nil
 	s.mu.Lock()
-	rec, err := s.admit(rs, appLabel, hit)
+	rec, err := s.admit(rs, hit)
 	s.mu.Unlock()
 	if err != nil || rec.State == StateQueued {
 		return rec, err
@@ -208,14 +204,14 @@ func (s *Service) Submit(data []byte) (RunRecord, error) {
 // check, is re-checked if it failed: a hit comes back done, for the caller
 // to store, and a miss starts a compute. Queued records are created here,
 // before runFlight can settle them.
-func (s *Service) admit(rs *scenario.RunSpec, appLabel string, hit bool) (RunRecord, error) {
+func (s *Service) admit(rs *scenario.RunSpec, hit bool) (RunRecord, error) {
 	s.stats.Submitted++
 	s.nextID++
 	rec := RunRecord{
 		ID:         fmt.Sprintf("r-%06d", s.nextID),
 		Name:       rs.Name,
 		ConfigHash: rs.ConfigHash,
-		App:        appLabel,
+		App:        rs.AppName,
 		Tool:       rs.Tool,
 		Setting:    rs.Setting,
 		Seed:       rs.Seed,

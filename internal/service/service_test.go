@@ -63,13 +63,17 @@ func TestServiceCacheEquivalenceOracle(t *testing.T) {
 	}
 
 	// The offline equivalent of the document, built the way cmd/taopt does.
+	fs, err := apps.Lookup("Filters For Selfie")
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := harness.Run(harness.RunConfig{
-		App:          apps.MustLoad("Filters For Selfie"),
+		App:          fs.Generate(),
 		Tool:         "monkey",
 		Setting:      harness.TaOPTDuration,
 		Duration:     6 * sim.Duration(60e9),
 		Seed:         7,
-		ScenarioHash: apps.Hash("Filters For Selfie"),
+		ScenarioHash: fs.Hash,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +86,7 @@ func TestServiceCacheEquivalenceOracle(t *testing.T) {
 		t.Fatalf("service export diverges from the offline compute (%d vs %d bytes)",
 			len(cell.Export), offline.Len())
 	}
-	if cell.ScenarioHash != apps.Hash("Filters For Selfie") {
+	if cell.ScenarioHash != fs.Hash {
 		t.Fatalf("cell scenario hash = %q", cell.ScenarioHash)
 	}
 
@@ -145,10 +149,11 @@ func TestServiceSharedAppComputes(t *testing.T) {
 	const doc = `{"kind": "run", "name": "sweep %d", "run": {
 		"app": "Filters For Selfie", "tool": "monkey", "setting": "taopt-duration",
 		"durationMin": 2, "seed": %d}}`
-	held, release, err := apps.Share(name)
+	fs, err := apps.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	held, release := apps.Share(fs.Spec)
 	defer release()
 	svc, err := service.New(service.Config{Workers: 2})
 	if err != nil {
@@ -203,10 +208,7 @@ func TestServiceSharedAppComputes(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d computes", st, len(recs))
 	}
 	release()
-	again, releaseAgain, err := apps.Share(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again, releaseAgain := apps.Share(fs.Spec)
 	releaseAgain()
 	if again == held {
 		t.Fatal("a finished compute kept its share of the app")
